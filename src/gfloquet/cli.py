@@ -1,10 +1,10 @@
 """File-driven entry point: JSON configs in, JSON/CSV reports out.
 
 Exit codes: 0 success, 2 invalid config or failed validation, 3 convergence
-failure (or too many per-energy failures in a band scan). All outputs are
-written atomically (temp file + rename) and carry the sha256 fingerprint of
-the config file they were produced from, so identical configs yield
-byte-identical artifacts.
+or numerical (LinAlgError) failure, or too many per-energy failures in a band
+scan. All outputs are written atomically (temp file + rename) and carry the
+sha256 fingerprint of the config file they were produced from, so identical
+configs yield byte-identical artifacts.
 """
 from __future__ import annotations
 
@@ -204,8 +204,10 @@ def _read_cycle_csv(path: str, dim: int):
             rows = [r for r in csv.reader(fh) if r]
     except OSError as exc:
         raise ConfigError(f"cannot read cycle file {path}: {exc}")
-    if rows and not rows[0][0].replace(".", "").replace("-", "").replace("e", "").isdigit():
-        rows = rows[1:]  # header line
+    try:
+        [float(v) for v in rows[0]]
+    except (IndexError, ValueError):
+        rows = rows[1:]  # a first row that is not numeric is a header
     try:
         data = np.asarray([[float(v) for v in r] for r in rows])
     except ValueError as exc:
@@ -343,6 +345,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not a config fault
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except (ConfigError, InvalidSystemError, GridError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

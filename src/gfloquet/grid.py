@@ -90,6 +90,34 @@ class StateSegment:
         return StateSegment(grid, np.tile(value, (grid.history_points + 1, 1)))
 
 
+def _cubic_weights(s: np.ndarray, length: int):
+    """Stencil base index and weights of piecewise-cubic Lagrange interpolation.
+
+    s holds query positions in node units on `length` uniform nodes (node j at
+    s = j); the interpolant at s is sum_i w[i] * values[k0 + i], each w[i]
+    shaped like s. With fewer than 4 nodes the stencil is the full-degree
+    polynomial through all of them.
+    """
+    if length < 4:
+        # low-order fallback for very short histories
+        ws = []
+        for i in range(length):
+            w = np.ones_like(s)
+            for j in range(length):
+                if j != i:
+                    w = w * (s - j) / (i - j)
+            ws.append(w)
+        return np.zeros(s.shape, dtype=int), ws
+    k0 = np.clip(np.floor(s).astype(int) - 1, 0, length - 4)
+    u = s - k0
+    return k0, [
+        -(u - 1) * (u - 2) * (u - 3) / 6.0,
+        u * (u - 2) * (u - 3) / 2.0,
+        -u * (u - 1) * (u - 3) / 2.0,
+        u * (u - 1) * (u - 2) / 6.0,
+    ]
+
+
 def interp_uniform(values: np.ndarray, t0: float, h: float, query) -> np.ndarray:
     """Piecewise-cubic Lagrange interpolation on uniform nodes t0 + j*h.
 
@@ -98,31 +126,12 @@ def interp_uniform(values: np.ndarray, t0: float, h: float, query) -> np.ndarray
     """
     values = np.asarray(values)
     q = np.atleast_1d(np.asarray(query, dtype=float))
-    length = values.shape[0]
-    s = (q - t0) / h
+    k0, w = _cubic_weights((q - t0) / h, values.shape[0])
     extra = (None,) * (values.ndim - 1)
-    if length < 4:
-        # low-order fallback for very short histories
-        out = np.zeros(q.shape + values.shape[1:], dtype=values.dtype)
-        for i in range(length):
-            w = np.ones_like(s)
-            for j in range(length):
-                if j != i:
-                    w = w * (s - j) / (i - j)
-            out = out + w[(...,) + extra] * values[i]
-        return out
-    k0 = np.clip(np.floor(s).astype(int) - 1, 0, length - 4)
-    u = s - k0
-    w0 = -(u - 1) * (u - 2) * (u - 3) / 6.0
-    w1 = u * (u - 2) * (u - 3) / 2.0
-    w2 = -u * (u - 1) * (u - 3) / 2.0
-    w3 = u * (u - 1) * (u - 2) / 6.0
-    return (
-        w0[(...,) + extra] * values[k0]
-        + w1[(...,) + extra] * values[k0 + 1]
-        + w2[(...,) + extra] * values[k0 + 2]
-        + w3[(...,) + extra] * values[k0 + 3]
-    )
+    out = w[0][(...,) + extra] * values[k0]
+    for i in range(1, len(w)):
+        out = out + w[i][(...,) + extra] * values[k0 + i]
+    return out
 
 
 def periodic_interp(samples: np.ndarray, period: float, query) -> np.ndarray:

@@ -11,13 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PeriodicGrid, StateSegment, interp_uniform
+from .grid import PeriodicGrid, StateSegment, _cubic_weights, interp_uniform
 from .system import LinearMemorySystem, kernel_window, simpson_window
-
-# cubic Lagrange weights at a half-step offset (centered and one-sided stencils)
-_HALF_CENTERED = (-0.0625, 0.5625, 0.5625, -0.0625)
-_HALF_ONESIDED = (0.0625, -0.3125, 0.9375, 0.3125)
-
 
 class ResolutionError(ValueError):
     pass
@@ -31,49 +26,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.values[-1]
-
-
-def _window_values(hist, known, grid, sigma, t, Z, taus, n_uni):
-    """State samples on the kernel window nodes (taus[0] == sigma -> stage value).
-
-    taus[1:n_uni] are the grid-aligned nodes sigma - j*h; at RK4 stage offsets
-    they either coincide with stored rows or sit at a fixed half-step offset,
-    so their values come from plain (reversed) slices of the history buffer.
-    """
-    nh = grid.history_points
-    h = grid.step
-    vals = np.empty((len(taus),) + hist.shape[1:], dtype=hist.dtype)
-    vals[0] = Z
-    if len(taus) == 1:
-        return vals
-    frac = (sigma - t) / h
-    if n_uni >= 2:
-        if abs(frac) < 1e-9:
-            vals[1:n_uni] = hist[known - n_uni + 1 : known][::-1]
-        elif abs(frac - 1.0) < 1e-9:
-            vals[1:n_uni] = hist[known - n_uni + 2 : known + 1][::-1]
-        elif abs(frac - 0.5) < 1e-9 and known >= 3:
-            c = _HALF_ONESIDED
-            vals[1] = (
-                c[0] * hist[known - 3]
-                + c[1] * hist[known - 2]
-                + c[2] * hist[known - 1]
-                + c[3] * hist[known]
-            )
-            if n_uni > 2:
-                c = _HALF_CENTERED
-                a = known - n_uni
-                vals[2:n_uni] = (
-                    c[0] * hist[a : known - 2][::-1]
-                    + c[1] * hist[a + 1 : known - 1][::-1]
-                    + c[2] * hist[a + 2 : known][::-1]
-                    + c[3] * hist[a + 3 : known + 1][::-1]
-                )
-        else:
-            vals[1:n_uni] = interp_uniform(hist[: known + 1], -nh * h, h, taus[1:n_uni])
-    if len(taus) > n_uni:  # exact lower endpoint sigma - r, off the node lattice
-        vals[n_uni:] = interp_uniform(hist[: known + 1], -nh * h, h, taus[n_uni:])
-    return vals
 
 
 def propagate_history(
@@ -112,7 +64,8 @@ def propagate_history(
         raise ValueError(f"unknown quadrature {quadrature!r}")
     t0 = -nh * h
 
-    def rhs(sigma, Z, known, t):
+    def rhs(sigma, Z, known, frac):
+        # sigma lies frac steps past the last stored row `known`
         d = system.eval_coefficient(sigma) @ Z
         for tap in system.delay_taps:
             tau = sigma - tap.delay
@@ -125,11 +78,21 @@ def propagate_history(
             d = d + system.eval_tap(tap, sigma) @ zd
         if use_kernel:
             taus, w, n_uni = window(grid, sigma)
-            kmat = system.eval_kernel(sigma, taus)
-            vals = _window_values(hist, known, grid, sigma, t, Z, taus, n_uni)
-            nt = len(taus)
-            wk = (w[:, None, None] * kmat).transpose(1, 0, 2).reshape(n, nt * n)
-            d = d + wk @ vals.reshape(nt * n, -1)
+            wk = w[:, None, None] * system.eval_kernel(sigma, taus)
+            d = d + wk[0] @ Z  # the node tau = sigma carries the stage value
+            # nodes sigma - j*h, then the exact lower endpoint sigma - r when it
+            # is off the lattice; their cubic interpolation weights fold into
+            # w_j K_j, so the rest of the integral is one weight row times a
+            # contiguous block of stored rows
+            offsets = np.arange(1.0, len(taus))
+            offsets[n_uni - 1 :] = grid.memory_depth / h
+            k0, c = _cubic_weights(known + frac - offsets, known + 1)
+            lo = int(k0.min())
+            g = np.zeros((known + 1 - lo, n, n), dtype=wk.dtype)
+            for i, ci in enumerate(c):
+                np.add.at(g, k0 - lo + i, ci[:, None, None] * wk[1:])
+            g = g.transpose(1, 0, 2).reshape(n, -1)
+            d = d + g @ hist[lo : known + 1].reshape(-1, hist.shape[2])
         if include_forcing and system.forcing is not None:
             d = d + system.eval_forcing(sigma)[:, None]
         return d
@@ -138,10 +101,10 @@ def propagate_history(
         known = nh + step
         t = step * h
         Z = hist[known]
-        k1 = rhs(t, Z, known, t)
-        k2 = rhs(t + 0.5 * h, Z + 0.5 * h * k1, known, t)
-        k3 = rhs(t + 0.5 * h, Z + 0.5 * h * k2, known, t)
-        k4 = rhs(t + h, Z + h * k3, known, t)
+        k1 = rhs(t, Z, known, 0.0)
+        k2 = rhs(t + 0.5 * h, Z + 0.5 * h * k1, known, 0.5)
+        k3 = rhs(t + 0.5 * h, Z + 0.5 * h * k2, known, 0.5)
+        k4 = rhs(t + h, Z + h * k3, known, 1.0)
         hist[known + 1] = Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return hist
 

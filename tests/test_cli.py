@@ -3,8 +3,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from gfloquet.cli import main
+from gfloquet.cli import _read_cycle_csv, main
 
 
 def _write(path, payload):
@@ -73,6 +74,28 @@ def test_analyze_invalid_configs(tmp_path):
                  "--out", str(tmp_path / "o3")]) == 2
     assert main(["analyze", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "o4")]) == 2
+
+
+def test_analyze_numerical_failure_exits_3(tmp_path, monkeypatch):
+    def failing_eig(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalue iteration did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eig", failing_eig)
+    cfg = _write(tmp_path / "c.json", {
+        "system": {"builtin": "scalar_cosine"}, "grid": {"samples_per_period": 32}})
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("first, header", [
+    ("+0.0,1.0,2.0", False), ("1E-3,1.0,2.0", False), ("t,y1,y2", True)])
+def test_read_cycle_csv_header_only_if_not_numeric(tmp_path, first, header):
+    path = tmp_path / "cycle.csv"
+    path.write_text(first + "\n0.5,3.0,4.0\n1.0,1.0,2.0\n")
+    times, samples = _read_cycle_csv(str(path), 2)
+    assert len(times) == (2 if header else 3)
+    assert times[-1] == 1.0 and samples.shape == (len(times), 2)
+    if not header:
+        assert times[0] == float(first.split(",")[0])
 
 
 def _cycle_csv(path, period, samples):

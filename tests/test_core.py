@@ -7,6 +7,7 @@ from gfloquet import (
     step_integrate, validate_system,
 )
 from gfloquet.grid import interp_uniform, periodic_interp
+from gfloquet.integrate import propagate_history
 from gfloquet.system import kernel_window, simpson_window
 
 
@@ -196,3 +197,88 @@ def test_shift_commutation_zero_system():
     g = PeriodicGrid(1.0, 32, 0.25)
     seg = StateSegment(g, np.ones((g.history_points + 1, 1)))
     assert shift_commutation_residual(sys_, g, seg) == 0.0
+
+
+def _reference_propagate(system, grid, hist0, n_steps, quadrature):
+    """Method-of-steps RK4 that interpolates every kernel window node on its
+    own with interp_uniform and sums w_j K_j z(tau_j) (oracle for the folded
+    window weights of propagate_history)."""
+    nh, h = grid.history_points, grid.step
+    t0 = -nh * h
+    window = simpson_window if quadrature == "simpson" else kernel_window
+    hist = np.zeros((nh + 1 + n_steps,) + hist0.shape[1:], dtype=np.result_type(hist0, float))
+    hist[: nh + 1] = hist0
+
+    def rhs(sigma, z, known):
+        d = system.eval_coefficient(sigma) @ z
+        for tap in system.delay_taps:
+            tau = sigma - tap.delay
+            if tau <= 0.0:
+                zd = interp_uniform(hist[: nh + 1], t0, h, tau)[0]
+            else:
+                zd = interp_uniform(hist[nh : known + 1], 0.0, h, tau)[0]
+            d = d + system.eval_tap(tap, sigma) @ zd
+        taus, w, _ = window(grid, sigma)
+        kmat = system.eval_kernel(sigma, taus)
+        d = d + w[0] * kmat[0] @ z
+        vals = interp_uniform(hist[: known + 1], t0, h, taus[1:])
+        return d + np.einsum("t,tij,tjm->im", w[1:], kmat[1:], vals)
+
+    for step in range(n_steps):
+        known, t = nh + step, step * h
+        z = hist[known]
+        k1 = rhs(t, z, known)
+        k2 = rhs(t + 0.5 * h, z + 0.5 * h * k1, known)
+        k3 = rhs(t + 0.5 * h, z + 0.5 * h * k2, known)
+        k4 = rhs(t + h, z + h * k3, known)
+        hist[known + 1] = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return hist
+
+
+def _scalar_kernel_system():
+    return LinearMemorySystem(
+        1, lambda s: np.array([[-0.3 + 0.2 * np.cos(2 * np.pi * s)]]),
+        kernel=difference_kernel(lambda u: 0.7 * np.exp(-np.asarray(u) / 0.3)),
+    )
+
+
+@pytest.mark.parametrize("quadrature", ["trapezoid", "simpson"])
+@pytest.mark.parametrize("depth", [0.5, 1 / 32, 2 / 32, 3 / 32, 0.37])
+def test_folded_kernel_window_matches_per_node_interpolation(quadrature, depth):
+    # depth 0.5 is on the node lattice, 1-3 steps give nh = 1, 2, 3 (short
+    # stencils), 0.37 puts the lower endpoint between nodes
+    g = PeriodicGrid(1.0, 32, depth)
+    m = g.state_size(1)
+    hist0 = np.eye(m).reshape(m, 1, m)
+    system = _scalar_kernel_system()
+    got = propagate_history(system, g, hist0, 40, quadrature=quadrature)
+    ref = _reference_propagate(system, g, hist0, 40, quadrature)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_folded_kernel_window_complex_column():
+    g = PeriodicGrid(1.0, 32, 0.41)
+    rng = np.random.default_rng(5)
+    shape = (g.history_points + 1, 1, 1)
+    seg = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    system = _scalar_kernel_system()
+    got = propagate_history(system, g, seg, 40, quadrature="simpson")
+    ref = _reference_propagate(system, g, seg, 40, "simpson")
+    assert got.dtype == complex
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_folded_kernel_window_matrix_kernel_with_tap():
+    amp = np.array([[-0.5, 0.2], [0.1, -0.3]])
+    tap = DelayTap(0.25, lambda s: np.array([[0.1, 0.0], [0.2 * np.sin(2 * np.pi * s), -0.1]]))
+    system = LinearMemorySystem(
+        2, lambda s: np.array([[0.0, 1.0], [-1.0 - 0.3 * np.cos(2 * np.pi * s), -0.1]]),
+        delay_taps=(tap,),
+        kernel=difference_kernel(lambda u: np.exp(-np.asarray(u) / 0.2), scale=amp),
+    )
+    g = PeriodicGrid(1.0, 32, 0.43)
+    m = g.state_size(2)
+    hist0 = np.eye(m).reshape(-1, 2, m)
+    got = propagate_history(system, g, hist0, 40)
+    ref = _reference_propagate(system, g, hist0, 40, "trapezoid")
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

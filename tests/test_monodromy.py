@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from gfloquet import (
     ConvergenceError, DelayTap, LinearMemorySystem, NonTruncatableError,
@@ -8,6 +9,7 @@ from gfloquet import (
     extract_mode, floquet_spectrum, principal_exponents, sort_multipliers,
     step_integrate, truncate_infinite_kernel, verify_floquet_form,
 )
+from gfloquet import monodromy
 from gfloquet.builtins import delay_pi_over_2, exp_kernel, scalar_cosine
 
 
@@ -236,3 +238,18 @@ def test_truncate_harmonic_tail_raises():
     kernel = difference_kernel(lambda u: 1.0 / (np.asarray(u) + 1.0))
     with pytest.raises(NonTruncatableError):
         truncate_infinite_kernel(kernel, 1.0, 1e-8, grid, max_doublings=25)
+
+
+def test_eig_leading_dense_fallback_on_partial_arpack(monkeypatch):
+    rng = np.random.default_rng(11)
+    mat = rng.standard_normal((40, 40))
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.array([3.0, 2.0]), np.zeros((40, 2)))
+
+    monkeypatch.setattr(monodromy, "_DENSE_EIG_LIMIT", 10)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+    mus = monodromy._eig_leading(mat, k=8)
+    assert len(mus) == 40
+    np.testing.assert_allclose(np.sort_complex(mus), np.sort_complex(scipy.linalg.eigvals(mat)))
