@@ -12,8 +12,7 @@ from .monodromy import (ConvergenceError, FloquetDecomposition, MonodromyOperato
                         principal_exponents, sort_multipliers,
                         truncate_infinite_kernel, verify_floquet_form)
 from .perturbation import (LimitCycle, NonlinearMemorySystem, StabilityReport,
-                           forced_response, linearize, stability_verdict,
-                           variation_of_constants_response)
+                           forced_response, linearize, stability_verdict)
 from .bloch import (BandDiagram, BandExtremum, BandRecord, NonlocalPotential1D,
                     PropagatingSet, SelfConsistencyError, band_scan,
                     bloch_multipliers_collocation, cell_collocation_matrices,

@@ -227,9 +227,14 @@ def cmd_stability(args) -> int:
     if not isinstance(nl, NonlinearMemorySystem):
         raise ConfigError("stability requires a nonlinear builtin (e.g. van_der_pol)")
     times, samples = _read_cycle_csv(_require(cfg, "cycle_file", "config"), nl.dimension)
-    period = float(cfg.get("period", times[-1] - times[0]))
-    cycle = LimitCycle(period, samples, provenance="externally computed",
-                       wrap_tol=float(cfg.get("wrap_tol", 1e-6)))
+    span = times[-1] - times[0]
+    uniform = times[0] + np.arange(len(times)) * (span / max(len(times) - 1, 1))
+    if not (span > 0 and np.all(np.abs(times - uniform) <= 1e-6 * span)):
+        raise ConfigError("cycle times must be uniform and increasing")
+    period = float(cfg.get("period", span))
+    if not abs(period - span) <= 1e-6 * span:
+        raise ConfigError(f"period {period} differs from the cycle's time span {span}")
+    cycle = LimitCycle(period, samples, wrap_tol=float(cfg.get("wrap_tol", 1e-6)))
     fd_step = float(cfg.get("fd_step", 1e-6))
     linear = linearize(nl, cycle, fd_step=fd_step)
     grid = _grid_from_config(cfg, period, nl.memory_depth, args.grid)

@@ -134,6 +134,18 @@ def interp_uniform(values: np.ndarray, t0: float, h: float, query) -> np.ndarray
     return out
 
 
+def periodic_derivative(samples: np.ndarray, h: float) -> np.ndarray:
+    """5-point (4th-order) centred derivative of a periodic signal sampled on N
+    uniform nodes of step h (N rows; the wrap node at the period is left out)."""
+    y = np.asarray(samples)
+    n = y.shape[0]
+    idx = np.arange(n)
+    return (
+        -y[(idx + 2) % n] + 8 * y[(idx + 1) % n]
+        - 8 * y[(idx - 1) % n] + y[(idx - 2) % n]
+    ) / (12 * h)
+
+
 def periodic_interp(samples: np.ndarray, period: float, query) -> np.ndarray:
     """Cubic interpolation of a periodic signal sampled uniformly on [0, period).
 

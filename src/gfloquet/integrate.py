@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import PeriodicGrid, StateSegment, _cubic_weights, interp_uniform
-from .system import LinearMemorySystem, kernel_window, simpson_window
+from .system import LinearMemorySystem, quadrature_window
 
 class ResolutionError(ValueError):
     pass
@@ -56,12 +56,7 @@ def propagate_history(
     hist = np.zeros((nh + 1 + n_steps, n, hist0.shape[2]), dtype=dtype)
     hist[: nh + 1] = hist0
     use_kernel = system.kernel is not None and nh > 0
-    if quadrature == "trapezoid":
-        window = kernel_window
-    elif quadrature == "simpson":
-        window = simpson_window
-    else:
-        raise ValueError(f"unknown quadrature {quadrature!r}")
+    window = quadrature_window(quadrature)
     t0 = -nh * h
 
     def rhs(sigma, Z, known, frac):

@@ -3,16 +3,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .grid import PeriodicGrid, interp_uniform
+from .grid import PeriodicGrid, periodic_derivative, periodic_interp
 from .integrate import propagate_history
-from .system import LinearMemorySystem, kernel_window
+from .system import LinearMemorySystem, apply_memory
 
 DEFAULT_CONVERGENCE_TOL = 1e-4
 DEFAULT_MODES = 8
@@ -34,7 +34,6 @@ class MonodromyOperator:
 
     matrix: np.ndarray = field(repr=False)
     grid: PeriodicGrid
-    fingerprint: str
 
     def __post_init__(self):
         mat = np.asarray(self.matrix)
@@ -117,7 +116,7 @@ def build_monodromy(
     hist = propagate_history(system, grid, hist0, grid.samples_per_period,
                              include_forcing=False, quadrature=quadrature)
     u = hist[-(nh + 1):].reshape(m, m)
-    return MonodromyOperator(u, grid, system.fingerprint(grid))
+    return MonodromyOperator(u, grid)
 
 
 def _eig_leading(matrix: np.ndarray, k: int) -> np.ndarray:
@@ -142,18 +141,14 @@ def floquet_spectrum(
     grid: PeriodicGrid,
     modes: int = DEFAULT_MODES,
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL,
-    refine_factor: int = 2,
     quadrature: str = "trapezoid",
-    operator: Optional[MonodromyOperator] = None,
 ) -> FloquetDecomposition:
     """Eigen-decompose the monodromy operator at the requested grid and flag as
     converged the multipliers that persist under grid refinement. Spurious
     discretization eigenvalues drift under refinement and stay unflagged."""
-    if operator is None:
-        operator = build_monodromy(system, grid, quadrature=quadrature)
+    operator = build_monodromy(system, grid, quadrature=quadrature)
     mus, vecs = scipy.linalg.eig(operator.matrix)
-    grid_f = grid.refined(refine_factor)
-    op_f = build_monodromy(system, grid_f, quadrature=quadrature)
+    op_f = build_monodromy(system, grid.refined(2), quadrature=quadrature)
     mus_f = _eig_leading(op_f.matrix, k=max(4 * modes, 32))
 
     order = sort_multipliers(mus)
@@ -173,10 +168,7 @@ def floquet_spectrum(
     for j in np.nonzero(converged)[0][:modes]:
         if abs(mus[j]) < 1e-12:
             continue
-        mode_list.append(
-            extract_mode(operator, mus[j], system, grid,
-                         eigenvector=vecs[:, j], quadrature=quadrature)
-        )
+        mode_list.append(extract_mode(system, grid, mus[j], vecs[:, j], quadrature=quadrature))
     return FloquetDecomposition(
         multipliers=mus,
         exponents=exponents,
@@ -189,25 +181,16 @@ def floquet_spectrum(
 
 
 def extract_mode(
-    operator: MonodromyOperator,
-    mu: complex,
     system: LinearMemorySystem,
     grid: PeriodicGrid,
-    eigenvector: Optional[np.ndarray] = None,
+    mu: complex,
+    eigenvector: np.ndarray,
     quadrature: str = "trapezoid",
-    match_tol: float = 1e-6,
 ) -> PeriodicMode:
     """Propagate the eigenvector's history segment over one period and peel off
     the exponential growth, leaving the periodic part r(sigma)."""
     n = system.dimension
     nh = grid.history_points
-    if eigenvector is None:
-        mus, vecs = scipy.linalg.eig(operator.matrix)
-        j = int(np.argmin(np.abs(mus - mu)))
-        if abs(mus[j] - mu) > match_tol * max(1.0, abs(mu)):
-            raise ValueError(f"{mu} is not an eigenvalue of the monodromy operator")
-        mu = mus[j]
-        eigenvector = vecs[:, j]
     lam = complex(principal_exponents(np.array([mu]), grid.period)[0])
     seg = np.asarray(eigenvector, dtype=complex).reshape(nh + 1, n)
     hist = propagate_history(system, grid, seg[:, :, None], grid.samples_per_period,
@@ -232,21 +215,14 @@ class VerificationReport:
     max_residual: float
 
 
-def _mode_operator_residual(system, grid, mode: PeriodicMode) -> float:
+def _mode_operator_residual(system, grid, mode: PeriodicMode, quadrature: str) -> float:
     """Residual of the reduced equation for the periodic part, with the
     derivative by 4th-order centered differences on the periodic samples."""
-    from .grid import periodic_interp
-
-    n = system.dimension
     big_n = grid.samples_per_period
     h = grid.step
     lam = mode.exponent
     r = mode.samples[:big_n]  # drop the wrap node
-    idx = np.arange(big_n)
-    dr = (
-        -r[(idx + 2) % big_n] + 8 * r[(idx + 1) % big_n]
-        - 8 * r[(idx - 1) % big_n] + r[(idx - 2) % big_n]
-    ) / (12 * h)
+    dr = periodic_derivative(r, h)
 
     def w_at(taus):
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
@@ -256,13 +232,7 @@ def _mode_operator_residual(system, grid, mode: PeriodicMode) -> float:
     for k in range(big_n):
         s = k * h
         lw = system.eval_coefficient(s).astype(complex) @ (r[k] * np.exp(lam * s))
-        for tap in system.delay_taps:
-            lw = lw + system.eval_tap(tap, s) @ w_at(s - tap.delay)[0]
-        if system.kernel is not None:
-            taus, w, _ = kernel_window(grid, s)
-            kmat = system.eval_kernel(s, taus)
-            vals = w_at(taus)
-            lw = lw + np.einsum("t,tij,tj->i", w, kmat, vals)
+        lw = apply_memory(system, grid, s, w_at, lw, quadrature)
         resid = dr[k] + lam * r[k] - np.exp(-lam * s) * lw
         res = max(res, float(np.max(np.abs(resid))))
     return res / max(float(np.abs(mode.samples).max()), 1e-300)
@@ -295,12 +265,13 @@ def verify_floquet_form(
     window_sq = np.convolve(row_sq, np.ones(nh + 1), mode="valid")
     shift_res = float(np.sqrt(window_sq.max())) / u_norm
     mode_res = tuple(mode.periodicity_residual for mode in decomposition.modes)
-    op_res = tuple(_mode_operator_residual(system, grid, mode) for mode in decomposition.modes)
+    op_res = tuple(_mode_operator_residual(system, grid, mode, quadrature)
+                   for mode in decomposition.modes)
     all_res = (shift_res,) + mode_res + op_res
     return VerificationReport(shift_res, mode_res, op_res, max(all_res))
 
 
-def _kernel_norms(kernel: Callable, dim_hint: int, sigma: float, taus: np.ndarray) -> np.ndarray:
+def _kernel_norms(kernel: Callable, sigma: float, taus: np.ndarray) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
     try:
         vals = np.asarray(kernel(sigma, taus), dtype=float)
@@ -344,7 +315,7 @@ def truncate_infinite_kernel(
             converged = False
             for _ in range(max_doublings):
                 xs = np.linspace(upper - width, upper, 129)
-                g = _kernel_norms(kernel, 1, sigma, xs) * np.asarray(bound(xs), dtype=float)
+                g = _kernel_norms(kernel, sigma, xs) * np.asarray(bound(xs), dtype=float)
                 block = float(scipy.integrate.trapezoid(g, xs))
                 total += block
                 if block < eps * 1e-3:

@@ -5,12 +5,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.integrate
 
-from .grid import PeriodicGrid, StateSegment, periodic_interp
+from .grid import PeriodicGrid, StateSegment, periodic_derivative, periodic_interp
 from .integrate import Trajectory, _check_span, propagate_history
 from .monodromy import FloquetDecomposition
-from .system import DelayTap, InvalidSystemError, LinearMemorySystem, kernel_window
+from .system import (DelayTap, InvalidSystemError, LinearMemorySystem, apply_memory,
+                     kernel_matrices)
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class LimitCycle:
 
     period: float
     samples: np.ndarray = field(repr=False)
-    provenance: str = "user-supplied"
     wrap_tol: float = 1e-8
 
     def __post_init__(self):
@@ -61,43 +60,22 @@ class LimitCycle:
         """Max defect of the nonlinear equation on the cycle nodes (5-point
         periodic derivative, trapezoid memory quadrature)."""
         y = self.samples[:-1]
-        big_n = y.shape[0]
-        h = self.period / big_n
-        idx = np.arange(big_n)
-        dy = (
-            -y[(idx + 2) % big_n] + 8 * y[(idx + 1) % big_n]
-            - 8 * y[(idx - 1) % big_n] + y[(idx - 2) % big_n]
-        ) / (12 * h)
+        h = self.period / y.shape[0]
+        dy = periodic_derivative(y, h)
+        # only the memory part of this system is ever applied
+        memory = LinearMemorySystem(self.dimension, None, nl.delay_taps, nl.kernel)
+
+        def g_at(taus):
+            taus = np.atleast_1d(np.asarray(taus, dtype=float))
+            return np.array([nl.memory_field(yt, tau) for yt, tau in zip(self.at(taus), taus)])
+
         res = 0.0
-        for k in range(big_n):
+        for k in range(y.shape[0]):
             t = k * h
             rhs = np.asarray(nl.vector_field(y[k], t), dtype=float)
-            rhs = rhs + _memory_operator_on_cycle(nl, self, grid, t)
+            rhs = apply_memory(memory, grid, t, g_at, rhs)
             res = max(res, float(np.max(np.abs(dy[k] - rhs))))
         return res
-
-
-def _memory_operator_on_cycle(nl, cycle, grid, t):
-    out = np.zeros(cycle.dimension)
-    if nl.memory_field is None:
-        return out
-
-    def g_at(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        ys = cycle.at(taus)
-        return np.array([nl.memory_field(y, tau) for y, tau in zip(ys, taus)])
-
-    for tap in nl.delay_taps:
-        c = np.atleast_2d(np.asarray(tap.coefficient(t), dtype=float))
-        out = out + c @ g_at(t - tap.delay)[0]
-    if nl.kernel is not None:
-        taus, w, _ = kernel_window(grid, t)
-        gv = g_at(taus)
-        km = np.asarray(nl.kernel(t, taus), dtype=float)
-        if km.ndim == 1:
-            km = km.reshape(-1, 1, 1)
-        out = out + np.einsum("t,tij,tj->i", w, km, gv)
-    return out
 
 
 def _fd_jacobian(func, y, t, fd_step):
@@ -118,7 +96,6 @@ def linearize(
     nl: NonlinearMemorySystem,
     cycle: LimitCycle,
     fd_step: float = 1e-6,
-    grid: Optional[PeriodicGrid] = None,
 ) -> LinearMemorySystem:
     """Central-difference Jacobians of f and g along the cycle; the memory
     operator structure (taps, kernel) is carried over onto the linearization."""
@@ -146,9 +123,7 @@ def linearize(
 
         def kernel(t, taus):
             taus = np.atleast_1d(np.asarray(taus, dtype=float))
-            km = np.asarray(nl.kernel(t, taus), dtype=float)
-            if km.ndim == 1:
-                km = km.reshape(-1, 1, 1)
+            km = kernel_matrices(nl.kernel, n, t, taus)
             gj = np.array([g_jacobian(tau) for tau in taus])
             return np.einsum("tij,tjk->tik", km, gj)
 
@@ -215,13 +190,7 @@ def stability_verdict(
     shape = None
     if autonomous and cycle is not None:
         y = cycle.samples[:-1]
-        big_n = y.shape[0]
-        h = cycle.period / big_n
-        idx = np.arange(big_n)
-        shape = (
-            -y[(idx + 2) % big_n] + 8 * y[(idx + 1) % big_n]
-            - 8 * y[(idx - 1) % big_n] + y[(idx - 2) % big_n]
-        ) / (12 * h)
+        shape = periodic_derivative(y, cycle.period / y.shape[0])
     return StabilityReport(verdict, trivial_mu, trivial_err, decisive, tuple(classes), shape)
 
 
@@ -240,41 +209,3 @@ def forced_response(
     )
     times = np.arange(n_steps + 1) * grid.step
     return Trajectory(times, hist[grid.history_points :, :, 0])
-
-
-def variation_of_constants_response(
-    system: LinearMemorySystem,
-    grid: PeriodicGrid,
-    initial_value: np.ndarray,
-    span: float,
-) -> Trajectory:
-    """Independent cross-check for the memoryless case: z = X(s) c0 +
-    int_0^s X(s) X(eta)^-1 b(eta) deta, with the transition matrix from an
-    adaptive integrator and the convolution by Simpson quadrature."""
-    if grid.history_points != 0 or system.has_memory:
-        raise ValueError("variation-of-constants form requires a memoryless system")
-    n = system.dimension
-    n_steps = _check_span(grid, span)
-    times = np.arange(n_steps + 1) * grid.step
-
-    def rhs(t, flat):
-        return (system.eval_coefficient(t) @ flat.reshape(n, n)).ravel()
-
-    sol = scipy.integrate.solve_ivp(
-        rhs, (0.0, span), np.eye(n).ravel(), t_eval=times,
-        rtol=1e-12, atol=1e-14, method="DOP853", dense_output=False,
-    )
-    if not sol.success:
-        raise RuntimeError(f"transition-matrix integration failed: {sol.message}")
-    xs = sol.y.T.reshape(-1, n, n)
-    integrand = np.array(
-        [np.linalg.solve(xs[k], system.eval_forcing(times[k])) for k in range(len(times))]
-    )
-    values = np.empty((len(times), n))
-    c0 = np.asarray(initial_value, dtype=float)
-    for k in range(len(times)):
-        acc = scipy.integrate.simpson(integrand[: k + 1], x=times[: k + 1], axis=0) if k >= 2 else (
-            scipy.integrate.trapezoid(integrand[: k + 1], x=times[: k + 1], axis=0) if k >= 1 else np.zeros(n)
-        )
-        values[k] = xs[k] @ (c0 + acc)
-    return Trajectory(times, values)

@@ -1,8 +1,7 @@
 """Linear periodic systems with memory: coefficient, delay taps, convolution kernel."""
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -58,43 +57,13 @@ class LinearMemorySystem:
         return _as_matrix(tap.coefficient(sigma), self.dimension, "B", sigma)
 
     def eval_kernel(self, sigma: float, taus: np.ndarray) -> np.ndarray:
-        taus = np.asarray(taus, dtype=float)
-        n = self.dimension
-        try:
-            out = np.asarray(self.kernel(sigma, taus), dtype=float)
-            if out.shape == (len(taus), n, n):
-                return out
-            if n == 1 and out.shape == (len(taus),):
-                return out.reshape(len(taus), 1, 1)
-        except (TypeError, ValueError):
-            pass
-        out = np.empty((len(taus), n, n))
-        for i, tau in enumerate(taus):
-            out[i] = _as_matrix(self.kernel(sigma, tau), n, "K", sigma)
-        return out
+        return kernel_matrices(self.kernel, self.dimension, sigma, taus)
 
     def eval_forcing(self, sigma: float) -> np.ndarray:
         b = np.atleast_1d(np.asarray(self.forcing(sigma), dtype=float))
         if b.shape != (self.dimension,):
             raise InvalidSystemError(f"forcing at sigma={sigma} has shape {b.shape}")
         return b
-
-    def fingerprint(self, grid: PeriodicGrid) -> str:
-        """Hash of the sampled coefficients on the grid nodes."""
-        parts = [np.array([self.dimension, grid.period, grid.samples_per_period, grid.memory_depth])]
-        nodes = grid.period_nodes
-        parts.append(np.array([self.eval_coefficient(s) for s in nodes]))
-        for tap in self.delay_taps:
-            parts.append(np.array([tap.delay]))
-            parts.append(np.array([self.eval_tap(tap, s) for s in nodes]))
-        if self.kernel is not None:
-            for s in nodes[:: max(1, len(nodes) // 16)]:
-                taus = s - np.linspace(0.0, grid.memory_depth, 17)
-                parts.append(self.eval_kernel(s, taus))
-        digest = hashlib.sha256()
-        for p in parts:
-            digest.update(np.ascontiguousarray(p, dtype=float).tobytes())
-        return digest.hexdigest()
 
 
 def _as_matrix(value, n: int, name: str, sigma: float) -> np.ndarray:
@@ -104,6 +73,27 @@ def _as_matrix(value, n: int, name: str, sigma: float) -> np.ndarray:
     if mat.shape != (n, n):
         raise InvalidSystemError(f"{name}({sigma}) has shape {mat.shape}, expected {(n, n)}")
     return mat
+
+
+def kernel_matrices(kernel: Callable, n: int, sigma: float, taus: np.ndarray) -> np.ndarray:
+    """Kernel values K(sigma, tau) as a (len(taus), n, n) array.
+
+    Accepts a kernel that returns that array, a (len(taus),) array when n = 1,
+    or, failing both, one (n, n) matrix (or scalar) per scalar tau.
+    """
+    taus = np.asarray(taus, dtype=float)
+    try:
+        out = np.asarray(kernel(sigma, taus), dtype=float)
+        if out.shape == (len(taus), n, n):
+            return out
+        if n == 1 and out.shape == (len(taus),):
+            return out.reshape(len(taus), 1, 1)
+    except (TypeError, ValueError):
+        pass
+    out = np.empty((len(taus), n, n))
+    for i, tau in enumerate(taus):
+        out[i] = _as_matrix(kernel(sigma, tau), n, "K", sigma)
+    return out
 
 
 def kernel_window(grid: PeriodicGrid, sigma: float):
@@ -163,6 +153,14 @@ def simpson_window(grid: PeriodicGrid, sigma: float):
     return taus, w, m + 1
 
 
+def quadrature_window(quadrature: str) -> Callable:
+    """The window function (kernel_window or simpson_window) of a quadrature name."""
+    windows = {"trapezoid": kernel_window, "simpson": simpson_window}
+    if quadrature not in windows:
+        raise ValueError(f"unknown quadrature {quadrature!r}")
+    return windows[quadrature]
+
+
 @dataclass
 class ValidationReport:
     passed: bool
@@ -218,6 +216,22 @@ def validate_system(system: LinearMemorySystem, grid: PeriodicGrid) -> Validatio
     return ValidationReport(passed, coeff_res, tap_res, kern_res, bound, tuple(msgs))
 
 
+def apply_memory(system: LinearMemorySystem, grid: PeriodicGrid, sigma: float, z_at: Callable,
+                 out: np.ndarray, quadrature: str = "trapezoid") -> np.ndarray:
+    """Return out plus the memory part of L{z}(sigma): the delay taps, then the
+    kernel integral over the quadrature window.
+
+    z_at maps a 1-d array of times to the values of z there, one row per time.
+    """
+    for tap in system.delay_taps:
+        out = out + system.eval_tap(tap, sigma) @ z_at([sigma - tap.delay])[0]
+    if system.kernel is not None:
+        taus, w, _ = quadrature_window(quadrature)(grid, sigma)
+        kmat = system.eval_kernel(sigma, taus)
+        out = out + np.einsum("t,tij,tj->i", w, kmat, z_at(taus))
+    return out
+
+
 def apply_operator_from_samples(
     system: LinearMemorySystem,
     grid: PeriodicGrid,
@@ -238,14 +252,7 @@ def apply_operator_from_samples(
         return interp_uniform(z, t0, h, np.asarray(times) + shift)
 
     out = system.eval_coefficient(sigma) @ z_at([sigma])[0]
-    for tap in system.delay_taps:
-        out = out + system.eval_tap(tap, sigma) @ z_at([sigma - tap.delay])[0]
-    if system.kernel is not None:
-        taus, w, _ = kernel_window(grid, sigma)
-        kmat = system.eval_kernel(sigma, taus)
-        vals = z_at(taus)
-        out = out + np.einsum("t,tij,tj->i", w, kmat, vals)
-    return out
+    return apply_memory(system, grid, sigma, z_at, out)
 
 
 def shift_commutation_residual(

@@ -146,6 +146,31 @@ def test_stability_broken_cycle(tmp_path, vdp_cycle):
     assert main(["stability", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def _stability_rejects(tmp_path, capsys, times, samples, period, reason):
+    with open(tmp_path / "cycle.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([f"{t:.17g}"] + [f"{v:.17g}" for v in row]
+                                 for t, row in zip(times, samples))
+    cfg = _write(tmp_path / "c.json", {
+        "system": {"builtin": "van_der_pol"},
+        "cycle_file": str(tmp_path / "cycle.csv"), "period": period,
+    })
+    assert main(["stability", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_stability_rejects_nonuniform_cycle_times(tmp_path, capsys, vdp_cycle):
+    period, samples = vdp_cycle
+    times = np.linspace(0.0, period, len(samples))
+    times[100] += 2e-6 * period  # just outside the 1e-6 relative rule
+    _stability_rejects(tmp_path, capsys, times, samples, period, "uniform")
+
+
+def test_stability_rejects_period_other_than_time_span(tmp_path, capsys, vdp_cycle):
+    period, samples = vdp_cycle
+    times = np.linspace(0.0, period, len(samples))
+    _stability_rejects(tmp_path, capsys, times, samples, period * (1 + 2e-6), "time span")
+
+
 def test_bands_free_particle(tmp_path):
     cfg = _write(tmp_path / "c.json", {
         "potential": {"builtin": "kronig_penney", "params": {"strength": 0.0}},

@@ -8,7 +8,7 @@ from gfloquet import (
 )
 from gfloquet.grid import interp_uniform, periodic_interp
 from gfloquet.integrate import propagate_history
-from gfloquet.system import kernel_window, simpson_window
+from gfloquet.system import kernel_window, quadrature_window, simpson_window
 
 
 def test_grid_basic_fields():
@@ -116,6 +116,13 @@ def test_kernel_window_weights_integrate_constant():
         assert np.isclose(np.sum(w), 0.37)
         assert taus[0] == pytest.approx(0.8)
         assert taus[-1] == pytest.approx(0.8 - 0.37)
+
+
+def test_quadrature_window_names():
+    assert quadrature_window("trapezoid") is kernel_window
+    assert quadrature_window("simpson") is simpson_window
+    with pytest.raises(ValueError, match="unknown quadrature 'gauss'"):
+        quadrature_window("gauss")
 
 
 def test_step_integrate_exponential():

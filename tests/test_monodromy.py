@@ -165,6 +165,16 @@ def test_verify_delay_residuals():
     assert max(rep.operator_residuals) <= 1e-3
 
 
+def test_verify_simpson_job_uses_simpson_operator_residual():
+    # a trapezoid window in the check would read its own O(h^2) error, 5.5e-4 here
+    system, meta = exp_kernel(a=2.0, b=-9.0, theta=0.3, depth=7.2)
+    grid = _grid_for(meta, 64)
+    dec = floquet_spectrum(system, grid, modes=2, quadrature="simpson")
+    rep = verify_floquet_form(system, grid, dec, quadrature="simpson")
+    assert len(rep.operator_residuals) >= 1
+    assert max(rep.operator_residuals) < 1e-6
+
+
 def test_verify_corrupted_mode_negative_control():
     from dataclasses import replace
 

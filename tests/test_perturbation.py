@@ -1,12 +1,51 @@
 import numpy as np
 import pytest
+import scipy.integrate
 
 from gfloquet import (
     DelayTap, InvalidSystemError, LimitCycle, LinearMemorySystem,
     NonlinearMemorySystem, PeriodicGrid, StateSegment, floquet_spectrum,
     forced_response, linearize, stability_verdict, step_integrate,
-    variation_of_constants_response,
 )
+from gfloquet.integrate import Trajectory
+
+
+def variation_of_constants_response(
+    system: LinearMemorySystem,
+    grid: PeriodicGrid,
+    initial_value: np.ndarray,
+    span: float,
+) -> Trajectory:
+    """Independent cross-check for the memoryless case: z = X(s) c0 +
+    int_0^s X(s) X(eta)^-1 b(eta) deta, with the transition matrix from an
+    adaptive integrator and the convolution by Simpson quadrature."""
+    if grid.history_points != 0 or system.has_memory:
+        raise ValueError("variation-of-constants form requires a memoryless system")
+    n = system.dimension
+    n_steps = int(round(span / grid.step))
+    times = np.arange(n_steps + 1) * grid.step
+
+    def rhs(t, flat):
+        return (system.eval_coefficient(t) @ flat.reshape(n, n)).ravel()
+
+    sol = scipy.integrate.solve_ivp(
+        rhs, (0.0, span), np.eye(n).ravel(), t_eval=times,
+        rtol=1e-12, atol=1e-14, method="DOP853", dense_output=False,
+    )
+    if not sol.success:
+        raise RuntimeError(f"transition-matrix integration failed: {sol.message}")
+    xs = sol.y.T.reshape(-1, n, n)
+    integrand = np.array(
+        [np.linalg.solve(xs[k], system.eval_forcing(times[k])) for k in range(len(times))]
+    )
+    values = np.empty((len(times), n))
+    c0 = np.asarray(initial_value, dtype=float)
+    for k in range(len(times)):
+        acc = scipy.integrate.simpson(integrand[: k + 1], x=times[: k + 1], axis=0) if k >= 2 else (
+            scipy.integrate.trapezoid(integrand[: k + 1], x=times[: k + 1], axis=0) if k >= 1 else np.zeros(n)
+        )
+        values[k] = xs[k] @ (c0 + acc)
+    return Trajectory(times, values)
 
 
 def _cubic_cycle(nodes=64):
@@ -18,6 +57,44 @@ def test_limit_cycle_wrap_enforced():
     samples = np.linspace(0.0, 1.0, 17).reshape(-1, 1)  # endpoint mismatch
     with pytest.raises(InvalidSystemError):
         LimitCycle(1.0, samples)
+
+
+def _cosine_cycle(nodes, distortion=0.0):
+    ts = np.arange(nodes + 1) / nodes
+    phase = 2 * np.pi * ts + distortion * np.sin(2 * np.pi * ts)
+    return LimitCycle(1.0, np.cos(phase).reshape(-1, 1))
+
+
+# y = cos 2 pi t solves y'(t) = -2 pi y(t - 1/4) and y'(t) = -2 pi^2 int_{t-1/2}^t y
+_DELAY_CYCLE_SYSTEM = NonlinearMemorySystem(
+    1, lambda y, t: np.zeros(1), memory_field=lambda y, t: y,
+    delay_taps=(DelayTap(0.25, lambda t: np.array([[-2 * np.pi]])),), memory_depth=0.25)
+_KERNEL_CYCLE_SYSTEM = NonlinearMemorySystem(
+    1, lambda y, t: np.zeros(1), memory_field=lambda y, t: y,
+    kernel=lambda t, taus: np.full(len(taus), -2 * np.pi ** 2),  # (len(taus),) shape
+    memory_depth=0.5)
+
+
+def test_limit_cycle_residual_exact_delay_cycle():
+    # delayed nodes fall on the samples, so only the 4th-order derivative errs
+    res = [_cosine_cycle(n).residual(_DELAY_CYCLE_SYSTEM, PeriodicGrid(1.0, n, 0.25))
+           for n in (64, 128)]
+    assert res[0] < 3e-5 and res[1] < 2e-6
+    assert res[0] / res[1] > 12.0
+
+
+def test_limit_cycle_residual_kernel_trapezoid_error():
+    # the trapezoid rule on half a period of cos leaves (h^2/12)|f'(t) - f'(t - 1/2)|
+    # times 2 pi^2, i.e. (2 pi^3 / 3) h^2 at the extremes of sin 2 pi t
+    for n in (64, 128):
+        res = _cosine_cycle(n).residual(_KERNEL_CYCLE_SYSTEM, PeriodicGrid(1.0, n, 0.5))
+        assert res == pytest.approx(2 * np.pi ** 3 / 3 / n ** 2, rel=0.02)
+
+
+@pytest.mark.parametrize("nl, depth", [(_DELAY_CYCLE_SYSTEM, 0.25), (_KERNEL_CYCLE_SYSTEM, 0.5)])
+def test_limit_cycle_residual_phase_distorted_negative_control(nl, depth):
+    bad = _cosine_cycle(64, distortion=0.3)
+    assert bad.residual(nl, PeriodicGrid(1.0, 64, depth)) > 1.0
 
 
 def test_linearize_cubic_oracle():
