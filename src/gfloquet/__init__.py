@@ -14,12 +14,10 @@ from .monodromy import (ConvergenceError, FloquetDecomposition, MonodromyOperato
 from .perturbation import (LimitCycle, NonlinearMemorySystem, StabilityReport,
                            forced_response, linearize, stability_verdict)
 from .bloch import (BandDiagram, BandExtremum, BandRecord, NonlocalPotential1D,
-                    PropagatingSet, SelfConsistencyError, band_scan,
-                    bloch_multipliers_collocation, cell_collocation_matrices,
-                    detect_interior_extrema, fixed_k_energies,
-                    kronig_penney_reference, local_cell_monodromy,
+                    PropagatingSet, band_scan, bloch_multipliers_collocation,
+                    cell_collocation_matrices, detect_interior_extrema,
+                    fixed_k_energies, local_cell_monodromy,
                     multiplier_phases_to_k, propagating_multipliers,
-                    refine_bloch_mode_fixed_point, schrodinger_system,
                     validate_potential)
 from . import builtins
 

@@ -6,29 +6,26 @@ propagating modes. Units are chosen so hbar^2/2m = 1; energies and the local
 potential share the same unit, lengths are in units of the lattice constant's.
 
 A nonlocal potential couples both directions in x, unlike causal time memory,
-so the primary solver is whole-cell collocation: psi is discretized on one
-cell, neighbor-cell couplings carry factors mu^{+-1}, and the resulting
-quadratic eigenproblem in mu is linearized to a companion pencil. A
-fixed-point iteration over the forward transfer solve is provided as a
-secondary route that realizes the memory-operator viewpoint.
+so nonlocal kernels are solved by whole-cell collocation: with
+psi(x + a) = mu psi(x), the equation on one cell becomes the cell operator
+B(mu) = B_{-1}/mu + B_0 + mu B_{+1} (cell_collocation_matrices), whose
+quadratic eigenproblem in mu is linearized to a companion pencil. Local
+potentials, delta combs included, use the 2x2 cell transfer matrix.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
 
-from .grid import PeriodicGrid, interp_uniform
-from .system import InvalidSystemError, LinearMemorySystem
+from .grid import PeriodicGrid
+from .monodromy import sort_multipliers
+from .system import InvalidSystemError
 
 _D2_STENCIL = (-1.0, 16.0, -30.0, 16.0, -1.0)  # 4th-order second derivative / 12h^2
-
-
-class SelfConsistencyError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -90,49 +87,6 @@ def validate_potential(pot: NonlocalPotential1D, n_nodes: int = 64, tol: float =
     return PotentialReport(max(lres, kres, sres) <= tol, lres, kres, sres)
 
 
-def schrodinger_system(pot: NonlocalPotential1D, energy: float) -> LinearMemorySystem:
-    """First-order form in x with state (psi, psi'): psi' = chi,
-    chi' = (V - E) psi + int W(x, x') psi(x') dx'.
-
-    Only the trailing half of the nonlocal integral (x' <= x) fits the causal
-    memory-operator form; the leading half must be supplied through the
-    forcing slot by an outer self-consistency loop (see
-    refine_bloch_mode_fixed_point) or handled by whole-cell collocation.
-    """
-    if pot.deltas:
-        raise InvalidSystemError(
-            "delta-comb potentials are not representable as smooth coefficients; "
-            "use the dedicated local transfer path"
-        )
-
-    def coefficient(x):
-        return np.array([[0.0, 1.0], [pot.eval_local(x) - energy, 0.0]])
-
-    kernel = None
-    if pot.kernel is not None:
-
-        def kernel(x, xps):
-            xps = np.atleast_1d(np.asarray(xps, dtype=float))
-            w = pot.eval_kernel(x, xps)
-            out = np.zeros((len(xps), 2, 2))
-            out[:, 1, 0] = w
-            return out
-
-    return LinearMemorySystem(2, coefficient, kernel=kernel)
-
-
-def kronig_penney_reference(strength: float, a: float, energy: float) -> dict:
-    """Analytic dispersion test for the delta-comb crystal:
-    D(E) = cos(q a) + P sin(q a)/(q a), q = sqrt(E); propagating iff |D| <= 1."""
-    if energy <= 0:
-        raise ValueError("reference formula requires E > 0")
-    q = np.sqrt(energy)
-    d = np.cos(q * a) + strength * np.sin(q * a) / (q * a)
-    allowed = bool(abs(d) <= 1.0)
-    return {"allowed": allowed, "discriminant": float(d),
-            "k": float(np.arccos(np.clip(d, -1.0, 1.0)) / a) if allowed else None}
-
-
 def local_cell_monodromy(pot: NonlocalPotential1D, energy: float, n_steps: int) -> np.ndarray:
     """2x2 transfer matrix across one cell for a local potential: fixed-step
     RK4 between delta sites, exact jump [[1,0],[g,1]] at each site."""
@@ -170,53 +124,42 @@ def local_cell_monodromy(pot: NonlocalPotential1D, energy: float, n_steps: int) 
     return smooth_block(x_prev, a, n_steps) @ u
 
 
-def _kernel_quadrature_nodes(pot: NonlocalPotential1D, h: float):
-    """Offsets m*h covering [-r_W, r_W] with trapezoid weights; admissible
-    kernels decay to the cutoff so the grid-aligned window is accurate."""
-    m_max = int(np.floor(pot.kernel_range / h + 1e-12))
-    offsets = np.arange(-m_max, m_max + 1)
-    w = np.full(len(offsets), h)
-    w[0] = w[-1] = h / 2.0
-    return offsets, w
-
-
 def cell_collocation_matrices(pot: NonlocalPotential1D, energy: float, n_nodes: int):
     """Assemble B_{-1}, B_0, B_{+1} of the one-cell collocation operator
     B(mu) = B_{-1}/mu + B_0 + mu B_{+1} acting on psi at the cell nodes.
 
-    Rows: -psi'' + (V - E) psi + int W psi = 0 with 4th-order differences;
-    references past the cell edges pick up the Bloch factor mu^{+-1}.
+    Rows: -psi'' + (V - E) psi + int W psi = 0 with 4th-order differences and
+    a trapezoid rule on the nodes within r_W (admissible kernels decay to the
+    cutoff, so the grid-aligned window is accurate). The rows are built as one
+    block row [B_{-1} | B_0 | B_{+1}] in which node j + m sits in column
+    n + j + m, so references past the cell edges pick up mu^{+-1} by layout.
     """
     if pot.deltas:
         raise InvalidSystemError("collocation path does not support delta combs")
+    if n_nodes < 2:
+        raise InvalidSystemError(
+            f"collocation needs at least 2 nodes per cell, got {n_nodes}")
     a = pot.lattice_constant
     if pot.kernel is not None and pot.kernel_range >= a:
         raise InvalidSystemError(
             f"kernel range {pot.kernel_range} must be below one lattice constant {a}"
         )
-    h = a / n_nodes
-    xs = np.arange(n_nodes) * h
-    mats = {-1: np.zeros((n_nodes, n_nodes)), 0: np.zeros((n_nodes, n_nodes)),
-            1: np.zeros((n_nodes, n_nodes))}
-
-    def add(row, idx, val):
-        s, l = divmod(idx, n_nodes)
-        if s not in mats:
-            raise InvalidSystemError("stencil reaches beyond neighbor cells; refine grid")
-        mats[s][row, l] += val
-
+    n = n_nodes
+    h = a / n
+    xs = np.arange(n) * h
+    j = np.arange(n)[:, None]
+    block = np.zeros((n, 3 * n))
     scale = 1.0 / (12.0 * h * h)
-    for j in range(n_nodes):
-        for off, c in zip((-2, -1, 0, 1, 2), _D2_STENCIL):
-            add(j, j + off, -c * scale)  # -psi''
-        add(j, j, pot.eval_local(xs[j]) - energy)
-        if pot.kernel is not None:
-            offs, w = _kernel_quadrature_nodes(pot, h)
-            kv = pot.eval_kernel(xs[j], xs[j] + offs * h)
-            for m, wq, kq in zip(offs, w, kv):
-                if kq != 0.0:
-                    add(j, j + m, wq * kq)
-    return mats[-1], mats[0], mats[1]
+    block[j, n + j + np.arange(-2, 3)] = -np.asarray(_D2_STENCIL) * scale  # -psi''
+    block[j, n + j] += (pot.eval_local(xs) - energy)[:, None]
+    if pot.kernel is not None:
+        m_max = int(np.floor(pot.kernel_range / h + 1e-12))  # <= n as r_W < a
+        offs = np.arange(-m_max, m_max + 1)
+        w = np.full(len(offs), h)
+        w[0] = w[-1] = h / 2.0
+        kv = np.array([pot.eval_kernel(x, x + offs * h) for x in xs])
+        block[j, n + j + offs] += w * kv
+    return block[:, :n], block[:, n:2 * n], block[:, 2 * n:]
 
 
 def bloch_multipliers_collocation(pot: NonlocalPotential1D, energy: float, n_nodes: int):
@@ -270,32 +213,31 @@ def propagating_multipliers(
     energy: float,
     grid: PeriodicGrid,
     unit_tol: float = 1e-3,
-    refine_factor: int = 2,
 ) -> PropagatingSet:
     """One-cell multiplier spectrum at fixed energy; near-unit multipliers are
-    confirmed against a refined grid before being reported as propagating."""
+    confirmed against the grid refined twofold before being reported as
+    propagating, and ordered by sort_multipliers."""
     n = grid.samples_per_period
     if pot.kernel is None:
         coarse = np.linalg.eigvals(local_cell_monodromy(pot, energy, n))
-        fine = np.linalg.eigvals(local_cell_monodromy(pot, energy, refine_factor * n))
+        fine = np.linalg.eigvals(local_cell_monodromy(pot, energy, 2 * n))
     else:
         coarse = bloch_multipliers_collocation(pot, energy, n)
-        fine = bloch_multipliers_collocation(pot, energy, refine_factor * n)
+        fine = bloch_multipliers_collocation(pot, energy, 2 * n)
     confirmed = []
     for mu in coarse:
         d = np.min(np.abs(fine - mu)) / max(1.0, abs(mu))
         if d <= 10 * unit_tol:
             confirmed.append(mu)
     confirmed = np.asarray(confirmed, dtype=complex)
-    near_unit = confirmed[np.abs(np.abs(confirmed) - 1.0) <= unit_tol] if confirmed.size else confirmed
+    near_unit = confirmed[np.abs(np.abs(confirmed) - 1.0) <= unit_tol]
     # deduplicate (companion pencil can emit coincident roots)
     dedup = []
     for mu in near_unit:
         if min((abs(mu - o) for o in dedup), default=np.inf) > 1e-7 * max(1.0, abs(mu)):
             dedup.append(mu)
     prop = _symmetrize_unit(np.asarray(dedup, dtype=complex), unit_tol) if dedup else np.empty(0, complex)
-    order = np.lexsort((np.angle(prop), -np.abs(prop))) if prop.size else []
-    prop = prop[order] if prop.size else prop
+    prop = prop[sort_multipliers(prop)]
     return PropagatingSet(energy, prop, confirmed, int(prop.size))
 
 
@@ -443,84 +385,3 @@ def detect_interior_extrema(
             if turn and ktol < kk[i + 1] < edge - ktol:
                 found.append(BandExtremum(bi, float(kk[i + 1]), float(tr[i + 1][0])))
     return found
-
-
-def refine_bloch_mode_fixed_point(
-    pot: NonlocalPotential1D,
-    energy: float,
-    mu: complex,
-    n_nodes: int = 128,
-    relax: float = 0.5,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-):
-    """Self-consistent Bloch mode through the forward transfer solve.
-
-    The nonlocal term from the previous iterate acts as a forcing; each sweep
-    solves z' = A z + f with the Bloch closure (Phi(a) - mu) c = -z_p(a) and
-    under-relaxes the update. Demonstrates that the causal transfer machinery
-    reproduces the collocation mode once the anticausal half is fed back.
-    Returns (psi_samples_on_nodes, iterations, residual_history).
-    """
-    a = pot.lattice_constant
-    h = a / n_nodes
-    xs = np.arange(n_nodes + 1) * h
-    offs, wq = _kernel_quadrature_nodes(pot, h)
-
-    def forcing_profile(psi):
-        # F(x_j) = int W(x_j, x') psi(x') dx', psi extended by Bloch factors
-        f = np.zeros(n_nodes, dtype=complex)
-        for j in range(n_nodes):
-            idx = j + offs
-            s, l = np.divmod(idx, n_nodes)
-            vals = psi[l] * (mu ** s.astype(float))
-            f[j] = np.dot(wq, pot.eval_kernel(xs[j], xs[j] + offs * h) * vals)
-        return f
-
-    def sweep(forcing):
-        # joint RK4 on the 2x2 fundamental matrix and the particular solution
-        phi = np.eye(2, dtype=complex)
-        zp = np.zeros(2, dtype=complex)
-        phis = [phi.copy()]
-        zps = [zp.copy()]
-        fs = np.concatenate([forcing, forcing[:1] * mu])
-
-        def f_at(x):
-            return interp_uniform(fs.reshape(-1, 1), 0.0, h, x)[0, 0]
-
-        for j in range(n_nodes):
-            x = xs[j]
-
-            def rhs(xq, p, z):
-                aq = np.array([[0.0, 1.0], [pot.eval_local(xq) - energy, 0.0]])
-                return aq @ p, aq @ z + np.array([0.0, f_at(xq)])
-
-            kp1, kz1 = rhs(x, phi, zp)
-            kp2, kz2 = rhs(x + 0.5 * h, phi + 0.5 * h * kp1, zp + 0.5 * h * kz1)
-            kp3, kz3 = rhs(x + 0.5 * h, phi + 0.5 * h * kp2, zp + 0.5 * h * kz2)
-            kp4, kz4 = rhs(x + h, phi + h * kp3, zp + h * kz3)
-            phi = phi + (h / 6.0) * (kp1 + 2 * kp2 + 2 * kp3 + kp4)
-            zp = zp + (h / 6.0) * (kz1 + 2 * kz2 + 2 * kz3 + kz4)
-            phis.append(phi.copy())
-            zps.append(zp.copy())
-        c = np.linalg.solve(phi - mu * np.eye(2), -zp)
-        z = np.array(phis) @ c + np.array(zps)
-        return z[:-1, 0]
-
-    psi = np.exp(1j * np.angle(mu) * xs[:-1] / a)  # plane-wave seed
-    psi /= np.max(np.abs(psi))
-    history = []
-    for it in range(1, max_iter + 1):
-        new = sweep(forcing_profile(psi))
-        scale = np.max(np.abs(new))
-        if scale > 0:
-            j = int(np.argmax(np.abs(new)))
-            new = new / new[j] * abs(new[j]) / scale  # fix phase and scale
-        res = float(np.max(np.abs(new - psi)))
-        history.append(res)
-        psi = (1.0 - relax) * psi + relax * new
-        if res <= tol:
-            return psi, it, history
-    raise SelfConsistencyError(
-        f"fixed point did not reach {tol:.1e} in {max_iter} sweeps (last {history[-1]:.2e})"
-    )

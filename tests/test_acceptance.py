@@ -15,12 +15,13 @@ from scipy.integrate import solve_ivp
 from gfloquet import (
     LinearMemorySystem, NonlocalPotential1D, PeriodicGrid, band_scan,
     build_monodromy, detect_interior_extrema, floquet_spectrum,
-    kronig_penney_reference, multiplier_phases_to_k, propagating_multipliers,
-    verify_floquet_form,
+    multiplier_phases_to_k, propagating_multipliers, verify_floquet_form,
 )
 from gfloquet.builtins import (delay_pi_over_2, exp_kernel, kronig_penney,
                                scalar_cosine, separable_nonlocal)
 from gfloquet.cli import main as cli_main
+
+from bloch_oracles import kronig_penney_reference
 
 
 def _report(number, ok, detail):

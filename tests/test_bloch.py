@@ -1,23 +1,20 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from gfloquet import (
     InvalidSystemError, NonlocalPotential1D, PeriodicGrid, band_scan,
     bloch_multipliers_collocation, cell_collocation_matrices,
-    detect_interior_extrema, fixed_k_energies, kronig_penney_reference,
-    local_cell_monodromy, multiplier_phases_to_k, propagating_multipliers,
-    refine_bloch_mode_fixed_point, schrodinger_system, validate_potential,
+    detect_interior_extrema, fixed_k_energies, local_cell_monodromy,
+    multiplier_phases_to_k, propagating_multipliers, validate_potential,
 )
 from gfloquet.builtins import kronig_penney, separable_nonlocal
 
+from bloch_oracles import kronig_penney_reference
+
 FREE = NonlocalPotential1D(1.0)
 GRID = PeriodicGrid(1.0, 64, 0.0)
-
-
-def _kp_discriminant(strength, a, energy):
-    q = np.sqrt(energy)
-    return np.cos(q * a) + strength * np.sin(q * a) / (q * a)
 
 
 def test_potential_validation():
@@ -27,27 +24,6 @@ def test_potential_validation():
     asym = NonlocalPotential1D(
         1.0, kernel=lambda x, xp: (x - np.asarray(xp)) * 0 + x, kernel_range=0.3)
     assert not validate_potential(asym).passed  # W(x,x') = x is not symmetric
-
-
-def test_schrodinger_system_free():
-    sys_ = schrodinger_system(FREE, 4.0)
-    a_mat = sys_.eval_coefficient(0.3)
-    assert np.allclose(a_mat, [[0.0, 1.0], [-4.0, 0.0]])
-    assert sys_.kernel is None
-
-
-def test_schrodinger_system_rejects_deltas():
-    pot, _ = kronig_penney()
-    with pytest.raises(InvalidSystemError):
-        schrodinger_system(pot, 1.0)
-
-
-def test_schrodinger_system_nonlocal_kernel_slot():
-    pot, _ = separable_nonlocal(gamma=-5.0)
-    sys_ = schrodinger_system(pot, 1.0)
-    k = sys_.eval_kernel(0.5, np.array([0.2, 0.4]))
-    assert k.shape == (2, 2, 2)
-    assert np.allclose(k[:, 0, :], 0.0) and np.allclose(k[:, 1, 1], 0.0)
 
 
 def test_free_particle_plane_waves():
@@ -102,7 +78,8 @@ def test_kp_scan_agrees_with_oracle():
 def test_kp_band_edge_bisection():
     pot, _ = kronig_penney()
     grid = PeriodicGrid(1.0, 128, 0.0)
-    exact = brentq(lambda e: _kp_discriminant(3.0, 1.0, e) - 1.0, 0.1, 5.0)
+    exact = brentq(lambda e: kronig_penney_reference(3.0, 1.0, e)["discriminant"] - 1.0,
+                   0.1, 5.0)
 
     def is_allowed(e):
         return propagating_multipliers(pot, e, grid).p == 2
@@ -119,6 +96,49 @@ def test_collocation_matches_transfer_for_free():
     mus = bloch_multipliers_collocation(FREE, 1.0, 64)
     near = mus[np.abs(np.abs(mus) - 1.0) < 1e-3]
     assert np.min(np.abs(near - np.exp(1j))) < 1e-8
+
+
+@pytest.mark.parametrize("n_nodes", [0, 1])
+def test_collocation_rejects_fewer_than_two_nodes(n_nodes):
+    pot, _ = separable_nonlocal()
+    with pytest.raises(InvalidSystemError):
+        cell_collocation_matrices(pot, 1.0, n_nodes)
+    with pytest.raises(InvalidSystemError):
+        fixed_k_energies(pot, 0.5, n_nodes)
+
+
+def _reference_collocation(pot, energy, n):
+    """Entry-by-entry assembly: node j + m is node (j + m) mod n of the cell
+    floor((j + m) / n), whose block carries that power of mu (oracle for the
+    block-row layout of cell_collocation_matrices)."""
+    mats = {s: np.zeros((n, n)) for s in (-1, 0, 1)}
+    h = pot.lattice_constant / n
+    scale = 1.0 / (12.0 * h * h)
+    m_max = int(np.floor(pot.kernel_range / h + 1e-12))
+    offs = np.arange(-m_max, m_max + 1)
+    w = np.full(len(offs), h)
+    w[0] = w[-1] = h / 2.0
+    for j in range(n):
+        x = j * h
+        entries = [(j + m, -c * scale)
+                   for m, c in zip(range(-2, 3), (-1.0, 16.0, -30.0, 16.0, -1.0))]
+        entries.append((j, pot.eval_local(x) - energy))
+        if pot.kernel is not None:
+            entries += zip(j + offs, w * pot.eval_kernel(x, x + offs * h))
+        for idx, val in entries:
+            s, col = divmod(int(idx), n)
+            mats[s][j, col] += val
+    return mats[-1], mats[0], mats[1]
+
+
+def test_collocation_matches_entrywise_assembly():
+    pots = (FREE, separable_nonlocal()[0], _nonlocal_crystal(-5.0),
+            separable_nonlocal(gamma=-30.0, range_fraction=0.13)[0])
+    for pot in pots:
+        for n in (2, 9, 64):
+            got = cell_collocation_matrices(pot, 2.5, n)
+            for block, ref in zip(got, _reference_collocation(pot, 2.5, n)):
+                assert np.array_equal(block, ref)
 
 
 def test_collocation_rejects_wide_kernel():
@@ -219,47 +239,42 @@ def test_no_extrema_for_local_potentials():
 def _nonlocal_crystal(gamma):
     # local 5 cos(2 pi x) plus the separable kernel: unlike the pure difference
     # kernel this is not translation invariant, so its Bloch modes are not
-    # plane waves and the fixed-point iteration has work to do
+    # plane waves
     base, _ = separable_nonlocal(gamma=gamma)
     return NonlocalPotential1D(1.0, local=lambda x: 5.0 * np.cos(2 * np.pi * x),
                                kernel=base.kernel, kernel_range=base.kernel_range)
 
 
-def test_fixed_point_matches_collocation():
-    pot, _ = separable_nonlocal(gamma=-5.0)
-    ps = propagating_multipliers(pot, 2.0, GRID)
-    assert ps.p == 2
-    mu = ps.propagating[np.argmax(np.angle(ps.propagating))]
-    psi, iters, history = refine_bloch_mode_fixed_point(pot, 2.0, mu, n_nodes=64)
-    assert history[-1] <= 1e-10
-    bm, b0, bp = cell_collocation_matrices(pot, 2.0, 64)
-    res = (bm / mu + b0 + bp * mu) @ psi
-    assert np.max(np.abs(res)) / np.max(np.abs(psi)) < 1e-6
-
-    # crystal: compare with the null vector of B(mu); the raw residual is not
-    # used here because RK4 and collocation differ at O(h^4) and |B(mu)| ~ 2e4
-    pot = _nonlocal_crystal(-5.0)
-    ps = propagating_multipliers(pot, 2.0, GRID)
-    assert ps.p == 2
-    mu = ps.propagating[np.argmax(np.angle(ps.propagating))]
-    psi, iters, history = refine_bloch_mode_fixed_point(pot, 2.0, mu, n_nodes=64)
-    assert iters > 1 and history[-1] <= 1e-10
-    bm, b0, bp = cell_collocation_matrices(pot, 2.0, 64)
-    null = np.linalg.svd(bm / mu + b0 + bp * mu)[2][-1].conj()
-    j = int(np.argmax(np.abs(psi)))
-    null *= psi[j] / null[j]
-    assert np.max(np.abs(null - psi)) / np.abs(psi[j]) < 1e-6
+def _plane_wave_energies(gamma, amplitude, k, n_waves=41, r=0.9):
+    """Central equation of V = amplitude cos(2 pi x) plus the separable kernel
+    gamma cos(2 pi u) cos^2(pi u / 2r) on a = 1: the kernel is diagonal in
+    plane waves with transform W(q), V couples G and G +- 1."""
+    window = lambda u: np.cos(2 * np.pi * u) * np.cos(np.pi * u / (2 * r)) ** 2
+    q = k + 2 * np.pi * (np.arange(n_waves) - n_waves // 2)
+    w_hat = [gamma * quad(window, -r, r, weight="cos", wvar=qi,
+                          epsabs=1e-13, epsrel=1e-13, limit=200)[0] for qi in q]
+    couple = np.full(n_waves - 1, amplitude / 2.0)
+    return np.linalg.eigvalsh(np.diag(q ** 2 + w_hat) + np.diag(couple, 1) + np.diag(couple, -1))
 
 
-def test_fixed_point_contraction_bound():
-    # convergence ratio grows with |gamma|; estimate the contraction constant
-    pot_small = _nonlocal_crystal(-2.0)
-    ps = propagating_multipliers(pot_small, 2.0, GRID)
-    mu = ps.propagating[np.argmax(np.angle(ps.propagating))]
-    _, _, hist = refine_bloch_mode_fixed_point(pot_small, 2.0, mu, n_nodes=64)
-    assert len(hist) >= 9, f"seed already converged after {len(hist)} sweeps"
-    ratios = [hist[i + 1] / hist[i] for i in range(2, min(8, len(hist) - 1))]
-    assert max(ratios) < 1.0  # contraction at this coupling
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+def test_fixed_k_energies_match_plane_waves():
+    # amplitude 0 is the pure kernel, whose bands are the closed form
+    # E = (k + 2 pi G)^2 + W(k + 2 pi G); 41 plane waves are within 6e-11 of 81
+    cases = ((_nonlocal_crystal(-5.0), -5.0, 5.0), (separable_nonlocal()[0], -80.0, 0.0))
+    for pot, gamma, amplitude in cases:
+        ref = {k: _plane_wave_energies(gamma, amplitude, k)[:4] for k in (0.0, 0.7, 2.0, np.pi)}
+        worst = {n: max(np.max(np.abs(fixed_k_energies(pot, k, n, 4) - e)) for k, e in ref.items())
+                 for n in (64, 128)}
+        assert worst[64] < 5e-3 and worst[128] < 3e-4, worst
+        assert np.log2(worst[64] / worst[128]) > 3.7, worst
+
+
+def test_crystal_quasimomentum_at_plane_wave_energy():
+    energy = _plane_wave_energies(-5.0, 5.0, 0.7)[1]
+    ps = propagating_multipliers(_nonlocal_crystal(-5.0), energy, GRID)
+    ks = multiplier_phases_to_k(ps.propagating, 1.0)
+    assert np.min(np.abs(ks - 0.7)) < 1e-5
 
 
 def test_local_cell_monodromy_det_one():

@@ -4,12 +4,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from gfloquet import (
     LinearMemorySystem, PeriodicGrid, StateSegment, forced_response,
-    kronig_penney_reference, multiplier_phases_to_k, principal_exponents,
-    sort_multipliers,
+    multiplier_phases_to_k, principal_exponents, sort_multipliers,
 )
 from gfloquet.system import kernel_window
 from gfloquet.bloch import _symmetrize_unit
 from gfloquet.grid import interp_uniform
+
+from bloch_oracles import kronig_penney_reference
 
 complexes = st.complex_numbers(
     min_magnitude=1e-6, max_magnitude=1e6, allow_nan=False, allow_infinity=False)
