@@ -36,11 +36,17 @@ def propagate_history(
     include_forcing: bool = False,
     quadrature: str = "trapezoid",
 ) -> np.ndarray:
-    """Advance the initial history block n_steps; returns (nh+1+n_steps, n, m)."""
+    """Advance the initial history block n_steps; returns (nh+1+n_steps, n, m).
+
+    hist0=None is the unit basis of the history space, m = (nh+1)*n (column j
+    starts from the j-th canonical unit segment); the kernel window then takes
+    those unit rows in closed form and multiplies only the computed rows.
+    """
     n = system.dimension
     nh = grid.history_points
     h = grid.step
-    hist0 = np.asarray(hist0)
+    unit = hist0 is None
+    hist0 = np.eye(grid.state_size(n)).reshape(nh + 1, n, -1) if unit else np.asarray(hist0)
     if hist0.ndim == 2:
         hist0 = hist0[:, :, None]
     if hist0.shape[:2] != (nh + 1, n):
@@ -53,15 +59,19 @@ def propagate_history(
         if tap.delay > grid.memory_depth * (1 + 1e-9):
             raise ResolutionError(f"delay {tap.delay} exceeds memory depth {grid.memory_depth}")
     dtype = np.result_type(hist0.dtype, float)
-    hist = np.zeros((nh + 1 + n_steps, n, hist0.shape[2]), dtype=dtype)
+    m = hist0.shape[2]
+    hist = np.zeros((nh + 1 + n_steps, n, m), dtype=dtype)
     hist[: nh + 1] = hist0
     use_kernel = system.kernel is not None and nh > 0
+    forcing = include_forcing and system.forcing is not None
     window = quadrature_window(quadrature)
     t0 = -nh * h
 
-    def rhs(sigma, Z, known, frac):
-        # sigma lies frac steps past the last stored row `known`
-        d = system.eval_coefficient(sigma) @ Z
+    def stage(sigma, known, frac):
+        # the right-hand side at sigma, frac steps past stored row `known`, as a
+        # function of the stage value; the terms without it are evaluated here
+        a = system.eval_coefficient(sigma)
+        taps = []
         for tap in system.delay_taps:
             tau = sigma - tap.delay
             # the solution has a derivative kink where the initial history ends;
@@ -70,11 +80,10 @@ def propagate_history(
                 zd = interp_uniform(hist[: nh + 1], t0, h, tau)[0]
             else:
                 zd = interp_uniform(hist[nh : known + 1], 0.0, h, tau)[0]
-            d = d + system.eval_tap(tap, sigma) @ zd
+            taps.append(system.eval_tap(tap, sigma) @ zd)
         if use_kernel:
             taus, w, n_uni = window(grid, sigma)
             wk = w[:, None, None] * system.eval_kernel(sigma, taus)
-            d = d + wk[0] @ Z  # the node tau = sigma carries the stage value
             # nodes sigma - j*h, then the exact lower endpoint sigma - r when it
             # is off the lattice; their cubic interpolation weights fold into
             # w_j K_j, so the rest of the integral is one weight row times a
@@ -83,23 +92,38 @@ def propagate_history(
             offsets[n_uni - 1 :] = grid.memory_depth / h
             k0, c = _cubic_weights(known + frac - offsets, known + 1)
             lo = int(k0.min())
-            g = np.zeros((known + 1 - lo, n, n), dtype=wk.dtype)
-            for i, ci in enumerate(c):
-                np.add.at(g, k0 - lo + i, ci[:, None, None] * wk[1:])
-            g = g.transpose(1, 0, 2).reshape(n, -1)
-            d = d + g @ hist[lo : known + 1].reshape(-1, hist.shape[2])
-        if include_forcing and system.forcing is not None:
-            d = d + system.eval_forcing(sigma)[:, None]
-        return d
+            # one bincount sums in the order of one np.add.at per stencil slot
+            slot = (k0 - lo + np.arange(len(c))[:, None])[:, :, None] * n * n + np.arange(n * n)
+            g = np.bincount(slot.ravel(), (np.stack(c)[:, :, None, None] * wk[1:]).ravel(),
+                            (known + 1 - lo) * n * n).reshape(-1, n, n).transpose(1, 0, 2)
+            # unit initial rows: row j's weight goes to columns j*n .. j*n+n-1
+            cut = max(lo, nh + 1) if unit else lo
+            mem = g[:, cut - lo :].reshape(n, -1) @ hist[cut : known + 1].reshape(-1, m)
+            mem[:, lo * n : cut * n] += g[:, : cut - lo].reshape(n, -1)
+        if forcing:
+            force = system.eval_forcing(sigma)[:, None]
+
+        def rhs(Z):
+            d = a @ Z
+            for zd in taps:
+                d = d + zd
+            if use_kernel:
+                d = d + wk[0] @ Z  # the node tau = sigma carries the stage value
+                d = d + mem
+            if forcing:
+                d = d + force
+            return d
+        return rhs
 
     for step in range(n_steps):
         known = nh + step
         t = step * h
         Z = hist[known]
-        k1 = rhs(t, Z, known, 0.0)
-        k2 = rhs(t + 0.5 * h, Z + 0.5 * h * k1, known, 0.5)
-        k3 = rhs(t + 0.5 * h, Z + 0.5 * h * k2, known, 0.5)
-        k4 = rhs(t + h, Z + h * k3, known, 1.0)
+        k1 = stage(t, known, 0.0)(Z)
+        half = stage(t + 0.5 * h, known, 0.5)  # k2 and k3 share the stage time
+        k2 = half(Z + 0.5 * h * k1)
+        k3 = half(Z + 0.5 * h * k2)
+        k4 = stage(t + h, known, 1.0)(Z + h * k3)
         hist[known + 1] = Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return hist
 

@@ -109,27 +109,32 @@ def build_monodromy(
 ) -> MonodromyOperator:
     """Column j of the result is the history segment at time Sigma reached from
     the j-th canonical unit segment (forcing is ignored)."""
-    n = system.dimension
     nh = grid.history_points
-    m = grid.state_size(n)
-    hist0 = np.eye(m).reshape(nh + 1, n, m)
-    hist = propagate_history(system, grid, hist0, grid.samples_per_period,
+    m = grid.state_size(system.dimension)
+    hist = propagate_history(system, grid, None, grid.samples_per_period,
                              include_forcing=False, quadrature=quadrature)
     u = hist[-(nh + 1):].reshape(m, m)
     return MonodromyOperator(u, grid)
 
 
-def _eig_leading(matrix: np.ndarray, k: int) -> np.ndarray:
+def _eig_leading(matrix: np.ndarray, k: int, shift: int = 0) -> np.ndarray:
     """Leading-magnitude eigenvalues; dense for small operators, ARPACK otherwise.
 
+    A monodromy operator over N steps of n components whose first m - shift
+    rows are eye(m)[shift:] (shift = N*n) reaches ARPACK as that shift plus
+    the computed rows X = matrix[m - shift:]; shift=0 means no such rows.
     When ARPACK does not converge, the full dense spectrum is returned.
     """
     m = matrix.shape[0]
     if m <= _DENSE_EIG_LIMIT or k >= m - 2:
         return scipy.linalg.eigvals(matrix)
+    s = min(shift or m, m)
+    x_rows = matrix[m - s:]
+    op = scipy.sparse.linalg.LinearOperator(
+        matrix.shape, matvec=lambda x: np.concatenate([x[s:], x_rows @ x]), dtype=matrix.dtype)
     try:
         return scipy.sparse.linalg.eigs(
-            matrix, k=min(k, m - 2), which="LM", return_eigenvectors=False
+            op, k=min(k, m - 2), which="LM", return_eigenvectors=False
         )
     except scipy.sparse.linalg.ArpackNoConvergence:
         # a partial set would leave leading multipliers without a partner
@@ -149,7 +154,8 @@ def floquet_spectrum(
     operator = build_monodromy(system, grid, quadrature=quadrature)
     mus, vecs = scipy.linalg.eig(operator.matrix)
     op_f = build_monodromy(system, grid.refined(2), quadrature=quadrature)
-    mus_f = _eig_leading(op_f.matrix, k=max(4 * modes, 32))
+    mus_f = _eig_leading(op_f.matrix, k=max(4 * modes, 32),
+                         shift=op_f.grid.samples_per_period * system.dimension)
 
     order = sort_multipliers(mus)
     mus = mus[order]
@@ -251,15 +257,14 @@ def verify_floquet_form(
     nh = grid.history_points
     m = grid.state_size(n)
     big_n = grid.samples_per_period
-    hist0 = np.eye(m).reshape(nh + 1, n, m)
-    hist = propagate_history(system, grid, hist0, 2 * big_n,
+    hist = propagate_history(system, grid, None, 2 * big_n,
                              include_forcing=False, quadrature=quadrature)
     u = hist[big_n : big_n + nh + 1].reshape(m, m)
     u_norm = max(float(np.linalg.norm(u)), 1e-300)
     # the segments s_k = hist[k : k+nh+1] overlap, so every s_k @ u is a block
-    # of one product; the residual of window k sums the squared row norms of
-    # its nh+1 rows
-    pred = hist[: big_n + nh + 1].reshape(-1, m) @ u
+    # of one product, whose unit initial rows give u itself; the residual of
+    # window k sums the squared row norms of its nh+1 rows
+    pred = np.vstack([u, hist[nh + 1 : big_n + nh + 1].reshape(-1, m) @ u])
     diff = hist[big_n:].reshape(-1, m) - pred
     row_sq = np.sum(diff.reshape(big_n + nh + 1, -1) ** 2, axis=1)
     window_sq = np.convolve(row_sq, np.ones(nh + 1), mode="valid")

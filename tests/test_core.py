@@ -289,3 +289,35 @@ def test_folded_kernel_window_matrix_kernel_with_tap():
     got = propagate_history(system, g, hist0, 40)
     ref = _reference_propagate(system, g, hist0, 40, "trapezoid")
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("quadrature", ["trapezoid", "simpson"])
+@pytest.mark.parametrize("depth", [2 / 32, 0.37, 1.7])
+def test_unit_basis_start_matches_explicit_identity(quadrature, depth):
+    # hist0=None takes the unit initial rows of the kernel window in closed
+    # form; depth 1.7 outlasts the 40 steps, so every stage still reaches them
+    g = PeriodicGrid(1.0, 32, depth)
+    m = g.state_size(1)
+    system = _scalar_kernel_system()
+    got = propagate_history(system, g, None, 40, quadrature=quadrature)
+    ref = propagate_history(system, g, np.eye(m).reshape(m, 1, m), 40, quadrature=quadrature)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("quadrature", ["trapezoid", "simpson"])
+@pytest.mark.parametrize("depth", [0.43, 1.3])
+def test_unit_basis_start_matrix_kernel_with_tap(quadrature, depth):
+    amp = np.array([[-0.5, 0.2], [0.1, -0.3]])
+    tap = DelayTap(0.25, lambda s: np.array([[0.1, 0.0], [0.2 * np.sin(2 * np.pi * s), -0.1]]))
+    system = LinearMemorySystem(
+        2, lambda s: np.array([[0.0, 1.0], [-1.0 - 0.3 * np.cos(2 * np.pi * s), -0.1]]),
+        delay_taps=(tap,),
+        kernel=difference_kernel(lambda u: np.exp(-np.asarray(u) / 0.2), scale=amp),
+    )
+    g = PeriodicGrid(1.0, 32, depth)
+    m = g.state_size(2)
+    got = propagate_history(system, g, None, 40, quadrature=quadrature)
+    ref = propagate_history(system, g, np.eye(m).reshape(-1, 2, m), 40, quadrature=quadrature)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -263,3 +263,62 @@ def test_eig_leading_dense_fallback_on_partial_arpack(monkeypatch):
     mus = monodromy._eig_leading(mat, k=8)
     assert len(mus) == 40
     np.testing.assert_allclose(np.sort_complex(mus), np.sort_complex(scipy.linalg.eigvals(mat)))
+
+
+def test_monodromy_leading_rows_are_unit_shift():
+    # memory deeper than the period: the first m - N*n rows only move the history
+    depth = 1.6
+    system, _ = exp_kernel(depth=depth)
+    grid = PeriodicGrid(1.0, 32, depth)
+    u = build_monodromy(system, grid, quadrature="simpson").matrix
+    m, s = u.shape[0], grid.samples_per_period * system.dimension
+    assert m > s
+    np.testing.assert_array_equal(u[: m - s], np.eye(m)[s:])
+
+
+def test_eig_leading_shift_structured_matches_dense(monkeypatch):
+    depth = 2.3
+    system, _ = exp_kernel(depth=depth)
+    grid = PeriodicGrid(1.0, 32, depth)
+    u = build_monodromy(system, grid).matrix
+    seen = []
+    eigs = scipy.sparse.linalg.eigs
+
+    def spy(a, *args, **kwargs):
+        seen.append(a)
+        return eigs(a, *args, **kwargs)
+
+    monkeypatch.setattr(monodromy, "_DENSE_EIG_LIMIT", 10)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", spy)
+    got = monodromy._eig_leading(u, k=6, shift=grid.samples_per_period)
+    assert isinstance(seen[0], scipy.sparse.linalg.LinearOperator)
+    assert len(got) == 6  # ARPACK converged; no dense fallback
+    dense = scipy.linalg.eigvals(u)
+    lead = dense[np.argsort(-np.abs(dense))[:6]]
+    np.testing.assert_allclose(np.sort(np.abs(got)), np.sort(np.abs(lead)), rtol=0, atol=1e-10)
+    assert max(np.min(np.abs(lead - mu)) for mu in got) <= 1e-10
+
+
+def _leading_multiplier_error(system, grid, exact, quadrature="trapezoid"):
+    mus = scipy.linalg.eigvals(build_monodromy(system, grid, quadrature=quadrature).matrix)
+    top = mus[np.argsort(-np.abs(mus))[: len(exact)]]
+    return max(np.min(np.abs(top - mu)) for mu in exact)
+
+
+@pytest.mark.parametrize("quadrature, order", [("trapezoid", 1.9), ("simpson", 3.7)])
+def test_kernel_multiplier_convergence_order(quadrature, order):
+    # truncation at a 1e-10 tail; exact multipliers from the augmented 2x2
+    depth = 0.3 * np.log(9.0 * 0.3 / 1e-10)
+    system, meta = exp_kernel(depth=depth)
+    exact = np.linalg.eigvals(scipy.linalg.expm(meta["augmented_matrix"]))
+    errs = [_leading_multiplier_error(system, PeriodicGrid(1.0, n, depth), exact, quadrature)
+            for n in (32, 64)]
+    assert np.log2(errs[0] / errs[1]) > order
+
+
+def test_delay_multiplier_convergence_order():
+    # RK4 with cubic history interpolation: fourth order towards +-i
+    system, meta = delay_pi_over_2()
+    errs = np.array([_leading_multiplier_error(system, _grid_for(meta, n), (1j, -1j))
+                     for n in (32, 64, 128)])
+    assert np.all(np.log2(errs[:-1] / errs[1:]) > 3.7)
