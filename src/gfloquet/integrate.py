@@ -38,9 +38,8 @@ def propagate_history(
 ) -> np.ndarray:
     """Advance the initial history block n_steps; returns (nh+1+n_steps, n, m).
 
-    hist0=None is the unit basis of the history space, m = (nh+1)*n (column j
-    starts from the j-th canonical unit segment); the kernel window then takes
-    those unit rows in closed form and multiplies only the computed rows.
+    hist0=None is the unit basis, m = (nh+1)*n: column j starts from the j-th
+    canonical unit segment, and the kernel window multiplies computed rows only.
     """
     n = system.dimension
     nh = grid.history_points
@@ -59,13 +58,19 @@ def propagate_history(
         if tap.delay > grid.memory_depth * (1 + 1e-9):
             raise ResolutionError(f"delay {tap.delay} exceeds memory depth {grid.memory_depth}")
     dtype = np.result_type(hist0.dtype, float)
-    m = hist0.shape[2]
-    hist = np.zeros((nh + 1 + n_steps, n, m), dtype=dtype)
+    hist = np.zeros((nh + 1 + n_steps, n, hist0.shape[2]), dtype=dtype)
     hist[: nh + 1] = hist0
     use_kernel = system.kernel is not None and nh > 0
     forcing = include_forcing and system.forcing is not None
     window = quadrature_window(quadrature)
     t0 = -nh * h
+    if use_kernel:
+        # window nodes sigma - j*h, then the exact lower endpoint sigma - r when
+        # it is off the lattice: sigma + taus0 gives them bitwise, the weights do
+        # not depend on sigma, and node j > 0 lies offsets[j-1] steps back
+        taus0, w, n_uni = window(grid, 0.0)
+        offsets = np.arange(1.0, len(taus0))
+        offsets[n_uni - 1 :] = grid.memory_depth / h
 
     def stage(sigma, known, frac):
         # the right-hand side at sigma, frac steps past stored row `known`, as a
@@ -82,14 +87,9 @@ def propagate_history(
                 zd = interp_uniform(hist[nh : known + 1], 0.0, h, tau)[0]
             taps.append(system.eval_tap(tap, sigma) @ zd)
         if use_kernel:
-            taus, w, n_uni = window(grid, sigma)
-            wk = w[:, None, None] * system.eval_kernel(sigma, taus)
-            # nodes sigma - j*h, then the exact lower endpoint sigma - r when it
-            # is off the lattice; their cubic interpolation weights fold into
-            # w_j K_j, so the rest of the integral is one weight row times a
-            # contiguous block of stored rows
-            offsets = np.arange(1.0, len(taus))
-            offsets[n_uni - 1 :] = grid.memory_depth / h
+            wk = w[:, None, None] * system.eval_kernel(sigma, sigma + taus0)
+            # the nodes' cubic interpolation weights fold into w_j K_j, so the rest of
+            # the integral is one weight row times a contiguous block of stored rows
             k0, c = _cubic_weights(known + frac - offsets, known + 1)
             lo = int(k0.min())
             # one bincount sums in the order of one np.add.at per stencil slot
@@ -98,7 +98,7 @@ def propagate_history(
                             (known + 1 - lo) * n * n).reshape(-1, n, n).transpose(1, 0, 2)
             # unit initial rows: row j's weight goes to columns j*n .. j*n+n-1
             cut = max(lo, nh + 1) if unit else lo
-            mem = g[:, cut - lo :].reshape(n, -1) @ hist[cut : known + 1].reshape(-1, m)
+            mem = g[:, cut - lo :].reshape(n, -1) @ hist[cut : known + 1].reshape(-1, hist.shape[2])
             mem[:, lo * n : cut * n] += g[:, : cut - lo].reshape(n, -1)
         if forcing:
             force = system.eval_forcing(sigma)[:, None]

@@ -120,9 +120,8 @@ def build_monodromy(
 def _eig_leading(matrix: np.ndarray, k: int, shift: int = 0) -> np.ndarray:
     """Leading-magnitude eigenvalues; dense for small operators, ARPACK otherwise.
 
-    A monodromy operator over N steps of n components whose first m - shift
-    rows are eye(m)[shift:] (shift = N*n) reaches ARPACK as that shift plus
-    the computed rows X = matrix[m - shift:]; shift=0 means no such rows.
+    A monodromy operator over N steps of n components (shift = N*n) reaches
+    ARPACK as its first m - shift rows, eye(m)[shift:], plus X = matrix[m - shift:].
     When ARPACK does not converge, the full dense spectrum is returned.
     """
     m = matrix.shape[0]

@@ -1,16 +1,17 @@
-"""Write BENCH_<pr>.json: the perfbench workloads end to end over fixed seeds,
+"""Write BENCH_<pr>.json: the benchmark's workloads end to end over fixed seeds,
 one traced run per workload, the tier-1 wall time and the src/ line count.
 
-Run from the repository root:
+Run from the repository root (about 10 minutes):
 
     python3 tools/bench.py --pr 6
 
-Every (seed, workload) pair runs `perfbench/run.py --trace 0` once. The loop is
-seed-major, so a slow phase of the host falls on all workloads rather than on
-one. Each workload then runs once with `--trace 1` at the first seed for its
-per-layer metrics. The file holds the per-seed end-to-end metrics with their
-median, quartiles and IQR, the per-layer metrics, the tier-1 result and the
-provenance of the runs (commit, CPU, library versions, BLAS threads).
+The workloads and the run length come from BENCHMARK.json. Every (seed,
+workload) pair runs `perfbench/run.py --trace 0` once. The loop is seed-major,
+so a slow phase of the host falls on all workloads rather than on one. Each
+workload then runs once with `--trace 1` at the first seed for its per-layer
+metrics. The file holds the per-seed end-to-end metrics with their median,
+quartiles and IQR, the per-layer metrics, the tier-1 result and the provenance
+of the runs (commit, CPU, library versions, BLAS threads).
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import subprocess
 import sys
 import time
 
-WORKLOADS = ("floquet_kernel", "bands_nonlocal", "mixed_small")
+SEEDS = (1, 2, 3)
 RUN_FIELDS = ("workload", "seed", "trace", "repetitions")  # per run, not per file
 
 
@@ -61,51 +62,48 @@ def tier1() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--tier1", type=int, choices=(0, 1), default=1)
     args = parser.parse_args(argv)
-    if not os.path.isfile(os.path.join("perfbench", "run.py")):
-        print("error: run from the repository root (perfbench/run.py not found)",
-              file=sys.stderr)
+    if not os.path.isfile("BENCHMARK.json"):
+        print("error: run from the repository root (BENCHMARK.json not found)", file=sys.stderr)
         return 2
+    with open("BENCHMARK.json") as fh:
+        spec = json.load(fh)
+    names = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
 
-    prov = None
-    runs = {w: {} for w in args.workloads}
-    for seed in args.seeds:
-        for workload in args.workloads:
-            prov, result = perfbench(workload, seed, args.seconds, 0)
+    runs = {w: {} for w in names}
+    for seed in SEEDS:
+        for workload in names:
+            prov, result = perfbench(workload, seed, seconds, 0)
             runs[workload][seed] = result
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{k} {m['value']:.4g}" for k, m in result["metrics"].items()), flush=True)
     end_to_end = {}
     for workload, by_seed in runs.items():
-        names = next(iter(by_seed.values()))["metrics"]
+        units = {k: m["unit"] for k, m in next(iter(by_seed.values()))["metrics"].items()}
         end_to_end[workload] = {
             "per_seed": {str(s): {k: m["value"] for k, m in r["metrics"].items()}
                          for s, r in by_seed.items()},
             "failed_ops": {str(s): r["failed"] for s, r in by_seed.items()},
             "summary": {k: dict(summary([r["metrics"][k]["value"] for r in by_seed.values()]),
-                                unit=names[k]["unit"]) for k in names},
+                                unit=unit) for k, unit in units.items()},
         }
     per_layer = {}
-    for workload in args.workloads:
-        _, result = perfbench(workload, args.seeds[0], args.seconds, 1)
+    for workload in names:
+        _, result = perfbench(workload, SEEDS[0], seconds, 1)
         per_layer[workload] = result["metrics"]
-        print(f"{workload} traced at seed {args.seeds[0]}", flush=True)
+        print(f"{workload} traced at seed {SEEDS[0]}", flush=True)
 
     doc = {
         "pr": args.pr,
         "provenance": dict({k: v for k, v in prov.items() if k not in RUN_FIELDS},
-                           seeds=args.seeds, traced_seed=args.seeds[0],
+                           seeds=list(SEEDS), traced_seed=SEEDS[0],
                            date=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())),
         "src_lines": prov["src_lines"],
         "end_to_end": end_to_end,
         "per_layer": per_layer,
+        "tier1": tier1(),
     }
-    if args.tier1:
-        doc["tier1"] = tier1()
     path = f"BENCH_{args.pr}.json"
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
