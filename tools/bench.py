@@ -1,9 +1,9 @@
-"""Write BENCH_<pr>.json: the benchmark's workloads end to end over fixed seeds,
+"""Write BENCH_<label>.json: the benchmark's workloads end to end over fixed seeds,
 one traced run per workload, the tier-1 wall time and the src/ line count.
 
 Run from the repository root (about 10 minutes):
 
-    python3 tools/bench.py --pr 6
+    python3 tools/bench.py --label 6
 
 The workloads and the run length come from BENCHMARK.json. Every (seed,
 workload) pair runs `perfbench/run.py --trace 0` once. The loop is seed-major,
@@ -61,7 +61,7 @@ def tier1() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
+    parser.add_argument("--label", required=True, help="the <label> of BENCH_<label>.json")
     args = parser.parse_args(argv)
     if not os.path.isfile("BENCHMARK.json"):
         print("error: run from the repository root (BENCHMARK.json not found)", file=sys.stderr)
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
         print(f"{workload} traced at seed {SEEDS[0]}", flush=True)
 
     doc = {
-        "pr": args.pr,
+        "label": args.label,
         "provenance": dict({k: v for k, v in prov.items() if k not in RUN_FIELDS},
                            seeds=list(SEEDS), traced_seed=SEEDS[0],
                            date=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())),
@@ -104,7 +104,7 @@ def main(argv=None) -> int:
         "per_layer": per_layer,
         "tier1": tier1(),
     }
-    path = f"BENCH_{args.pr}.json"
+    path = f"BENCH_{args.label}.json"
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
