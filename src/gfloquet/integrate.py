@@ -31,7 +31,7 @@ class Trajectory:
 def propagate_history(
     system: LinearMemorySystem,
     grid: PeriodicGrid,
-    hist0: np.ndarray,
+    hist0: np.ndarray | None,
     n_steps: int,
     include_forcing: bool = False,
     quadrature: str = "trapezoid",

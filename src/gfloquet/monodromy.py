@@ -127,10 +127,12 @@ def _eig_leading(matrix: np.ndarray, k: int, shift: int = 0) -> np.ndarray:
     m = matrix.shape[0]
     if m <= _DENSE_EIG_LIMIT or k >= m - 2:
         return scipy.linalg.eigvals(matrix)
-    s = min(shift or m, m)
-    x_rows = matrix[m - s:]
-    op = scipy.sparse.linalg.LinearOperator(
-        matrix.shape, matvec=lambda x: np.concatenate([x[s:], x_rows @ x]), dtype=matrix.dtype)
+    op = matrix  # shift 0: no known structure
+    if shift > 0:
+        s = min(shift, m)  # memory shorter than the period: every row is computed
+        op = scipy.sparse.linalg.LinearOperator(
+            matrix.shape, matvec=lambda x: np.concatenate([x[s:], matrix[m - s:] @ x]),
+            dtype=matrix.dtype)
     try:
         return scipy.sparse.linalg.eigs(
             op, k=min(k, m - 2), which="LM", return_eigenvectors=False

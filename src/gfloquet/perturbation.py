@@ -56,10 +56,9 @@ class LimitCycle:
     def at(self, t):
         return periodic_interp(self.samples[:-1], self.period, t)
 
-    def residual(self, nl: NonlinearMemorySystem, grid: PeriodicGrid,
-                 quadrature: str = "trapezoid") -> float:
+    def residual(self, nl: NonlinearMemorySystem, grid: PeriodicGrid) -> float:
         """Max defect of the nonlinear equation on the cycle nodes (5-point
-        periodic derivative, kernel memory by the named quadrature window)."""
+        periodic derivative, trapezoid memory quadrature)."""
         y = self.samples[:-1]
         h = self.period / y.shape[0]
         dy = periodic_derivative(y, h)
@@ -74,7 +73,7 @@ class LimitCycle:
         for k in range(y.shape[0]):
             t = k * h
             rhs = np.asarray(nl.vector_field(y[k], t), dtype=float)
-            rhs = apply_memory(memory, grid, t, g_at, rhs, quadrature)
+            rhs = apply_memory(memory, grid, t, g_at, rhs)
             res = max(res, float(np.max(np.abs(dy[k] - rhs))))
         return res
 

@@ -280,14 +280,3 @@ def test_exponent_class_reconstruction_invariance():
     shift = 2j * np.pi / grid.period
     z2 = (mode.samples[:, 0] * np.exp(-shift * sig)) * np.exp((lam + shift) * sig)
     assert np.max(np.abs(z1 - z2)) < 1e-8
-
-
-def test_limit_cycle_residual_kernel_simpson():
-    # simpson_window closes its 2h remainder with a trapezoid: third order
-    trap, simp = [], []
-    for n in (64, 128):
-        grid = PeriodicGrid(1.0, n, 0.5)
-        trap.append(_cosine_cycle(n).residual(_KERNEL_CYCLE_SYSTEM, grid))
-        simp.append(_cosine_cycle(n).residual(_KERNEL_CYCLE_SYSTEM, grid, quadrature="simpson"))
-    assert simp[0] < trap[0] and simp[1] < trap[1]
-    assert np.log2(simp[0] / simp[1]) > 2.7

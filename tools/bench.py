@@ -24,13 +24,17 @@ import subprocess
 import sys
 import time
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.insert(0, PERFBENCH)
+from run import _quartiles  # noqa: E402  (one IQR definition for BENCH files and perfbench)
+
 SEEDS = (1, 2, 3)
 RUN_FIELDS = ("workload", "seed", "trace", "repetitions")  # per run, not per file
 
 
 def perfbench(workload: str, seed: int, seconds: float, trace: int) -> tuple:
     """One perfbench run: (provenance, result) parsed from its stdout."""
-    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+    cmd = [sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
     prov = next(json.loads(line.split(" ", 1)[1]) for line in out
@@ -40,8 +44,7 @@ def perfbench(workload: str, seed: int, seconds: float, trace: int) -> tuple:
 
 def summary(values: list) -> dict:
     """Median, quartiles and IQR (the quartiles of perfbench/run.py)."""
-    q1, q3 = (statistics.quantiles(values, n=4)[::2] if len(values) > 1
-              else (values[0], values[0]))
+    q1, q3 = _quartiles(values)
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
