@@ -22,6 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .grid import PeriodicGrid
+from .integrate import rk4_step
 from .monodromy import sort_multipliers
 from .system import InvalidSystemError
 
@@ -94,7 +95,11 @@ def local_cell_monodromy(pot: NonlocalPotential1D, energy: float, n_steps: int) 
         raise InvalidSystemError("cell transfer matrix requires a local potential")
     a = pot.lattice_constant
 
-    def smooth_block(x0, x1, m):
+    def stage(x):
+        coeff = np.array([[0.0, 1.0], [pot.eval_local(x) - energy, 0.0]])
+        return lambda mat: coeff @ mat
+
+    def smooth_block(x0, x1):
         span = x1 - x0
         if span <= 0:
             return np.eye(2)
@@ -103,25 +108,17 @@ def local_cell_monodromy(pot: NonlocalPotential1D, energy: float, n_steps: int) 
         u = np.eye(2)
         for s in range(steps):
             x = x0 + s * h
-
-            def f(xq, mat):
-                return np.array([[0.0, 1.0], [pot.eval_local(xq) - energy, 0.0]]) @ mat
-
-            k1 = f(x, u)
-            k2 = f(x + 0.5 * h, u + 0.5 * h * k1)
-            k3 = f(x + 0.5 * h, u + 0.5 * h * k2)
-            k4 = f(x + h, u + h * k3)
-            u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            u = rk4_step(lambda frac: stage(x + frac * h), u, h)
         return u
 
     sites = sorted((x0 % a, g) for x0, g in pot.deltas)
     u = np.eye(2)
     x_prev = 0.0
     for x0, g in sites:
-        u = smooth_block(x_prev, x0, n_steps) @ u
+        u = smooth_block(x_prev, x0) @ u
         u = np.array([[1.0, 0.0], [g, 1.0]]) @ u
         x_prev = x0
-    return smooth_block(x_prev, a, n_steps) @ u
+    return smooth_block(x_prev, a) @ u
 
 
 def cell_collocation_matrices(pot: NonlocalPotential1D, energy: float, n_nodes: int):

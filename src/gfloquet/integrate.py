@@ -8,6 +8,7 @@ the monodromy builder uses this to evolve all basis segments together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +27,21 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.values[-1]
+
+
+def rk4_step(stage: Callable, z: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of size h from z.
+
+    stage(frac) returns the right-hand side, as a function of the state, at
+    frac steps past the start; it is called once per stage time, so k2 and k3
+    share one evaluation of the terms that do not depend on the state.
+    """
+    k1 = stage(0.0)(z)
+    half = stage(0.5)
+    k2 = half(z + 0.5 * h * k1)
+    k3 = half(z + 0.5 * h * k2)
+    k4 = stage(1.0)(z + h * k3)
+    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def propagate_history(
@@ -62,15 +78,14 @@ def propagate_history(
     hist[: nh + 1] = hist0
     use_kernel = system.kernel is not None and nh > 0
     forcing = include_forcing and system.forcing is not None
-    window = quadrature_window(quadrature)
     t0 = -nh * h
-    if use_kernel:
-        # window nodes sigma - j*h, then the exact lower endpoint sigma - r when
-        # it is off the lattice: sigma + taus0 gives them bitwise, the weights do
-        # not depend on sigma, and node j > 0 lies offsets[j-1] steps back
-        taus0, w, n_uni = window(grid, 0.0)
-        offsets = np.arange(1.0, len(taus0))
-        offsets[n_uni - 1 :] = grid.memory_depth / h
+    # window nodes sigma - j*h, then the exact lower endpoint sigma - r when it
+    # is off the lattice: sigma + taus0 gives them bitwise, the weights do not
+    # depend on sigma, and node j > 0 lies offsets[j-1] steps back; built for
+    # every system, so that an unknown quadrature name raises on each path
+    taus0, w, n_uni = quadrature_window(grid, 0.0, quadrature)
+    offsets = np.arange(1.0, len(taus0))
+    offsets[n_uni - 1 :] = grid.memory_depth / h
 
     def stage(sigma, known, frac):
         # the right-hand side at sigma, frac steps past stored row `known`, as a
@@ -118,13 +133,7 @@ def propagate_history(
     for step in range(n_steps):
         known = nh + step
         t = step * h
-        Z = hist[known]
-        k1 = stage(t, known, 0.0)(Z)
-        half = stage(t + 0.5 * h, known, 0.5)  # k2 and k3 share the stage time
-        k2 = half(Z + 0.5 * h * k1)
-        k3 = half(Z + 0.5 * h * k2)
-        k4 = stage(t + h, known, 1.0)(Z + h * k3)
-        hist[known + 1] = Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        hist[known + 1] = rk4_step(lambda frac: stage(t + frac * h, known, frac), hist[known], h)
     return hist
 
 

@@ -134,8 +134,10 @@ def _eig_leading(matrix: np.ndarray, k: int, shift: int = 0) -> np.ndarray:
             matrix.shape, matvec=lambda x: np.concatenate([x[s:], matrix[m - s:] @ x]),
             dtype=matrix.dtype)
     try:
+        # a fixed start vector: ARPACK's own is drawn from a process-global state
         return scipy.sparse.linalg.eigs(
-            op, k=min(k, m - 2), which="LM", return_eigenvectors=False
+            op, k=min(k, m - 2), which="LM", return_eigenvectors=False,
+            v0=np.random.default_rng(0).standard_normal(m),
         )
     except scipy.sparse.linalg.ArpackNoConvergence:
         # a partial set would leave leading multipliers without a partner

@@ -96,14 +96,21 @@ def kernel_matrices(kernel: Callable, n: int, sigma: float, taus: np.ndarray) ->
     return out
 
 
-def kernel_window(grid: PeriodicGrid, sigma: float):
-    """Trapezoid nodes/weights for the moving window [sigma - r, sigma].
+def quadrature_window(grid: PeriodicGrid, sigma: float, quadrature: str = "trapezoid"):
+    """Nodes/weights of a quadrature rule on the moving window [sigma - r, sigma].
 
     Returns (taus, weights, n_uniform): the first n_uniform nodes are the
     grid-aligned points sigma - j*h (so that during stepping every interior
     node refers to already-known history); an extra node at the exact lower
-    endpoint sigma - r is appended when r is not a whole number of steps.
+    endpoint sigma - r is appended when the aligned nodes stop short of it,
+    and that remainder is closed with a trapezoid. "trapezoid" covers the
+    aligned nodes with the trapezoid rule; "simpson", given at least 4 history
+    points, covers [sigma - M*h, sigma] with M even by composite Simpson,
+    leaving a remainder at most two steps wide, where an admissible kernel is
+    near its truncation floor.
     """
+    if quadrature not in ("trapezoid", "simpson"):
+        raise ValueError(f"unknown quadrature {quadrature!r}")
     r = grid.memory_depth
     h = grid.step
     nh = grid.history_points
@@ -112,53 +119,25 @@ def kernel_window(grid: PeriodicGrid, sigma: float):
     if nh == 1:
         taus = np.array([sigma, sigma - r])
         return taus, np.array([r / 2.0, r / 2.0]), 1
-    taus = sigma - np.arange(nh) * h
-    w = np.full(nh, h)
-    w[0] = h / 2.0
-    w[-1] = h / 2.0
-    bottom = r - (nh - 1) * h
-    if bottom > 1e-12 * h:
-        taus = np.append(taus, sigma - r)
-        w[-1] += bottom / 2.0
-        w = np.append(w, bottom / 2.0)
-    return taus, w, nh
-
-
-def simpson_window(grid: PeriodicGrid, sigma: float):
-    """Composite-Simpson nodes/weights on [sigma - r, sigma], grid-aligned.
-
-    Simpson covers [sigma - M*h, sigma] with M even; the short remainder down
-    to sigma - r (at most two steps wide, where an admissible kernel is near
-    its truncation floor) is closed with a trapezoid.
-    """
-    r = grid.memory_depth
-    h = grid.step
-    nh = grid.history_points
-    if nh == 0 or r == 0.0:
-        return np.array([sigma]), np.array([0.0]), 1
-    if nh < 4:
-        return kernel_window(grid, sigma)
-    m = nh - 1 if (nh - 1) % 2 == 0 else nh - 2
+    if quadrature == "simpson" and nh >= 4:
+        m = nh - 1 if (nh - 1) % 2 == 0 else nh - 2
+        w = np.full(m + 1, 2.0)
+        w[1::2] = 4.0
+        w[0] = 1.0
+        w[-1] = 1.0
+        w *= h / 3.0
+    else:
+        m = nh - 1
+        w = np.full(m + 1, h)
+        w[0] = h / 2.0
+        w[-1] = h / 2.0
     taus = sigma - np.arange(m + 1) * h
-    w = np.full(m + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = 1.0
-    w[-1] = 1.0
-    w *= h / 3.0
     bottom = r - m * h
     if bottom > 1e-12 * h:
         taus = np.append(taus, sigma - r)
         w[-1] += bottom / 2.0
         w = np.append(w, bottom / 2.0)
     return taus, w, m + 1
-
-
-def quadrature_window(quadrature: str) -> Callable:
-    """The window function (kernel_window or simpson_window) of a quadrature name."""
-    windows = {"trapezoid": kernel_window, "simpson": simpson_window}
-    if quadrature not in windows:
-        raise ValueError(f"unknown quadrature {quadrature!r}")
-    return windows[quadrature]
 
 
 @dataclass
@@ -196,7 +175,7 @@ def validate_system(system: LinearMemorySystem, grid: PeriodicGrid) -> Validatio
     bound = 0.0
     if system.kernel is not None:
         for s in grid.period_nodes:
-            taus, w, _ = kernel_window(grid, s)
+            taus, w, _ = quadrature_window(grid, s)
             k0 = system.eval_kernel(s, taus)
             k1 = system.eval_kernel(s + sig, taus + sig)
             if not (np.all(np.isfinite(k0)) and np.all(np.isfinite(k1))):
@@ -226,33 +205,10 @@ def apply_memory(system: LinearMemorySystem, grid: PeriodicGrid, sigma: float, z
     for tap in system.delay_taps:
         out = out + system.eval_tap(tap, sigma) @ z_at([sigma - tap.delay])[0]
     if system.kernel is not None:
-        taus, w, _ = quadrature_window(quadrature)(grid, sigma)
+        taus, w, _ = quadrature_window(grid, sigma, quadrature)
         kmat = system.eval_kernel(sigma, taus)
         out = out + np.einsum("t,tij,tj->i", w, kmat, z_at(taus))
     return out
-
-
-def apply_operator_from_samples(
-    system: LinearMemorySystem,
-    grid: PeriodicGrid,
-    z: np.ndarray,
-    t0: float,
-    sigma,
-    shift: float = 0.0,
-) -> np.ndarray:
-    """Evaluate L{z(. + shift)}(sigma) from uniform samples of z starting at t0.
-
-    Memory integrals use the trapezoid window; delayed and off-node values use
-    piecewise-cubic interpolation.
-    """
-    h = grid.step
-    sigma = float(sigma)
-
-    def z_at(times):
-        return interp_uniform(z, t0, h, np.asarray(times) + shift)
-
-    out = system.eval_coefficient(sigma) @ z_at([sigma])[0]
-    return apply_memory(system, grid, sigma, z_at, out)
 
 
 def shift_commutation_residual(
@@ -269,10 +225,20 @@ def shift_commutation_residual(
     hist = propagate_history(system, grid, hist0, n_steps, include_forcing=False)
     z = hist[:, :, 0]
     t0 = -grid.history_points * grid.step
+
+    def apply_operator(sigma, shift):
+        # L{z(. + shift)}(sigma): trapezoid memory window, off-node values by
+        # piecewise-cubic interpolation of the samples
+        def z_at(times):
+            return interp_uniform(z, t0, grid.step, np.asarray(times) + shift)
+
+        out = system.eval_coefficient(sigma) @ z_at([sigma])[0]
+        return apply_memory(system, grid, sigma, z_at, out)
+
     res = 0.0
     for s in grid.period_nodes:
-        lhs = apply_operator_from_samples(system, grid, z, t0, s, shift=sig)
-        rhs = apply_operator_from_samples(system, grid, z, t0, s + sig, shift=0.0)
+        lhs = apply_operator(s, sig)
+        rhs = apply_operator(s + sig, 0.0)
         res = max(res, float(np.max(np.abs(lhs - rhs))))
     return res
 

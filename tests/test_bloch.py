@@ -281,3 +281,13 @@ def test_local_cell_monodromy_det_one():
     pot, _ = kronig_penney()
     u = local_cell_monodromy(pot, 5.0, 128)
     assert np.linalg.det(u) == pytest.approx(1.0, abs=1e-10)  # Wronskian
+
+
+@pytest.mark.parametrize("energy", [2.0, 7.5, 30.0])
+def test_local_cell_monodromy_order_is_four(energy):
+    # the half-trace of the transfer matrix is the Kronig-Penney discriminant
+    pot, _ = kronig_penney()
+    exact = kronig_penney_reference(3.0, 1.0, energy)["discriminant"]
+    errs = np.array([abs(0.5 * np.trace(local_cell_monodromy(pot, energy, n)) - exact)
+                     for n in (32, 64, 128)])
+    assert np.all(np.log2(errs[:-1] / errs[1:]) > 3.7)

@@ -76,6 +76,20 @@ def test_analyze_invalid_configs(tmp_path):
                  "--out", str(tmp_path / "o4")]) == 2
 
 
+@pytest.mark.parametrize("system", [
+    {"dimension": 1, "period": 1.0, "memory_depth": 1.0, "coefficient": [0.0] * 4,
+     "delay_taps": [{"delay": 1.0, "coefficient": [-1.5] * 4}]},
+    {"builtin": "scalar_cosine"},
+])
+def test_analyze_unknown_quadrature_exits_2(tmp_path, system):
+    # neither system has a kernel, so no quadrature window is ever used
+    cfg = _write(tmp_path / "c.json", {
+        "system": system, "grid": {"samples_per_period": 32}, "quadrature": "gauss"})
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_analyze_numerical_failure_exits_3(tmp_path, monkeypatch):
     def failing_eig(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalue iteration did not converge")

@@ -8,7 +8,7 @@ from gfloquet import (
 )
 from gfloquet.grid import interp_uniform, periodic_interp
 from gfloquet.integrate import propagate_history
-from gfloquet.system import kernel_window, quadrature_window, simpson_window
+from gfloquet.system import quadrature_window
 
 
 def test_grid_basic_fields():
@@ -111,18 +111,16 @@ def test_delay_tap_requires_positive_delay():
 
 def test_kernel_window_weights_integrate_constant():
     g = PeriodicGrid(1.0, 64, 0.37)
-    for window in (kernel_window, simpson_window):
-        taus, w, n_uni = window(g, 0.8)
+    for quadrature in ("trapezoid", "simpson"):
+        taus, w, n_uni = quadrature_window(g, 0.8, quadrature)
         assert np.isclose(np.sum(w), 0.37)
         assert taus[0] == pytest.approx(0.8)
         assert taus[-1] == pytest.approx(0.8 - 0.37)
 
 
 def test_quadrature_window_names():
-    assert quadrature_window("trapezoid") is kernel_window
-    assert quadrature_window("simpson") is simpson_window
     with pytest.raises(ValueError, match="unknown quadrature 'gauss'"):
-        quadrature_window("gauss")
+        quadrature_window(PeriodicGrid(1.0, 64, 0.37), 0.8, "gauss")
 
 
 def test_step_integrate_exponential():
@@ -207,12 +205,11 @@ def test_shift_commutation_zero_system():
 
 
 def _reference_propagate(system, grid, hist0, n_steps, quadrature):
-    """Method-of-steps RK4 that interpolates every kernel window node on its
-    own with interp_uniform and sums w_j K_j z(tau_j) (oracle for the folded
-    window weights of propagate_history)."""
+    """Method-of-steps RK4 that interpolates every delayed value and every
+    kernel window node on its own with interp_uniform and sums w_j K_j z(tau_j)
+    (oracle for the taps and the folded window weights of propagate_history)."""
     nh, h = grid.history_points, grid.step
     t0 = -nh * h
-    window = simpson_window if quadrature == "simpson" else kernel_window
     hist = np.zeros((nh + 1 + n_steps,) + hist0.shape[1:], dtype=np.result_type(hist0, float))
     hist[: nh + 1] = hist0
 
@@ -225,7 +222,9 @@ def _reference_propagate(system, grid, hist0, n_steps, quadrature):
             else:
                 zd = interp_uniform(hist[nh : known + 1], 0.0, h, tau)[0]
             d = d + system.eval_tap(tap, sigma) @ zd
-        taus, w, _ = window(grid, sigma)
+        if system.kernel is None:
+            return d
+        taus, w, _ = quadrature_window(grid, sigma, quadrature)
         kmat = system.eval_kernel(sigma, taus)
         d = d + w[0] * kmat[0] @ z
         vals = interp_uniform(hist[: known + 1], t0, h, taus[1:])
@@ -321,3 +320,25 @@ def test_unit_basis_start_matrix_kernel_with_tap(quadrature, depth):
     ref = propagate_history(system, g, np.eye(m).reshape(-1, 2, m), 40, quadrature=quadrature)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("unit", [True, False])
+@pytest.mark.parametrize("delay", [0.5, 1.0])
+def test_delay_taps_match_reference_stepper(delay, unit):
+    # delay 0.5: the stage references cross tau = 0 mid-period; delay = depth
+    # = 1.0: over one period every reference lies in the initial rows
+    tap = DelayTap(delay, lambda s: np.array([[-1.2, 0.3 * np.sin(2 * np.pi * s)], [0.4, -0.7]]))
+    system = LinearMemorySystem(
+        2, lambda s: np.array([[0.0, 1.0], [-1.0 - 0.3 * np.cos(2 * np.pi * s), -0.1]]),
+        delay_taps=(tap,),
+    )
+    g = PeriodicGrid(1.0, 32, delay)
+    m = g.state_size(2)
+    if unit:
+        hist0 = np.eye(m).reshape(-1, 2, m)
+    else:
+        hist0 = np.random.default_rng(3).standard_normal((g.history_points + 1, 2, 3))
+    got = propagate_history(system, g, None if unit else hist0, 32)
+    ref = _reference_propagate(system, g, hist0, 32, "trapezoid")
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -299,6 +299,18 @@ def test_eig_leading_shift_structured_matches_dense(monkeypatch):
     assert max(np.min(np.abs(lead - mu)) for mu in got) <= 1e-10
 
 
+def test_eig_leading_is_deterministic():
+    # the refined operator of the floquet_kernel benchmark (m = 924), on ARPACK
+    depth = 0.3 * np.log(9.0 * 0.3 / 1e-10)
+    system, _ = exp_kernel(depth=depth)
+    grid = PeriodicGrid(1.0, 128, depth)
+    u = build_monodromy(system, grid, quadrature="simpson").matrix
+    assert u.shape[0] > monodromy._DENSE_EIG_LIMIT
+    first, second = (monodromy._eig_leading(u, k=32, shift=grid.samples_per_period)
+                     for _ in range(2))
+    np.testing.assert_array_equal(first, second)
+
+
 def _leading_multiplier_error(system, grid, exact, quadrature="trapezoid"):
     mus = scipy.linalg.eigvals(build_monodromy(system, grid, quadrature=quadrature).matrix)
     top = mus[np.argsort(-np.abs(mus))[: len(exact)]]

@@ -6,7 +6,7 @@ from gfloquet import (
     LinearMemorySystem, PeriodicGrid, StateSegment, forced_response,
     multiplier_phases_to_k, principal_exponents, sort_multipliers,
 )
-from gfloquet.system import kernel_window
+from gfloquet.system import quadrature_window
 from gfloquet.bloch import _symmetrize_unit
 from gfloquet.grid import interp_uniform
 
@@ -80,7 +80,7 @@ def test_interpolation_reproduces_cubics(coeffs, query):
 @settings(max_examples=60, deadline=None)
 def test_kernel_window_weights_sum_to_depth(depth, n):
     grid = PeriodicGrid(1.0, n, depth)
-    taus, weights, _ = kernel_window(grid, 0.4)
+    taus, weights, _ = quadrature_window(grid, 0.4)
     # trapezoid weights integrate 1 exactly over the window [sigma - r, sigma]
     assert abs(np.sum(weights) - depth) < 1e-12 * max(depth, 1.0)
     assert np.all(np.diff(taus) < 0)  # window walks backward from sigma
