@@ -274,6 +274,8 @@ def _potential_from_config(cfg: dict) -> NonlocalPotential1D:
 
 
 def cmd_bands(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg, fingerprint = _load_config(args.config)
     pot = _potential_from_config(cfg)
     if pot.kernel is not None or pot.local is not None:
@@ -295,8 +297,7 @@ def cmd_bands(args) -> int:
     n = int(args.grid if args.grid else gspec.get("samples_per_period", 64))
     grid = PeriodicGrid(pot.lattice_constant, n, 0.0)
     unit_tol = float(args.tol if args.tol else cfg.get("unit_tol", 1e-3))
-    diagram = band_scan(pot, energies, grid, unit_tol=unit_tol,
-                        jobs=max(1, int(args.jobs or 1)))
+    diagram = band_scan(pot, energies, grid, unit_tol=unit_tol, jobs=args.jobs)
     failures = sum(r.failed for r in diagram.records)
     ambiguity = []
     extrema = detect_interior_extrema(diagram, ambiguity_log=ambiguity)
@@ -344,8 +345,9 @@ def main(argv=None) -> int:
                        help="override samples per period")
         p.add_argument("--tol", type=float, default=None,
                        help="override the main tolerance of the command")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker threads for scans")
+        if fn is cmd_bands:
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker threads for the energy scan")
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
     try:

@@ -84,11 +84,6 @@ class StateSegment:
     def dimension(self) -> int:
         return self.samples.shape[1]
 
-    @staticmethod
-    def constant(grid: PeriodicGrid, value) -> "StateSegment":
-        value = np.atleast_1d(np.asarray(value, dtype=float))
-        return StateSegment(grid, np.tile(value, (grid.history_points + 1, 1)))
-
 
 def _cubic_weights(s: np.ndarray, length: int):
     """Stencil base index and weights of piecewise-cubic Lagrange interpolation.

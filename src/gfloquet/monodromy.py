@@ -30,21 +30,27 @@ class NonTruncatableError(RuntimeError):
 
 @dataclass(frozen=True)
 class MonodromyOperator:
-    """Dense representation of the period-shift map on discretized history segments."""
+    """The period-shift map on discretized history segments, kept with the
+    propagation it is read from.
 
-    matrix: np.ndarray = field(repr=False)
+    history is the (nh+1+N, n, m) propagation of the m canonical unit segments
+    over one period; its last nh+1 rows, flattened, are the matrix.
+    """
+
+    history: np.ndarray = field(repr=False)
     grid: PeriodicGrid
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("monodromy matrix must be square")
-        if not np.all(np.isfinite(mat)):
+        if not np.all(np.isfinite(self.history)):
             raise ValueError("monodromy matrix must be finite")
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.history.shape[2]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.history[-(self.grid.history_points + 1):].reshape(self.size, self.size)
 
 
 @dataclass(frozen=True)
@@ -109,12 +115,9 @@ def build_monodromy(
 ) -> MonodromyOperator:
     """Column j of the result is the history segment at time Sigma reached from
     the j-th canonical unit segment (forcing is ignored)."""
-    nh = grid.history_points
-    m = grid.state_size(system.dimension)
     hist = propagate_history(system, grid, None, grid.samples_per_period,
                              include_forcing=False, quadrature=quadrature)
-    u = hist[-(nh + 1):].reshape(m, m)
-    return MonodromyOperator(u, grid)
+    return MonodromyOperator(hist, grid)
 
 
 def _eig_leading(matrix: np.ndarray, k: int, shift: int = 0) -> np.ndarray:
@@ -177,7 +180,7 @@ def floquet_spectrum(
     for j in np.nonzero(converged)[0][:modes]:
         if abs(mus[j]) < 1e-12:
             continue
-        mode_list.append(extract_mode(system, grid, mus[j], vecs[:, j], quadrature=quadrature))
+        mode_list.append(extract_mode(operator, mus[j], vecs[:, j]))
     return FloquetDecomposition(
         multipliers=mus,
         exponents=exponents,
@@ -189,22 +192,14 @@ def floquet_spectrum(
     )
 
 
-def extract_mode(
-    system: LinearMemorySystem,
-    grid: PeriodicGrid,
-    mu: complex,
-    eigenvector: np.ndarray,
-    quadrature: str = "trapezoid",
-) -> PeriodicMode:
-    """Propagate the eigenvector's history segment over one period and peel off
-    the exponential growth, leaving the periodic part r(sigma)."""
-    n = system.dimension
-    nh = grid.history_points
+def extract_mode(operator: MonodromyOperator, mu: complex,
+                 eigenvector: np.ndarray) -> PeriodicMode:
+    """Combine the operator's unit-basis propagation by the eigenvector's
+    history segment (the scheme is linear in it) and peel off the exponential
+    growth, leaving the periodic part r(sigma)."""
+    grid = operator.grid
     lam = complex(principal_exponents(np.array([mu]), grid.period)[0])
-    seg = np.asarray(eigenvector, dtype=complex).reshape(nh + 1, n)
-    hist = propagate_history(system, grid, seg[:, :, None], grid.samples_per_period,
-                             include_forcing=False, quadrature=quadrature)
-    z = hist[nh:, :, 0]
+    z = operator.history[grid.history_points:] @ eigenvector
     t = np.arange(grid.samples_per_period + 1) * grid.step
     r = z * np.exp(-lam * t)[:, None]
     node_mag = np.linalg.norm(r, axis=1)

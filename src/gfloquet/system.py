@@ -202,10 +202,11 @@ def apply_memory(system: LinearMemorySystem, grid: PeriodicGrid, sigma: float, z
 
     z_at maps a 1-d array of times to the values of z there, one row per time.
     """
+    # built for every system, so that an unknown quadrature name raises on each path
+    taus, w, _ = quadrature_window(grid, sigma, quadrature)
     for tap in system.delay_taps:
         out = out + system.eval_tap(tap, sigma) @ z_at([sigma - tap.delay])[0]
     if system.kernel is not None:
-        taus, w, _ = quadrature_window(grid, sigma, quadrature)
         kmat = system.eval_kernel(sigma, taus)
         out = out + np.einsum("t,tij,tj->i", w, kmat, z_at(taus))
     return out

@@ -225,6 +225,25 @@ def test_bands_empty_range_rejected(tmp_path):
     assert main(["bands", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "stability"])
+def test_jobs_flag_is_bands_only(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out"),
+              "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bands_jobs_below_one_exits_2(tmp_path, jobs):
+    cfg = _write(tmp_path / "c.json", {
+        "potential": {"builtin": "kronig_penney"},
+        "energies": {"min": 1.0, "max": 2.0, "count": 4},
+    })
+    out = tmp_path / "out"
+    assert main(["bands", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
+    assert not out.exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = _write(tmp_path / "c.json", {
         "system": {"builtin": "scalar_cosine"},

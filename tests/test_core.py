@@ -8,7 +8,8 @@ from gfloquet import (
 )
 from gfloquet.grid import interp_uniform, periodic_interp
 from gfloquet.integrate import propagate_history
-from gfloquet.system import quadrature_window
+from gfloquet.builtins import delay_pi_over_2
+from gfloquet.system import apply_memory, quadrature_window
 
 
 def test_grid_basic_fields():
@@ -121,6 +122,16 @@ def test_kernel_window_weights_integrate_constant():
 def test_quadrature_window_names():
     with pytest.raises(ValueError, match="unknown quadrature 'gauss'"):
         quadrature_window(PeriodicGrid(1.0, 64, 0.37), 0.8, "gauss")
+
+
+@pytest.mark.parametrize("system", [
+    delay_pi_over_2()[0], LinearMemorySystem(1, lambda s: np.array([[0.0]]))],
+    ids=["delay_only", "memoryless"])
+def test_apply_memory_rejects_unknown_quadrature_without_kernel(system):
+    # no kernel window is needed, but the name is still checked
+    z_at = lambda times: np.ones((len(times), 1))
+    with pytest.raises(ValueError, match="unknown quadrature 'gauss'"):
+        apply_memory(system, PeriodicGrid(1.0, 32, 1.0), 0.3, z_at, np.zeros(1), "gauss")
 
 
 def test_step_integrate_exponential():

@@ -10,6 +10,7 @@ from gfloquet import (
     step_integrate, truncate_infinite_kernel, verify_floquet_form,
 )
 from gfloquet import monodromy
+from gfloquet.integrate import propagate_history
 from gfloquet.builtins import delay_pi_over_2, exp_kernel, scalar_cosine
 
 
@@ -334,3 +335,57 @@ def test_delay_multiplier_convergence_order():
     errs = np.array([_leading_multiplier_error(system, _grid_for(meta, n), (1j, -1j))
                      for n in (32, 64, 128)])
     assert np.all(np.log2(errs[:-1] / errs[1:]) > 3.7)
+
+
+def _tap_system(delay):
+    tap = DelayTap(delay, lambda s: np.array([[-1.2, 0.3 * np.sin(2 * np.pi * s)], [0.4, -0.7]]))
+    return LinearMemorySystem(
+        2, lambda s: np.array([[0.0, 1.0], [-1.0 - 0.3 * np.cos(2 * np.pi * s), -0.1]]),
+        delay_taps=(tap,))
+
+
+def _kernel_with_tap_system():
+    amp = np.array([[-0.5, 0.2], [0.1, -0.3]])
+    tap = DelayTap(0.25, lambda s: np.array([[0.1, 0.0], [0.2 * np.sin(2 * np.pi * s), -0.1]]))
+    return LinearMemorySystem(
+        2, lambda s: np.array([[0.0, 1.0], [-1.0 - 0.3 * np.cos(2 * np.pi * s), -0.1]]),
+        delay_taps=(tap,),
+        kernel=difference_kernel(lambda u: np.exp(-np.asarray(u) / 0.2), scale=amp),
+    )
+
+
+def _reintegrated_mode(system, grid, mu, eigenvector, quadrature):
+    """Samples and periodicity residual of the mode of (mu, eigenvector) with the
+    eigenvector's history segment propagated over the period on its own, then
+    normalized to unit max node magnitude with the leading component real."""
+    n, nh = system.dimension, grid.history_points
+    seg = np.asarray(eigenvector).reshape(nh + 1, n, 1)
+    z = propagate_history(system, grid, seg, grid.samples_per_period,
+                          quadrature=quadrature)[nh:, :, 0]
+    lam = principal_exponents(np.array([mu]), grid.period)[0]
+    r = z * np.exp(-lam * np.arange(grid.samples_per_period + 1) * grid.step)[:, None]
+    mag = np.linalg.norm(r, axis=1)
+    residual = np.linalg.norm(r[-1] - r[0]) / mag.max()
+    k = int(np.argmax(mag > mag.max() * (1 - 1e-12)))
+    c = r[k, int(np.argmax(np.abs(r[k])))]
+    return r * (abs(c) / c) / mag[k], residual
+
+
+@pytest.mark.parametrize("system, grid, quadrature", [
+    (_tap_system(0.5), PeriodicGrid(1.0, 64, 0.5), "trapezoid"),
+    (_tap_system(1.0), PeriodicGrid(1.0, 64, 1.0), "trapezoid"),
+    (exp_kernel(depth=1.3)[0], PeriodicGrid(1.0, 32, 1.3), "simpson"),
+    (_kernel_with_tap_system(), PeriodicGrid(1.0, 64, 0.43), "trapezoid"),
+], ids=["delay0.5", "delay1.0", "exp_kernel_simpson", "matrix_kernel_with_tap"])
+def test_modes_match_reintegrated_eigenvectors(system, grid, quadrature):
+    # the build's unit-basis propagation combined by the eigenvector is the
+    # eigenvector's own propagation, up to roundoff
+    dec = floquet_spectrum(system, grid, modes=8, quadrature=quadrature)
+    mus, vecs = scipy.linalg.eig(build_monodromy(system, grid, quadrature=quadrature).matrix)
+    assert len(dec.modes) >= 2
+    for mode in dec.modes:
+        j = int(np.argmin(np.abs(mus - mode.multiplier)))
+        want, residual = _reintegrated_mode(system, grid, mus[j], vecs[:, j], quadrature)
+        assert mode.samples.shape == want.shape
+        np.testing.assert_allclose(mode.samples, want, rtol=0, atol=1e-12)
+        assert abs(mode.periodicity_residual - residual) <= 1e-12

@@ -1,0 +1,205 @@
+"""Compare the CLI artifacts of the working tree's src/ with those of a revision.
+
+Run from the repository root (about a minute):
+
+    python3 tools/compare_artifacts.py --parent HEAD~1
+
+REV's src/ is unpacked with `git archive` into a temporary directory. Each side
+then runs, in its own interpreter with one BLAS thread, the CLI jobs of every
+benchmark workload at seeds 1 and 7 (inputs from perfbench/workloads.py) and
+the builtin analyze and bands configs below. Every artifact is printed as
+IDENTICAL when its bytes agree, or else with the max absolute and max relative
+difference over its numeric fields, per top-level JSON key or CSV column.
+stability.json is compared without config_fingerprint: its config names the
+cycle file by path, and each side writes its inputs in its own directory.
+
+Exit status 1 when an artifact exists on one side only, a job's exit code
+differs, or a non-numeric field differs; 0 otherwise.
+"""
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import workloads  # noqa: E402  (the benchmark's own seeded inputs)
+
+SEEDS = (1, 7)
+BUILTIN_CONFIGS = {
+    "scalar_cosine": ("analyze", {"system": {"builtin": "scalar_cosine"},
+                                  "grid": {"samples_per_period": 128}, "modes": 2}),
+    "delay_pi_over_2": ("analyze", {"system": {"builtin": "delay_pi_over_2"},
+                                    "grid": {"samples_per_period": 96}, "modes": 4}),
+    "exp_kernel": ("analyze", {"system": {"builtin": "exp_kernel"},
+                               "grid": {"samples_per_period": 64}, "modes": 4,
+                               "quadrature": "simpson"}),
+    "kronig_penney": ("bands", {"potential": {"builtin": "kronig_penney"},
+                                "energies": {"min": 0.5, "max": 40.0, "count": 24}}),
+    "separable_nonlocal": ("bands", {"potential": {"builtin": "separable_nonlocal"},
+                                     "energies": {"min": -13.0, "max": 2.0, "count": 24}}),
+}
+RUNNER = """
+import json, sys
+from gfloquet.cli import main
+with open(sys.argv[1]) as fh:
+    jobs = json.load(fh)
+codes = {name: main(argv) for name, argv in jobs.items()}
+with open(sys.argv[2], "w") as fh:
+    json.dump(codes, fh)
+"""
+
+
+def write_jobs(work: str) -> dict:
+    """Write every job's inputs under `work`; return {name: (argv, out dir)}."""
+    jobs = {}
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            for job in workloads.generate(workload, seed, os.path.join(work, f"{workload}-{seed}")):
+                jobs[f"{workload}-{seed}/{job['name']}"] = (workloads.cli_argv(job), job["out"])
+    os.makedirs(os.path.join(work, "builtin"))
+    for name, (command, config) in BUILTIN_CONFIGS.items():
+        path = os.path.join(work, "builtin", f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh, indent=1, sort_keys=True)
+        out = os.path.join(work, "builtin", "out", name)
+        jobs[f"builtin/{name}"] = ([command, "--config", path, "--out", out], out)
+    return jobs
+
+
+def run_side(src: str, work: str) -> tuple:
+    """Run every job against the gfloquet package under `src`, in a fresh
+    interpreter with one BLAS thread; return (jobs, exit codes by job)."""
+    jobs = write_jobs(work)
+    spec, codes = os.path.join(work, "jobs.json"), os.path.join(work, "codes.json")
+    with open(spec, "w") as fh:
+        json.dump({name: argv for name, (argv, _) in jobs.items()}, fh)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-c", RUNNER, spec, codes], cwd=work, env=env, check=True)
+    with open(codes) as fh:
+        return jobs, json.load(fh)
+
+
+def fields(name: str, data: bytes) -> dict:
+    """{(group, path): value} for every leaf of a JSON or CSV artifact."""
+    out = {}
+    if name.endswith(".csv"):
+        rows = list(csv.reader(io.StringIO(data.decode())))
+        for i, row in enumerate(rows):
+            for j, cell in enumerate(row):
+                group = rows[0][j] if i and j < len(rows[0]) else "header"
+                out[(group, f"row {i} col {j}")] = _number(cell)
+        return out
+
+    def walk(value, group, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, group or key, f"{path}.{key}")
+        elif isinstance(value, list):
+            for k, item in enumerate(value):
+                walk(item, group, f"{path}[{k}]")
+        else:
+            out[(group or "", path)] = value
+
+    doc = json.loads(data)
+    if name == "stability.json":
+        doc.pop("config_fingerprint", None)
+    walk(doc, None, "")
+    return out
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def compare(name: str, old: bytes, new: bytes) -> tuple:
+    """(identical, non-numeric mismatches, {group: (max abs, max rel)})."""
+    a, b = fields(name, old), fields(name, new)
+    if old == new or (name == "stability.json" and a == b):
+        return True, [], {}
+    mismatches = sorted(set(a) ^ set(b))
+    diffs = {}
+    for key in sorted(set(a) & set(b)):
+        x, y = a[key], b[key]
+        if not (_is_number(x) and _is_number(y)):
+            if x != y:
+                mismatches.append(key)
+            continue
+        d = abs(x - y)
+        rel = d / max(abs(x), abs(y)) if d else 0.0
+        worst = diffs.get(key[0], (0.0, 0.0))
+        diffs[key[0]] = (max(worst[0], d), max(worst[1], rel))
+    return False, mismatches, diffs
+
+
+def _artifacts(out: str) -> dict:
+    """{file name: bytes} of one job's output directory (empty if it was not made)."""
+    found = {}
+    for name in sorted(os.listdir(out)) if os.path.isdir(out) else ():
+        with open(os.path.join(out, name), "rb") as fh:
+            found[name] = fh.read()
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="compare-artifacts-") as tmp:
+        archive = subprocess.run(["git", "archive", "--format=tar", args.parent, "src"],
+                                 cwd=ROOT, capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(os.path.join(tmp, "parent"), filter="data")
+        sides = {}
+        for side, src in (("parent", os.path.join(tmp, "parent", "src")),
+                          ("change", os.path.join(ROOT, "src"))):
+            work = os.path.join(tmp, side, "work")
+            os.makedirs(work)
+            sides[side] = run_side(src, work)
+        (jobs_p, codes_p), (jobs_c, codes_c) = sides["parent"], sides["change"]
+        failed = False
+        for job in sorted(set(jobs_p) | set(jobs_c)):
+            if codes_p.get(job) != codes_c.get(job):
+                print(f"{job}: exit code {codes_p.get(job)} (parent) vs {codes_c.get(job)} (change)")
+                failed = True
+            old = _artifacts(jobs_p[job][1]) if job in jobs_p else {}
+            new = _artifacts(jobs_c[job][1]) if job in jobs_c else {}
+            for name in sorted(set(old) | set(new)):
+                label = f"{job}/{name}"
+                if name not in old or name not in new:
+                    print(f"{label}: only on the {'parent' if name in old else 'change'} side")
+                    failed = True
+                    continue
+                identical, mismatches, diffs = compare(name, old[name], new[name])
+                if identical:
+                    print(f"{label}: IDENTICAL")
+                    continue
+                print(f"{label}: max abs {max(d for d, _ in diffs.values()):.3g}, "
+                      f"max rel {max(r for _, r in diffs.values()):.3g}" if diffs else
+                      f"{label}: differs")
+                for group, (d, r) in sorted(diffs.items()):
+                    print(f"    {group}: " + ("IDENTICAL" if d == 0 else
+                                              f"max abs {d:.3g}, max rel {r:.3g}"))
+                for group, path in mismatches:
+                    print(f"    NON-NUMERIC {group} {path}")
+                failed = failed or bool(mismatches)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
