@@ -88,16 +88,18 @@ def validate_potential(pot: NonlocalPotential1D, n_nodes: int = 64, tol: float =
     return PotentialReport(max(lres, kres, sres) <= tol, lres, kres, sres)
 
 
-def local_cell_monodromy(pot: NonlocalPotential1D, energy: float, n_steps: int) -> np.ndarray:
+def local_cell_monodromy(pot: NonlocalPotential1D, energy, n_steps: int) -> np.ndarray:
     """2x2 transfer matrix across one cell for a local potential: fixed-step
-    RK4 between delta sites, exact jump [[1,0],[g,1]] at each site."""
+    RK4 between delta sites, exact jump [[1,0],[g,1]] at each site. A 1-D array
+    of energies is advanced in one sweep, sampling V once per stage time, into
+    an (E, 2, 2) stack; a scalar energy returns one (2, 2) matrix."""
     if pot.kernel is not None:
         raise InvalidSystemError("cell transfer matrix requires a local potential")
     a = pot.lattice_constant
+    energies = np.atleast_1d(np.asarray(energy, dtype=float))
 
-    def stage(x):
-        coeff = np.array([[0.0, 1.0], [pot.eval_local(x) - energy, 0.0]])
-        return lambda mat: coeff @ mat
+    def stage(c):  # [[0, 1], [c, 0]] @ mat row by row: its products are exact
+        return lambda mat: np.stack((mat[:, 1], c[:, None] * mat[:, 0]), axis=1)
 
     def smooth_block(x0, x1):
         span = x1 - x0
@@ -105,10 +107,10 @@ def local_cell_monodromy(pot: NonlocalPotential1D, energy: float, n_steps: int) 
             return np.eye(2)
         steps = max(1, int(round(n_steps * span / a)))
         h = span / steps
-        u = np.eye(2)
+        v = {frac: pot.eval_local(x0 + np.arange(steps) * h + frac * h) for frac in (0.0, 0.5, 1.0)}
+        u = np.broadcast_to(np.eye(2), (energies.size, 2, 2))
         for s in range(steps):
-            x = x0 + s * h
-            u = rk4_step(lambda frac: stage(x + frac * h), u, h)
+            u = rk4_step(lambda frac: stage(v[frac][s] - energies), u, h)
         return u
 
     sites = sorted((x0 % a, g) for x0, g in pot.deltas)
@@ -118,7 +120,8 @@ def local_cell_monodromy(pot: NonlocalPotential1D, energy: float, n_steps: int) 
         u = smooth_block(x_prev, x0) @ u
         u = np.array([[1.0, 0.0], [g, 1.0]]) @ u
         x_prev = x0
-    return smooth_block(x_prev, a) @ u
+    u = smooth_block(x_prev, a) @ u
+    return u if np.ndim(energy) else u[0]
 
 
 def cell_collocation_matrices(pot: NonlocalPotential1D, energy: float, n_nodes: int):
@@ -221,6 +224,12 @@ def propagating_multipliers(
     else:
         coarse = bloch_multipliers_collocation(pot, energy, n)
         fine = bloch_multipliers_collocation(pot, energy, 2 * n)
+    return _confirmed_set(energy, coarse, fine, unit_tol)
+
+
+def _confirmed_set(energy, coarse, fine, unit_tol) -> PropagatingSet:
+    """Keep the coarse multipliers the fine grid confirms; the near-unit ones,
+    deduplicated, symmetrized and sorted, are the propagating set."""
     confirmed = []
     for mu in coarse:
         d = np.min(np.abs(fine - mu)) / max(1.0, abs(mu))
@@ -275,30 +284,44 @@ def band_scan(
 ) -> BandDiagram:
     """Propagating quasimomenta over an ascending energy grid; failures are
     recorded per energy, and assembly order is by energy index regardless of
-    worker scheduling."""
+    worker scheduling. A local potential's transfer matrices are built for all
+    energies in one sweep per grid, so the jobs threads run only each energy's
+    eigensolve and confirmation; nonlocal pencils are solved in the threads."""
     energies = np.asarray(energies, dtype=float)
     if energies.size == 0:
         raise ValueError("empty energy grid")
     if np.any(np.diff(energies) <= 0):
         raise ValueError("energy grid must be strictly ascending")
     a = pot.lattice_constant
+    n = grid.samples_per_period
 
-    def one(energy):
+    def failed(energy, exc):
+        return BandRecord(float(energy), (), 0, (), failed=True, message=str(exc))
+
+    if pot.kernel is None:
         try:
-            ps = propagating_multipliers(pot, energy, grid, unit_tol=unit_tol)
+            cells = [local_cell_monodromy(pot, energies, m) for m in (n, 2 * n)]
+        except Exception as exc:  # the sweep is shared, so every energy fails with it
+            return BandDiagram(a, tuple(failed(e, exc) for e in energies))
+
+    def one(i, energy):
+        try:
+            ps = (_confirmed_set(energy, *(np.linalg.eigvals(c[i]) for c in cells), unit_tol)
+                  if pot.kernel is None else
+                  propagating_multipliers(pot, energy, grid, unit_tol=unit_tol))
             ks = multiplier_phases_to_k(ps.propagating, a)
             return BandRecord(
                 float(energy), tuple(sorted(float(k) for k in ks)), ps.p,
                 tuple(np.sort(np.abs(ps.all_multipliers))[::-1][:12]),
             )
         except Exception as exc:  # per-energy failure is data, not fatal
-            return BandRecord(float(energy), (), 0, (), failed=True, message=str(exc))
+            return failed(energy, exc)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(one, energies))
+            records = list(pool.map(one, range(energies.size), energies))
     else:
-        records = [one(e) for e in energies]
+        records = [one(i, e) for i, e in enumerate(energies)]
     return BandDiagram(a, tuple(records))
 
 

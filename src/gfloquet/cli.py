@@ -144,7 +144,7 @@ def _system_from_config(cfg: dict):
 
 def _grid_from_config(cfg: dict, period: float, depth: float, override_n):
     gspec = cfg.get("grid", {})
-    n = int(override_n if override_n else gspec.get("samples_per_period", 256))
+    n = int(override_n if override_n is not None else gspec.get("samples_per_period", 256))
     return PeriodicGrid(period, n, depth)
 
 
@@ -157,7 +157,7 @@ def cmd_analyze(args) -> int:
         print("validation failed:", "; ".join(report.messages) or "residuals above bound",
               file=sys.stderr)
         return EXIT_INVALID
-    tol = float(args.tol if args.tol else cfg.get("tolerance", 1e-4))
+    tol = float(args.tol if args.tol is not None else cfg.get("tolerance", 1e-4))
     modes = int(cfg.get("modes", 8))
     quadrature = cfg.get("quadrature", "trapezoid")
     dec = floquet_spectrum(system, grid, modes=modes, convergence_tol=tol,
@@ -238,7 +238,7 @@ def cmd_stability(args) -> int:
     fd_step = float(cfg.get("fd_step", 1e-6))
     linear = linearize(nl, cycle, fd_step=fd_step)
     grid = _grid_from_config(cfg, period, nl.memory_depth, args.grid)
-    tol = float(args.tol if args.tol else cfg.get("tolerance", 1e-4))
+    tol = float(args.tol if args.tol is not None else cfg.get("tolerance", 1e-4))
     dec = floquet_spectrum(linear, grid, modes=int(cfg.get("modes", 4)),
                            convergence_tol=tol)
     report = stability_verdict(dec, autonomous=bool(cfg.get("autonomous",
@@ -294,9 +294,9 @@ def cmd_bands(args) -> int:
     if energies.size > 1 and energies[0] >= energies[-1]:
         raise ConfigError("energy range must be ascending")
     gspec = cfg.get("grid", {})
-    n = int(args.grid if args.grid else gspec.get("samples_per_period", 64))
+    n = int(args.grid if args.grid is not None else gspec.get("samples_per_period", 64))
     grid = PeriodicGrid(pot.lattice_constant, n, 0.0)
-    unit_tol = float(args.tol if args.tol else cfg.get("unit_tol", 1e-3))
+    unit_tol = float(args.tol if args.tol is not None else cfg.get("unit_tol", 1e-3))
     diagram = band_scan(pot, energies, grid, unit_tol=unit_tol, jobs=args.jobs)
     failures = sum(r.failed for r in diagram.records)
     ambiguity = []
@@ -351,6 +351,8 @@ def main(argv=None) -> int:
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
     try:
+        if args.tol is not None and not 0 < args.tol < np.inf:
+            raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
         return args.func(args)
     except np.linalg.LinAlgError as exc:  # a ValueError, but not a config fault
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -291,3 +291,58 @@ def test_local_cell_monodromy_order_is_four(energy):
     errs = np.array([abs(0.5 * np.trace(local_cell_monodromy(pot, energy, n)) - exact)
                      for n in (32, 64, 128)])
     assert np.all(np.log2(errs[:-1] / errs[1:]) > 3.7)
+
+
+LOCAL_POTENTIALS = {
+    "kronig_penney": kronig_penney()[0],
+    "cosine": NonlocalPotential1D(1.0, local=lambda x: 5.0 * np.cos(2 * np.pi * x)),
+    "cosine_and_deltas": NonlocalPotential1D(
+        1.3, local=lambda x: 5.0 * np.cos(2 * np.pi * x / 1.3),
+        deltas=((0.2, 1.5), (0.9, -0.7))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_POTENTIALS))
+@pytest.mark.parametrize("n_steps", [17, 64, 128])
+def test_local_cell_monodromy_stack_equals_scalar_calls(name, n_steps):
+    pot = LOCAL_POTENTIALS[name]
+    energies = np.linspace(-4.0, 45.0, 17)
+    stack = local_cell_monodromy(pot, energies, n_steps)
+    assert stack.shape == (17, 2, 2)
+    single = [local_cell_monodromy(pot, float(e), n_steps) for e in energies]
+    assert all(u.shape == (2, 2) for u in single)  # a scalar energy gives one matrix
+    assert np.array_equal(stack, np.array(single))
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_POTENTIALS))
+def test_local_band_scan_matches_per_energy_path(name):
+    # the swept scan, threaded or not, gives the records of one
+    # propagating_multipliers call per energy
+    pot = LOCAL_POTENTIALS[name]
+    energies = np.linspace(-3.0, 30.0, 15)
+    serial = band_scan(pot, energies, GRID, jobs=1)
+    assert serial.records == band_scan(pot, energies, GRID, jobs=2).records
+    for rec, energy in zip(serial.records, energies):
+        ps = propagating_multipliers(pot, energy, GRID)
+        assert not rec.failed and rec.p == ps.p
+        assert rec.k_values == tuple(sorted(multiplier_phases_to_k(ps.propagating,
+                                                                   pot.lattice_constant)))
+        assert rec.multiplier_magnitudes == tuple(
+            np.sort(np.abs(ps.all_multipliers))[::-1][:12])
+
+
+def test_local_band_scan_isolates_non_finite_energy():
+    pot = LOCAL_POTENTIALS["cosine"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagram = band_scan(pot, [-2e6, -1e5, 2.0, 7.5], GRID)
+    assert [r.failed for r in diagram.records] == [True, False, False, False]
+    assert "Array must not contain infs or NaNs" in diagram.records[0].message
+
+
+def test_local_band_scan_callback_failure_fails_every_record():
+    def boom(x):
+        raise RuntimeError("boom")
+
+    diagram = band_scan(NonlocalPotential1D(1.0, local=boom), [1.0, 2.0, 3.0], GRID)
+    assert all(r.failed and r.message == "boom" for r in diagram.records)
+    assert len(diagram.records) == 3

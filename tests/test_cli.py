@@ -265,3 +265,29 @@ def test_grid_and_tol_overrides(tmp_path):
     assert main(["analyze", "--config", cfg, "--out", str(out),
                  "--grid", "64", "--tol", "1e-3"]) == 0
     assert _read_json(out, "spectrum.json")["grid"]["samples_per_period"] == 64
+
+
+_OVERRIDE_CONFIGS = {
+    "analyze": {"system": {"builtin": "scalar_cosine"}, "modes": 1},
+    "bands": {"potential": {"builtin": "kronig_penney"},
+              "energies": {"min": 1.0, "max": 2.0, "count": 4}},
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "bands"])
+def test_zero_grid_is_rejected_not_ignored(tmp_path, capsys, command):
+    cfg = _write(tmp_path / "c.json", _OVERRIDE_CONFIGS[command])
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--grid", "0"]) == 2
+    assert "samples_per_period" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "bands"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tol_must_be_positive_and_finite(tmp_path, capsys, command, tol):
+    cfg = _write(tmp_path / "c.json", _OVERRIDE_CONFIGS[command])
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--tol", tol]) == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
