@@ -24,9 +24,11 @@ import scipy.linalg
 from .grid import PeriodicGrid
 from .integrate import rk4_step
 from .monodromy import sort_multipliers
-from .system import InvalidSystemError
+from .system import VALIDATION_TOL, InvalidSystemError
 
 _D2_STENCIL = (-1.0, 16.0, -30.0, 16.0, -1.0)  # 4th-order second derivative / 12h^2
+_VALIDATION_NODES = 64  # probe points per cell in validate_potential
+_EDGE_FRACTION = 0.03  # extrema this close to the zone boundary (in pi/a) are folding artifacts
 
 
 @dataclass(frozen=True)
@@ -70,22 +72,22 @@ class PotentialReport:
     symmetry_residual: float
 
 
-def validate_potential(pot: NonlocalPotential1D, n_nodes: int = 64, tol: float = 1e-10):
+def validate_potential(pot: NonlocalPotential1D):
     """Periodicity of V, bi-periodicity and symmetry of W, on node pairs."""
     a = pot.lattice_constant
-    xs = np.linspace(0.0, a, n_nodes, endpoint=False)
+    xs = np.linspace(0.0, a, _VALIDATION_NODES, endpoint=False)
     lres = float(np.max(np.abs(pot.eval_local(xs + a) - pot.eval_local(xs))))
     kres = 0.0
     sres = 0.0
     if pot.kernel is not None:
-        for x in xs[:: max(1, n_nodes // 16)]:
+        for x in xs[:: _VALIDATION_NODES // 16]:
             xp = x + np.linspace(-pot.kernel_range, pot.kernel_range, 33)
             k0 = pot.eval_kernel(x, xp)
             k1 = pot.eval_kernel(x + a, xp + a)
             kres = max(kres, float(np.max(np.abs(k1 - k0))))
             krev = np.array([pot.eval_kernel(xq, np.array([x]))[0] for xq in xp])
             sres = max(sres, float(np.max(np.abs(k0 - krev))))
-    return PotentialReport(max(lres, kres, sres) <= tol, lres, kres, sres)
+    return PotentialReport(max(lres, kres, sres) <= VALIDATION_TOL, lres, kres, sres)
 
 
 def local_cell_monodromy(pot: NonlocalPotential1D, energy, n_steps: int) -> np.ndarray:
@@ -335,7 +337,6 @@ class BandExtremum:
 def detect_interior_extrema(
     diagram: BandDiagram,
     ambiguity_log: Optional[list] = None,
-    edge_fraction: float = 0.03,
 ):
     """Interior extrema of E(k) from the half-zone (0, pi/a) scan.
 
@@ -343,13 +344,13 @@ def detect_interior_extrema(
     ways: a pair of sheets born (minimum) or dying (maximum) together at an
     interior k — at a local band edge only a single sheet appears, at k = 0 or
     pi/a — or a slope sign change inside one trace. Candidates within
-    edge_fraction of the zone boundary, or within two points of a trace end,
+    _EDGE_FRACTION of the zone boundary, or within two points of a trace end,
     are discarded as folding artifacts.
     """
     a = diagram.lattice_constant
     edge = np.pi / a
     jump = edge / 2.0
-    ktol = edge_fraction * edge
+    ktol = _EDGE_FRACTION * edge
     traces = []  # each: list of (E, k)
     active = []  # indices into traces still being extended
     found = []

@@ -58,6 +58,28 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _integer(value, name: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _grid_size(cfg: dict, args, default: int) -> int:
+    """--grid (PeriodicGrid rejects sizes below 8), else grid.samples_per_period."""
+    if args.grid is not None:
+        return args.grid
+    return _integer(cfg.get("grid", {}).get("samples_per_period", default),
+                    "grid.samples_per_period", 8)
+
+
+def _tolerance(cfg: dict, args, key: str, default: float) -> float:
+    """--tol, else the config's `key`; either must be positive and finite."""
+    name, tol = ("--tol", args.tol) if args.tol is not None else (key, cfg.get(key, default))
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < np.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {tol!r}")
+    return float(tol)
+
+
 def _atomic_write(out_dir: str, name: str, text: str):
     os.makedirs(out_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
@@ -104,7 +126,7 @@ def _system_from_config(cfg: dict):
         period = float(spec.get("period", meta.get("period", 1.0)))
         depth = float(spec.get("memory_depth", meta.get("memory_depth", 0.0)))
         return system, period, depth
-    dim = int(_require(spec, "dimension", "system"))
+    dim = _integer(_require(spec, "dimension", "system"), "system.dimension", 1)
     period = float(_require(spec, "period", "system"))
     depth = float(spec.get("memory_depth", 0.0))
     if period <= 0:
@@ -142,24 +164,18 @@ def _system_from_config(cfg: dict):
                               kernel=kernel), period, depth
 
 
-def _grid_from_config(cfg: dict, period: float, depth: float, override_n):
-    gspec = cfg.get("grid", {})
-    n = int(override_n if override_n is not None else gspec.get("samples_per_period", 256))
-    return PeriodicGrid(period, n, depth)
-
-
 def cmd_analyze(args) -> int:
     cfg, fingerprint = _load_config(args.config)
     system, period, depth = _system_from_config(cfg)
-    grid = _grid_from_config(cfg, period, depth, args.grid)
+    grid = PeriodicGrid(period, _grid_size(cfg, args, 256), depth)
+    tol = _tolerance(cfg, args, "tolerance", 1e-4)
+    modes = _integer(cfg.get("modes", 8), "modes", 0)
+    quadrature = cfg.get("quadrature", "trapezoid")
     report = validate_system(system, grid)
     if not report.passed:
         print("validation failed:", "; ".join(report.messages) or "residuals above bound",
               file=sys.stderr)
         return EXIT_INVALID
-    tol = float(args.tol if args.tol is not None else cfg.get("tolerance", 1e-4))
-    modes = int(cfg.get("modes", 8))
-    quadrature = cfg.get("quadrature", "trapezoid")
     dec = floquet_spectrum(system, grid, modes=modes, convergence_tol=tol,
                            quadrature=quadrature)
     ver = verify_floquet_form(system, grid, dec, quadrature=quadrature)
@@ -234,15 +250,16 @@ def cmd_stability(args) -> int:
     period = float(cfg.get("period", span))
     if not abs(period - span) <= 1e-6 * span:
         raise ConfigError(f"period {period} differs from the cycle's time span {span}")
+    grid = PeriodicGrid(period, _grid_size(cfg, args, 256), nl.memory_depth)
+    tol = _tolerance(cfg, args, "tolerance", 1e-4)
+    modes = _integer(cfg.get("modes", 4), "modes", 0)
+    autonomous = cfg.get("autonomous", meta.get("autonomous", False))
+    if not isinstance(autonomous, bool):
+        raise ConfigError(f"autonomous must be true or false, got {autonomous!r}")
     cycle = LimitCycle(period, samples, wrap_tol=float(cfg.get("wrap_tol", 1e-6)))
-    fd_step = float(cfg.get("fd_step", 1e-6))
-    linear = linearize(nl, cycle, fd_step=fd_step)
-    grid = _grid_from_config(cfg, period, nl.memory_depth, args.grid)
-    tol = float(args.tol if args.tol is not None else cfg.get("tolerance", 1e-4))
-    dec = floquet_spectrum(linear, grid, modes=int(cfg.get("modes", 4)),
-                           convergence_tol=tol)
-    report = stability_verdict(dec, autonomous=bool(cfg.get("autonomous",
-                               meta.get("autonomous", False))), cycle=cycle)
+    linear = linearize(nl, cycle, fd_step=float(cfg.get("fd_step", 1e-6)))
+    dec = floquet_spectrum(linear, grid, modes=modes, convergence_tol=tol)
+    report = stability_verdict(dec, autonomous=autonomous, cycle=cycle)
     _write_json(args.out, "stability.json", {
         "config_fingerprint": fingerprint,
         "verdict": report.verdict,
@@ -278,6 +295,8 @@ def cmd_bands(args) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg, fingerprint = _load_config(args.config)
     pot = _potential_from_config(cfg)
+    grid = PeriodicGrid(pot.lattice_constant, _grid_size(cfg, args, 64), 0.0)
+    unit_tol = _tolerance(cfg, args, "unit_tol", 1e-3)
     if pot.kernel is not None or pot.local is not None:
         rep = validate_potential(pot)
         if not rep.passed:
@@ -286,17 +305,11 @@ def cmd_bands(args) -> int:
                   file=sys.stderr)
             return EXIT_INVALID
     espec = _require(cfg, "energies", "config")
-    count = int(_require(espec, "count", "energies"))
-    if count < 1:
-        raise ConfigError("energy count must be at least 1")
+    count = _integer(_require(espec, "count", "energies"), "energies.count", 1)
     energies = np.linspace(float(_require(espec, "min", "energies")),
                            float(_require(espec, "max", "energies")), count)
     if energies.size > 1 and energies[0] >= energies[-1]:
         raise ConfigError("energy range must be ascending")
-    gspec = cfg.get("grid", {})
-    n = int(args.grid if args.grid is not None else gspec.get("samples_per_period", 64))
-    grid = PeriodicGrid(pot.lattice_constant, n, 0.0)
-    unit_tol = float(args.tol if args.tol is not None else cfg.get("unit_tol", 1e-3))
     diagram = band_scan(pot, energies, grid, unit_tol=unit_tol, jobs=args.jobs)
     failures = sum(r.failed for r in diagram.records)
     ambiguity = []
@@ -351,8 +364,6 @@ def main(argv=None) -> int:
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
     try:
-        if args.tol is not None and not 0 < args.tol < np.inf:
-            raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
         return args.func(args)
     except np.linalg.LinAlgError as exc:  # a ValueError, but not a config fault
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -85,13 +85,19 @@ class StateSegment:
         return self.samples.shape[1]
 
 
+def _lagrange4(u: np.ndarray) -> np.ndarray:
+    """Cubic Lagrange weights of the nodes -1, 0, 1, 2 at offset u, on a trailing axis."""
+    return np.stack([-u * (u - 1) * (u - 2) / 6.0, (u + 1) * (u - 1) * (u - 2) / 2.0,
+                     -(u + 1) * u * (u - 2) / 2.0, (u + 1) * u * (u - 1) / 6.0], axis=-1)
+
+
 def _cubic_weights(s: np.ndarray, length: int):
     """Stencil base index and weights of piecewise-cubic Lagrange interpolation.
 
     s holds query positions in node units on `length` uniform nodes (node j at
-    s = j); the interpolant at s is sum_i w[i] * values[k0 + i], each w[i]
-    shaped like s. With fewer than 4 nodes the stencil is the full-degree
-    polynomial through all of them.
+    s = j); the interpolant at s is sum_i w[..., i] * values[k0 + i], w shaped
+    like s plus a trailing stencil axis. With fewer than 4 nodes the stencil is
+    the full-degree polynomial through all of them.
     """
     if length < 4:
         # low-order fallback for very short histories
@@ -102,15 +108,15 @@ def _cubic_weights(s: np.ndarray, length: int):
                 if j != i:
                     w = w * (s - j) / (i - j)
             ws.append(w)
-        return np.zeros(s.shape, dtype=int), ws
+        return np.zeros(s.shape, dtype=int), np.stack(ws, axis=-1)
     k0 = np.clip(np.floor(s).astype(int) - 1, 0, length - 4)
-    u = s - k0
-    return k0, [
-        -(u - 1) * (u - 2) * (u - 3) / 6.0,
-        u * (u - 2) * (u - 3) / 2.0,
-        -u * (u - 1) * (u - 3) / 2.0,
-        u * (u - 1) * (u - 2) / 6.0,
-    ]
+    return k0, _lagrange4(s - (k0 + 1))
+
+
+def _gather(values: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w[:, i] * values[idx[:, i]], over the stencil slots in order."""
+    extra = (None,) * (values.ndim - 1)
+    return np.sum(w[(...,) + extra] * values[idx], axis=1)
 
 
 def interp_uniform(values: np.ndarray, t0: float, h: float, query) -> np.ndarray:
@@ -122,11 +128,7 @@ def interp_uniform(values: np.ndarray, t0: float, h: float, query) -> np.ndarray
     values = np.asarray(values)
     q = np.atleast_1d(np.asarray(query, dtype=float))
     k0, w = _cubic_weights((q - t0) / h, values.shape[0])
-    extra = (None,) * (values.ndim - 1)
-    out = w[0][(...,) + extra] * values[k0]
-    for i in range(1, len(w)):
-        out = out + w[i][(...,) + extra] * values[k0 + i]
-    return out
+    return _gather(values, k0[:, None] + np.arange(w.shape[-1]), w)
 
 
 def periodic_derivative(samples: np.ndarray, h: float) -> np.ndarray:
@@ -148,21 +150,7 @@ def periodic_interp(samples: np.ndarray, period: float, query) -> np.ndarray:
     """
     samples = np.asarray(samples)
     n = samples.shape[0]
-    h = period / n
     q = np.atleast_1d(np.asarray(query, dtype=float))
-    s = (q / h) % n
+    s = (q / (period / n)) % n
     j = np.floor(s).astype(int)
-    u = s - j
-    idx = (j[:, None] + np.arange(-1, 3)[None, :]) % n
-    w = np.stack(
-        [
-            -u * (u - 1) * (u - 2) / 6.0,
-            (u + 1) * (u - 1) * (u - 2) / 2.0,
-            -(u + 1) * u * (u - 2) / 2.0,
-            (u + 1) * u * (u - 1) / 6.0,
-        ],
-        axis=1,
-    )
-    extra = (None,) * (samples.ndim - 1)
-    vals = samples[idx]  # (Q, 4, ...)
-    return np.sum(w[(slice(None), slice(None)) + extra] * vals, axis=1)
+    return _gather(samples, (j[:, None] + np.arange(-1, 3)) % n, _lagrange4(s - j))

@@ -108,8 +108,8 @@ def propagate_history(
             k0, c = _cubic_weights(known + frac - offsets, known + 1)
             lo = int(k0.min())
             # one bincount sums in the order of one np.add.at per stencil slot
-            slot = (k0 - lo + np.arange(len(c))[:, None])[:, :, None] * n * n + np.arange(n * n)
-            g = np.bincount(slot.ravel(), (np.stack(c)[:, :, None, None] * wk[1:]).ravel(),
+            slot = (k0 - lo + np.arange(c.shape[1])[:, None])[:, :, None] * n * n + np.arange(n * n)
+            g = np.bincount(slot.ravel(), (c.T[:, :, None, None] * wk[1:]).ravel(),
                             (known + 1 - lo) * n * n).reshape(-1, n, n).transpose(1, 0, 2)
             # unit initial rows: row j's weight goes to columns j*n .. j*n+n-1
             cut = max(lo, nh + 1) if unit else lo
@@ -137,12 +137,14 @@ def propagate_history(
     return hist
 
 
-def _check_span(grid: PeriodicGrid, span: float) -> int:
+def _trajectory(system, grid, initial, span, include_forcing, quadrature) -> Trajectory:
     steps = span / grid.step
     n_steps = int(round(steps))
     if n_steps < 1 or abs(steps - n_steps) > 1e-9 * max(1.0, steps):
         raise ValueError(f"span {span} is not a positive multiple of the step {grid.step}")
-    return n_steps
+    hist = propagate_history(system, grid, initial.samples[:, :, None], n_steps,
+                             include_forcing=include_forcing, quadrature=quadrature)
+    return Trajectory(np.arange(n_steps + 1) * grid.step, hist[grid.history_points:, :, 0])
 
 
 def step_integrate(
@@ -153,11 +155,15 @@ def step_integrate(
     quadrature: str = "trapezoid",
 ) -> Trajectory:
     """Integrate the homogeneous system from the initial history over [0, span]."""
-    n_steps = _check_span(grid, span)
-    hist = propagate_history(
-        system, grid, initial.samples[:, :, None], n_steps, include_forcing=False,
-        quadrature=quadrature,
-    )
-    nh = grid.history_points
-    times = np.arange(n_steps + 1) * grid.step
-    return Trajectory(times, hist[nh:, :, 0])
+    return _trajectory(system, grid, initial, span, False, quadrature)
+
+
+def forced_response(
+    system: LinearMemorySystem,
+    grid: PeriodicGrid,
+    initial: StateSegment,
+    span: float,
+    quadrature: str = "trapezoid",
+) -> Trajectory:
+    """Direct integration of the inhomogeneous system (forcing included)."""
+    return _trajectory(system, grid, initial, span, True, quadrature)

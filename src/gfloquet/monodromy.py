@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.integrate
@@ -69,7 +68,6 @@ class FloquetDecomposition:
     modes: tuple  # PeriodicMode for the leading retained multipliers
     p_retained: int
     grid: PeriodicGrid
-    refined_multipliers: np.ndarray = field(default=None, repr=False)
 
     @property
     def retained(self) -> np.ndarray:
@@ -188,7 +186,6 @@ def floquet_spectrum(
         modes=tuple(mode_list),
         p_retained=p_retained,
         grid=grid,
-        refined_multipliers=np.asarray(mus_f),
     )
 
 
@@ -274,31 +271,18 @@ def verify_floquet_form(
     return VerificationReport(shift_res, mode_res, op_res, max(all_res))
 
 
-def _kernel_norms(kernel: Callable, sigma: float, taus: np.ndarray) -> np.ndarray:
-    taus = np.asarray(taus, dtype=float)
-    try:
-        vals = np.asarray(kernel(sigma, taus), dtype=float)
-        if vals.shape == (len(taus),):
-            return np.abs(vals)
-        if vals.ndim == 3 and vals.shape[0] == len(taus):
-            return np.linalg.norm(vals, axis=(1, 2))
-    except (TypeError, ValueError):
-        pass
-    out = np.empty(len(taus))
-    for i, tau in enumerate(taus):
-        out[i] = np.linalg.norm(np.atleast_2d(kernel(sigma, tau)))
-    return out
-
-
 def truncate_infinite_kernel(
-    kernel: Callable,
+    system: LinearMemorySystem,
     reference_amplitude,
     eps: float,
     grid: PeriodicGrid,
     max_doublings: int = 60,
 ) -> float:
-    """Smallest grid-aligned memory depth r such that the kernel tail beyond r,
-    weighted by the periodic reference amplitude, integrates below eps."""
+    """Smallest grid-aligned memory depth r such that the tail of the system's
+    kernel beyond r (Frobenius norm), weighted by the periodic reference
+    amplitude, integrates below eps."""
+    if system.kernel is None:
+        raise ValueError("the system has no kernel to truncate")
     if eps <= 0:
         raise ValueError("eps must be positive")
     if callable(reference_amplitude):
@@ -318,7 +302,8 @@ def truncate_infinite_kernel(
             converged = False
             for _ in range(max_doublings):
                 xs = np.linspace(upper - width, upper, 129)
-                g = _kernel_norms(kernel, sigma, xs) * np.asarray(bound(xs), dtype=float)
+                g = (np.linalg.norm(system.eval_kernel(sigma, xs), axis=(1, 2))
+                     * np.asarray(bound(xs), dtype=float))
                 block = float(scipy.integrate.trapezoid(g, xs))
                 total += block
                 if block < eps * 1e-3:

@@ -1,4 +1,4 @@
-"""Linearization about limit cycles, stability verdicts, and forced responses."""
+"""Linearization about limit cycles and stability verdicts."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -6,11 +6,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import PeriodicGrid, StateSegment, periodic_derivative, periodic_interp
-from .integrate import Trajectory, _check_span, propagate_history
+from .grid import PeriodicGrid, periodic_derivative, periodic_interp
 from .monodromy import FloquetDecomposition
 from .system import (DelayTap, InvalidSystemError, LinearMemorySystem, apply_memory,
                      kernel_matrices)
+
+_UNIT_TOL = 1e-3  # a decisive |mu| within this of 1 is MARGINAL
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,6 @@ class StabilityReport:
 def stability_verdict(
     decomposition: FloquetDecomposition,
     autonomous: bool = False,
-    unit_tol: float = 1e-3,
     cycle: Optional[LimitCycle] = None,
 ) -> StabilityReport:
     """Classify the retained spectrum; for autonomous cycles the multiplier
@@ -162,9 +162,9 @@ def stability_verdict(
         mask[j] = False
     mags = np.abs(retained[mask])
     decisive = float(mags.max()) if mags.size else 0.0
-    if decisive < 1.0 - unit_tol:
+    if decisive < 1.0 - _UNIT_TOL:
         verdict = "STABLE"
-    elif decisive > 1.0 + unit_tol:
+    elif decisive > 1.0 + _UNIT_TOL:
         verdict = "UNSTABLE"
     else:
         verdict = "MARGINAL"
@@ -193,19 +193,3 @@ def stability_verdict(
         shape = periodic_derivative(y, cycle.period / y.shape[0])
     return StabilityReport(verdict, trivial_mu, trivial_err, decisive, tuple(classes), shape)
 
-
-def forced_response(
-    system: LinearMemorySystem,
-    grid: PeriodicGrid,
-    initial: StateSegment,
-    span: float,
-    quadrature: str = "trapezoid",
-) -> Trajectory:
-    """Direct integration of the inhomogeneous system (forcing included)."""
-    n_steps = _check_span(grid, span)
-    hist = propagate_history(
-        system, grid, initial.samples[:, :, None], n_steps,
-        include_forcing=True, quadrature=quadrature,
-    )
-    times = np.arange(n_steps + 1) * grid.step
-    return Trajectory(times, hist[grid.history_points :, :, 0])

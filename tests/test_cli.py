@@ -291,3 +291,41 @@ def test_tol_must_be_positive_and_finite(tmp_path, capsys, command, tol):
     assert main([command, "--config", cfg, "--out", str(out), "--tol", tol]) == 2
     assert "--tol" in capsys.readouterr().err
     assert not out.exists()
+
+
+_FIELD_BASES = {
+    "analyze": {"system": {"dimension": 1, "period": 1.0, "coefficient": [0.1] * 4},
+                "grid": {"samples_per_period": 32}, "modes": 1},
+    "bands": _OVERRIDE_CONFIGS["bands"],
+    "stability": {"system": {"builtin": "van_der_pol"}, "grid": {"samples_per_period": 192}},
+}
+
+
+@pytest.mark.parametrize("command, path, value", [
+    ("analyze", "grid.samples_per_period", 64.5),
+    ("analyze", "modes", -1),
+    ("analyze", "tolerance", -1),
+    ("analyze", "system.dimension", True),
+    ("analyze", "system.dimension", 1.0),
+    ("bands", "energies.count", 5.9),
+    ("bands", "energies.count", True),
+    ("bands", "unit_tol", -1),
+    ("stability", "modes", 2.5),
+    ("stability", "autonomous", "false"),
+])
+def test_malformed_field_exits_2_and_names_it(tmp_path, capsys, vdp_cycle, command, path,
+                                               value):
+    # a value of the wrong type or sign is rejected, never truncated or coerced
+    cfg = json.loads(json.dumps(_FIELD_BASES[command]))
+    if command == "stability":
+        _cycle_csv(tmp_path / "cycle.csv", *vdp_cycle)
+        cfg["cycle_file"] = str(tmp_path / "cycle.csv")
+    *parents, key = path.split(".")
+    node = cfg
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)]) == 2
+    assert path in capsys.readouterr().err
+    assert not out.exists()

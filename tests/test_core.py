@@ -56,14 +56,30 @@ def test_state_segment_shape_and_finiteness():
 
 
 def test_interp_uniform_cubic_exactness():
-    # piecewise-cubic interpolation reproduces cubics to roundoff
-    coeffs = np.array([0.3, -1.2, 0.5, 2.0])
-    poly = np.polynomial.Polynomial(coeffs)
-    t = np.linspace(0.0, 1.0, 9)
-    vals = poly(t).reshape(-1, 1)
+    # piecewise-cubic interpolation reproduces cubics to roundoff; with 2 or 3
+    # nodes the full-degree fallback reproduces a line or a parabola
     q = np.array([0.11, 0.37, 0.52, 0.93])
-    out = interp_uniform(vals, 0.0, t[1] - t[0], q)
-    assert np.max(np.abs(out[:, 0] - poly(q))) < 1e-13
+    for coeffs, nodes in (([0.3, -1.2, 0.5, 2.0], 9), ([0.3, -1.2], 2), ([0.3, -1.2, 0.5], 3)):
+        poly = np.polynomial.Polynomial(coeffs)
+        t = np.linspace(0.0, 1.0, nodes)
+        out = interp_uniform(poly(t).reshape(-1, 1), 0.0, t[1] - t[0], q)
+        assert np.max(np.abs(out[:, 0] - poly(q))) < 1e-13
+
+
+def test_periodic_interp_matches_interp_uniform_on_wrapped_rows():
+    # both share one cubic rule: the periodic lookup is the uniform one on the
+    # samples written out as rows -1 .. N+1, queried at the time mod the period
+    rng = np.random.default_rng(5)
+    n, period = 12, 2.5
+    h = period / n
+    q = np.array([0.0, period, -0.3, -period - 0.7, 0.4 * h, 5.5 * h, (n - 0.2) * h, 7.1])
+    for trailing in ((2,), (1, 1)):
+        samples = rng.standard_normal((n,) + trailing)
+        wrapped = samples[np.arange(-1, n + 2) % n]
+        got = periodic_interp(samples, period, q)
+        want = interp_uniform(wrapped, -h, h, q % period)
+        assert got.shape == want.shape == (len(q),) + trailing
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_periodic_interp_wraps():

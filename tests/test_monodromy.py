@@ -230,10 +230,14 @@ def test_refinement_order_smooth():
     assert np.log2(errs[0] / errs[1]) > 1.9
 
 
+def _kernel_system(kernel):
+    return LinearMemorySystem(1, lambda s: 0.0, kernel=kernel)
+
+
 def test_truncate_exponential_kernel():
     grid = PeriodicGrid(1.0, 64, 1.0)
     kernel = difference_kernel(lambda u: np.exp(-np.asarray(u)))
-    r = truncate_infinite_kernel(kernel, 1.0, 1e-8, grid)
+    r = truncate_infinite_kernel(_kernel_system(kernel), 1.0, 1e-8, grid)
     exact = np.log(1.0 / 1e-8)  # theta ln(theta/eps), theta = 1
     assert exact <= r <= exact + 2 * grid.step + 1e-9
 
@@ -241,14 +245,14 @@ def test_truncate_exponential_kernel():
 def test_truncate_trivial_when_eps_large():
     grid = PeriodicGrid(1.0, 64, 1.0)
     kernel = difference_kernel(lambda u: np.exp(-np.asarray(u)))
-    assert truncate_infinite_kernel(kernel, 1.0, 10.0, grid) == 0.0
+    assert truncate_infinite_kernel(_kernel_system(kernel), 1.0, 10.0, grid) == 0.0
 
 
 def test_truncate_harmonic_tail_raises():
     grid = PeriodicGrid(1.0, 64, 1.0)
     kernel = difference_kernel(lambda u: 1.0 / (np.asarray(u) + 1.0))
     with pytest.raises(NonTruncatableError):
-        truncate_infinite_kernel(kernel, 1.0, 1e-8, grid, max_doublings=25)
+        truncate_infinite_kernel(_kernel_system(kernel), 1.0, 1e-8, grid, max_doublings=25)
 
 
 def test_eig_leading_dense_fallback_on_partial_arpack(monkeypatch):

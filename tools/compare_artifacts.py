@@ -7,9 +7,10 @@ Run from the repository root (about a minute):
 REV's src/ is unpacked with `git archive` into a temporary directory. Each side
 then runs, in its own interpreter with one BLAS thread, the CLI jobs of every
 benchmark workload at seeds 1 and 7 (inputs from perfbench/workloads.py) and
-the builtin analyze and bands configs below. Every artifact is printed as
-IDENTICAL when its bytes agree, or else with the max absolute and max relative
-difference over its numeric fields, per top-level JSON key or CSV column.
+the builtin and table-form analyze and bands configs below. Every artifact is
+printed as IDENTICAL when its bytes agree, or else with the max absolute and
+max relative difference over its numeric fields, per top-level JSON key or CSV
+column.
 stability.json is compared without config_fingerprint: its config names the
 cycle file by path, and each side writes its inputs in its own directory.
 
@@ -41,6 +42,18 @@ BUILTIN_CONFIGS = {
     "exp_kernel": ("analyze", {"system": {"builtin": "exp_kernel"},
                                "grid": {"samples_per_period": 64}, "modes": 4,
                                "quadrature": "simpson"}),
+    # table form with a tap and a kernel together; its tables vary over the
+    # period, so a change in the cubic weights shows in the artifacts
+    "table_tap_kernel": ("analyze", {
+        "system": {"dimension": 2, "period": 1.0, "memory_depth": 0.5,
+                   "coefficient": [[[0.0, 1.0], [a, -0.1]] for a in
+                                   (-5.0, -4.7, -4.0, -3.3, -3.0, -3.3, -4.0, -4.7)],
+                   "delay_taps": [{"delay": 0.25, "coefficient": [
+                       [[-0.3, 0.0], [0.1, -0.2]], [[-0.1, 0.0], [0.0, -0.4]],
+                       [[-0.2, 0.1], [0.0, -0.3]], [[-0.4, 0.0], [-0.1, -0.1]]]}],
+                   "kernel": {"type": "exponential", "theta": 0.1,
+                              "amplitude": [[-0.5, 0.0], [0.3, -0.5]]}},
+        "grid": {"samples_per_period": 64}, "modes": 2, "quadrature": "simpson"}),
     "kronig_penney": ("bands", {"potential": {"builtin": "kronig_penney"},
                                 "energies": {"min": 0.5, "max": 40.0, "count": 24}}),
     "separable_nonlocal": ("bands", {"potential": {"builtin": "separable_nonlocal"},
