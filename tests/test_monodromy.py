@@ -248,6 +248,11 @@ def test_truncate_trivial_when_eps_large():
     assert truncate_infinite_kernel(_kernel_system(kernel), 1.0, 10.0, grid) == 0.0
 
 
+def test_truncate_needs_a_kernel():
+    with pytest.raises(ValueError, match="no kernel"):
+        truncate_infinite_kernel(_kernel_system(None), 1.0, 1e-8, PeriodicGrid(1.0, 64, 1.0))
+
+
 def test_truncate_harmonic_tail_raises():
     grid = PeriodicGrid(1.0, 64, 1.0)
     kernel = difference_kernel(lambda u: 1.0 / (np.asarray(u) + 1.0))
