@@ -2,7 +2,7 @@
 convolution kernels) and Bloch band structure for 1D nonlocal potentials."""
 
 from .grid import GridError, PeriodicGrid, StateSegment
-from .system import (DelayTap, InvalidSystemError, LinearMemorySystem,
+from .system import (DelayTap, InvalidSystemError, LinearMemorySystem, array_form,
                      ValidationReport, difference_kernel, tabulated_coefficient,
                      shift_commutation_residual, validate_system)
 from .integrate import ResolutionError, Trajectory, forced_response, step_integrate

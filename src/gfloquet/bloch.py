@@ -24,7 +24,7 @@ import scipy.linalg
 from .grid import PeriodicGrid
 from .integrate import rk4_step
 from .monodromy import sort_multipliers
-from .system import VALIDATION_TOL, InvalidSystemError
+from .system import VALIDATION_TOL, InvalidSystemError, evaluate
 
 _D2_STENCIL = (-1.0, 16.0, -30.0, 16.0, -1.0)  # 4th-order second derivative / 12h^2
 _VALIDATION_NODES = 64  # probe points per cell in validate_potential
@@ -37,7 +37,7 @@ class NonlocalPotential1D:
     symmetric bi-periodic nonlocal kernel W(x, x') cut off at |x - x'| > r_W."""
 
     lattice_constant: float
-    local: Optional[Callable] = None  # V(x), a-periodic
+    local: Optional[Callable] = None  # V(x), a-periodic; may declare system.array_form
     kernel: Optional[Callable] = None  # W(x, xp_array) -> array over xp
     kernel_range: float = 0.0
     deltas: tuple = ()  # (position in [0, a), strength) pairs; V += strength*delta(x-x0)
@@ -50,11 +50,10 @@ class NonlocalPotential1D:
         object.__setattr__(self, "deltas", tuple(self.deltas))
 
     def eval_local(self, x):
+        """V at a scalar x, or at a 1-d array of x (see `system.evaluate`)."""
         if self.local is None:
             return np.zeros_like(np.asarray(x, dtype=float))
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = np.asarray([float(self.local(xi)) for xi in xs])
-        return vals if np.ndim(x) else vals[0]
+        return evaluate(self.local, x, (), "V")
 
     def eval_kernel(self, x: float, xp) -> np.ndarray:
         xp = np.atleast_1d(np.asarray(xp, dtype=float))

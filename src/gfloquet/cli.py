@@ -25,7 +25,7 @@ from .builtins import CATALOG
 from .grid import GridError, PeriodicGrid, StateSegment
 from .monodromy import ConvergenceError, floquet_spectrum, verify_floquet_form
 from .perturbation import LimitCycle, linearize, stability_verdict
-from .system import (InvalidSystemError, LinearMemorySystem, DelayTap,
+from .system import (InvalidSystemError, LinearMemorySystem, DelayTap, array_form,
                      difference_kernel, tabulated_coefficient, validate_system)
 
 EXIT_OK = 0
@@ -64,12 +64,21 @@ def _integer(value, name: str, minimum: int) -> int:
     return value
 
 
+def _number(value, name: str) -> float:
+    """A JSON number: not a bool, not a string, and finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _grid_size(cfg: dict, args, default: int) -> int:
     """--grid (PeriodicGrid rejects sizes below 8), else grid.samples_per_period."""
     if args.grid is not None:
         return args.grid
-    return _integer(cfg.get("grid", {}).get("samples_per_period", default),
-                    "grid.samples_per_period", 8)
+    grid = cfg.get("grid", {})
+    if not isinstance(grid, dict):
+        raise ConfigError(f"grid must be an object, got {grid!r}")
+    return _integer(grid.get("samples_per_period", default), "grid.samples_per_period", 8)
 
 
 def _tolerance(cfg: dict, args, key: str, default: float) -> float:
@@ -123,12 +132,13 @@ def _system_from_config(cfg: dict):
     spec = _require(cfg, "system", "config")
     if "builtin" in spec:
         system, meta = _builtin(spec, "system", LinearMemorySystem)
-        period = float(spec.get("period", meta.get("period", 1.0)))
-        depth = float(spec.get("memory_depth", meta.get("memory_depth", 0.0)))
+        period = _number(spec.get("period", meta.get("period", 1.0)), "system.period")
+        depth = _number(spec.get("memory_depth", meta.get("memory_depth", 0.0)),
+                        "system.memory_depth")
         return system, period, depth
     dim = _integer(_require(spec, "dimension", "system"), "system.dimension", 1)
-    period = float(_require(spec, "period", "system"))
-    depth = float(spec.get("memory_depth", 0.0))
+    period = _number(_require(spec, "period", "system"), "system.period")
+    depth = _number(spec.get("memory_depth", 0.0), "system.memory_depth")
     if period <= 0:
         raise ConfigError(f"period must be positive, got {period}")
     if depth < 0:
@@ -142,7 +152,7 @@ def _system_from_config(cfg: dict):
     coefficient = tabulated_coefficient(table, period)
     taps = []
     for i, tap in enumerate(spec.get("delay_taps", [])):
-        d = float(_require(tap, "delay", f"delay_taps[{i}]"))
+        d = _number(_require(tap, "delay", f"delay_taps[{i}]"), f"delay_taps[{i}].delay")
         tt = np.asarray(_require(tap, "coefficient", f"delay_taps[{i}]"), dtype=float)
         if tt.ndim == 1:
             tt = tt.reshape(-1, 1, 1)
@@ -156,7 +166,7 @@ def _system_from_config(cfg: dict):
         amp = np.asarray(_require(kspec, "amplitude", "kernel"), dtype=float)
         if amp.ndim == 0:
             amp = amp.reshape(1, 1)
-        theta = float(_require(kspec, "theta", "kernel"))
+        theta = _number(_require(kspec, "theta", "kernel"), "kernel.theta")
         if theta <= 0:
             raise ConfigError("kernel theta must be positive")
         kernel = difference_kernel(lambda u: np.exp(-np.asarray(u) / theta), scale=amp)
@@ -247,7 +257,7 @@ def cmd_stability(args) -> int:
     uniform = times[0] + np.arange(len(times)) * (span / max(len(times) - 1, 1))
     if not (span > 0 and np.all(np.abs(times - uniform) <= 1e-6 * span)):
         raise ConfigError("cycle times must be uniform and increasing")
-    period = float(cfg.get("period", span))
+    period = _number(cfg.get("period", span), "period")
     if not abs(period - span) <= 1e-6 * span:
         raise ConfigError(f"period {period} differs from the cycle's time span {span}")
     grid = PeriodicGrid(period, _grid_size(cfg, args, 256), nl.memory_depth)
@@ -256,8 +266,8 @@ def cmd_stability(args) -> int:
     autonomous = cfg.get("autonomous", meta.get("autonomous", False))
     if not isinstance(autonomous, bool):
         raise ConfigError(f"autonomous must be true or false, got {autonomous!r}")
-    cycle = LimitCycle(period, samples, wrap_tol=float(cfg.get("wrap_tol", 1e-6)))
-    linear = linearize(nl, cycle, fd_step=float(cfg.get("fd_step", 1e-6)))
+    cycle = LimitCycle(period, samples, wrap_tol=_number(cfg.get("wrap_tol", 1e-6), "wrap_tol"))
+    linear = linearize(nl, cycle, fd_step=_number(cfg.get("fd_step", 1e-6), "fd_step"))
     dec = floquet_spectrum(linear, grid, modes=modes, convergence_tol=tol)
     report = stability_verdict(dec, autonomous=autonomous, cycle=cycle)
     _write_json(args.out, "stability.json", {
@@ -279,14 +289,14 @@ def _potential_from_config(cfg: dict) -> NonlocalPotential1D:
     if "builtin" in spec:
         pot, _ = _builtin(spec, "potential", NonlocalPotential1D)
         return pot
-    a = float(_require(spec, "lattice_constant", "potential"))
+    a = _number(_require(spec, "lattice_constant", "potential"), "potential.lattice_constant")
     local = None
     if "local_table" in spec:
         table = np.asarray(spec["local_table"], dtype=float)
         if table.ndim != 1 or len(table) < 4:
             raise ConfigError("local_table must be a flat list of at least 4 samples")
         ev = tabulated_coefficient(table, a)
-        local = lambda x: float(ev(x)[0, 0])
+        local = array_form(lambda x: ev(x)[..., 0, 0])
     return NonlocalPotential1D(a, local=local)
 
 
@@ -306,8 +316,8 @@ def cmd_bands(args) -> int:
             return EXIT_INVALID
     espec = _require(cfg, "energies", "config")
     count = _integer(_require(espec, "count", "energies"), "energies.count", 1)
-    energies = np.linspace(float(_require(espec, "min", "energies")),
-                           float(_require(espec, "max", "energies")), count)
+    energies = np.linspace(_number(_require(espec, "min", "energies"), "energies.min"),
+                           _number(_require(espec, "max", "energies"), "energies.max"), count)
     if energies.size > 1 and energies[0] >= energies[-1]:
         raise ConfigError("energy range must be ascending")
     diagram = band_scan(pot, energies, grid, unit_tol=unit_tol, jobs=args.jobs)

@@ -97,9 +97,10 @@ def _cubic_weights(s: np.ndarray, length: int):
     s holds query positions in node units on `length` uniform nodes (node j at
     s = j); the interpolant at s is sum_i w[..., i] * values[k0 + i], w shaped
     like s plus a trailing stencil axis. With fewer than 4 nodes the stencil is
-    the full-degree polynomial through all of them.
+    the full-degree polynomial through all of them. length may also be an
+    array shaped like s, one node count per query, each at least 4.
     """
-    if length < 4:
+    if np.ndim(length) == 0 and length < 4:
         # low-order fallback for very short histories
         ws = []
         for i in range(length):

@@ -12,8 +12,11 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import PeriodicGrid, StateSegment, _cubic_weights, interp_uniform
+from .grid import PeriodicGrid, StateSegment, _cubic_weights, _gather, interp_uniform
 from .system import LinearMemorySystem, quadrature_window
+
+_BLOCK = 48  # delayed stage times interpolated in the initial history at once
+
 
 class ResolutionError(ValueError):
     pass
@@ -87,20 +90,23 @@ def propagate_history(
     offsets = np.arange(1.0, len(taus0))
     offsets[n_uni - 1 :] = grid.memory_depth / h
 
-    def stage(sigma, known, frac):
-        # the right-hand side at sigma, frac steps past stored row `known`, as a
-        # function of the stage value; the terms without it are evaluated here
-        a = system.eval_coefficient(sigma)
-        taps = []
-        for tap in system.delay_taps:
-            tau = sigma - tap.delay
-            # the solution has a derivative kink where the initial history ends;
-            # keep the interpolation stencil on one side of it
-            if tau <= 0.0:
-                zd = interp_uniform(hist[: nh + 1], t0, h, tau)[0]
-            else:
-                zd = interp_uniform(hist[nh : known + 1], 0.0, h, tau)[0]
-            taps.append(system.eval_tap(tap, sigma) @ zd)
+    # every stage time step*h + frac*h, frac = 0, 1/2, 1; A, each B_i and the
+    # forcing are evaluated there once per propagation
+    sigmas = ((np.arange(n_steps) * h)[:, None] + np.array([0.0, 0.5, 1.0]) * h).ravel()
+    a_all = system.eval_coefficient(sigmas)
+    f_all = system.eval_forcing(sigmas)[:, :, None] if forcing else None
+    taps = [(tap.delay, system.eval_tap(tap, sigmas), _tap_stencils(sigmas - tap.delay, nh, h))
+            for tap in system.delay_taps]
+
+    def stage(i, known, frac):
+        # the right-hand side at stage time i, frac steps past stored row `known`,
+        # as a function of the stage value; the terms without it are set up here
+        sigma = sigmas[i]
+        a = a_all[i]
+        tap_terms = []
+        for (_, b, stencils), early in zip(taps, block):
+            zd = early[i % _BLOCK] if stencils[i] is None else _gather(hist, *stencils[i])[0]
+            tap_terms.append(b[i] @ zd)
         if use_kernel:
             wk = w[:, None, None] * system.eval_kernel(sigma, sigma + taus0)
             # the nodes' cubic interpolation weights fold into w_j K_j, so the rest of
@@ -115,26 +121,48 @@ def propagate_history(
             cut = max(lo, nh + 1) if unit else lo
             mem = g[:, cut - lo :].reshape(n, -1) @ hist[cut : known + 1].reshape(-1, hist.shape[2])
             mem[:, lo * n : cut * n] += g[:, : cut - lo].reshape(n, -1)
-        if forcing:
-            force = system.eval_forcing(sigma)[:, None]
 
         def rhs(Z):
             d = a @ Z
-            for zd in taps:
+            for zd in tap_terms:
                 d = d + zd
             if use_kernel:
                 d = d + wk[0] @ Z  # the node tau = sigma carries the stage value
                 d = d + mem
             if forcing:
-                d = d + force
+                d = d + f_all[i]
             return d
         return rhs
 
     for step in range(n_steps):
         known = nh + step
-        t = step * h
-        hist[known + 1] = rk4_step(lambda frac: stage(t + frac * h, known, frac), hist[known], h)
+        if step % (_BLOCK // 3) == 0:
+            # the solution has a derivative kink where the initial history ends, so
+            # a lookup before it reads the initial history only; the next _BLOCK
+            # stage times' are made in one interpolation, blocked so that its
+            # temporaries do not grow with the propagation
+            block = [interp_uniform(hist[: nh + 1], t0, h, sigmas[3 * step : 3 * step + _BLOCK] - d)
+                     for d, _, _ in taps]
+        hist[known + 1] = rk4_step(lambda frac: stage(3 * step + int(2 * frac), known, frac),
+                                   hist[known], h)
     return hist
+
+
+def _tap_stencils(taus: np.ndarray, nh: int, h: float) -> list:
+    """Per delayed stage time tau (three per step): None when tau <= 0, else the
+    hist rows and cubic weights, shaped for one `_gather`, of its lookup among
+    the rows computed by then (the full-degree fallback while fewer than 4)."""
+    out = [None] * len(taus)
+    late = np.flatnonzero(~(taus <= 0.0))
+    rows = late // 3 + 1  # computed rows from the one at tau = 0 on
+    few = rows < 4
+    for i, r in zip(late[few], rows[few]):
+        k0, c = _cubic_weights(taus[i : i + 1] / h, int(r))
+        out[i] = ((nh + k0 + np.arange(r))[None], c)
+    k0, c = _cubic_weights(taus[late[~few]] / h, rows[~few])
+    for i, k, ci in zip(late[~few], k0, c):
+        out[i] = ((nh + k + np.arange(4))[None], ci[None])
+    return out
 
 
 def _trajectory(system, grid, initial, span, include_forcing, quadrature) -> Trajectory:

@@ -5,9 +5,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .grid import PeriodicGrid, periodic_derivative, periodic_interp
 from .integrate import propagate_history
@@ -128,19 +126,21 @@ def _eig_leading(matrix: np.ndarray, k: int, shift: int = 0) -> np.ndarray:
     m = matrix.shape[0]
     if m <= _DENSE_EIG_LIMIT or k >= m - 2:
         return scipy.linalg.eigvals(matrix)
+    from scipy.sparse import linalg as sla  # loaded only for operators this large
+
     op = matrix  # shift 0: no known structure
     if shift > 0:
         s = min(shift, m)  # memory shorter than the period: every row is computed
-        op = scipy.sparse.linalg.LinearOperator(
+        op = sla.LinearOperator(
             matrix.shape, matvec=lambda x: np.concatenate([x[s:], matrix[m - s:] @ x]),
             dtype=matrix.dtype)
     try:
         # a fixed start vector: ARPACK's own is drawn from a process-global state
-        return scipy.sparse.linalg.eigs(
+        return sla.eigs(
             op, k=min(k, m - 2), which="LM", return_eigenvectors=False,
             v0=np.random.default_rng(0).standard_normal(m),
         )
-    except scipy.sparse.linalg.ArpackNoConvergence:
+    except sla.ArpackNoConvergence:
         # a partial set would leave leading multipliers without a partner
         return scipy.linalg.eigvals(matrix)
 
@@ -229,11 +229,14 @@ def _mode_operator_residual(system, grid, mode: PeriodicMode, quadrature: str) -
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         return periodic_interp(r, grid.period, taus) * np.exp(lam * taus)[:, None]
 
+    sigmas = np.arange(big_n) * h
+    a = system.eval_coefficient(sigmas).astype(complex)
+    b = [system.eval_tap(tap, sigmas) for tap in system.delay_taps]
     res = 0.0
     for k in range(big_n):
         s = k * h
-        lw = system.eval_coefficient(s).astype(complex) @ (r[k] * np.exp(lam * s))
-        lw = apply_memory(system, grid, s, w_at, lw, quadrature)
+        lw = a[k] @ (r[k] * np.exp(lam * s))
+        lw = apply_memory(system, grid, s, w_at, lw, quadrature, [bi[k] for bi in b])
         resid = dr[k] + lam * r[k] - np.exp(-lam * s) * lw
         res = max(res, float(np.max(np.abs(resid))))
     return res / max(float(np.abs(mode.samples).max()), 1e-300)
@@ -304,7 +307,7 @@ def truncate_infinite_kernel(
                 xs = np.linspace(upper - width, upper, 129)
                 g = (np.linalg.norm(system.eval_kernel(sigma, xs), axis=(1, 2))
                      * np.asarray(bound(xs), dtype=float))
-                block = float(scipy.integrate.trapezoid(g, xs))
+                block = float(np.sum((xs[1:] - xs[:-1]) * (g[1:] + g[:-1]) / 2.0))
                 total += block
                 if block < eps * 1e-3:
                     converged = True

@@ -9,7 +9,7 @@ import numpy as np
 from .grid import PeriodicGrid, periodic_derivative, periodic_interp
 from .monodromy import FloquetDecomposition
 from .system import (DelayTap, InvalidSystemError, LinearMemorySystem, apply_memory,
-                     kernel_matrices)
+                     array_form, evaluate)
 
 _UNIT_TOL = 1e-3  # a decisive |mu| within this of 1 is MARGINAL
 
@@ -28,6 +28,8 @@ class NonlinearMemorySystem:
 
     def __post_init__(self):
         object.__setattr__(self, "delay_taps", tuple(self.delay_taps))
+        if self.kernel is not None:  # it takes arrays of tau, so it is declared so
+            object.__setattr__(self, "kernel", array_form(self.kernel))
         if (self.delay_taps or self.kernel is not None) and self.memory_field is None:
             raise InvalidSystemError("memory operator given but no memory field g")
 
@@ -122,9 +124,10 @@ def linearize(
     kernel = None
     if nl.kernel is not None:
 
+        @array_form
         def kernel(t, taus):
             taus = np.atleast_1d(np.asarray(taus, dtype=float))
-            km = kernel_matrices(nl.kernel, n, t, taus)
+            km = evaluate(nl.kernel, taus, (n, n), "K", t)
             gj = np.array([g_jacobian(tau) for tau in taus])
             return np.einsum("tij,tjk->tik", km, gj)
 

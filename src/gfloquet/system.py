@@ -1,6 +1,8 @@
 """Linear periodic systems with memory: coefficient, delay taps, convolution kernel."""
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -29,10 +31,13 @@ class DelayTap:
 class LinearMemorySystem:
     """dz/dsigma = A(s) z(s) + sum_i B_i(s) z(s - d_i) + int_{s-r}^{s} K(s,t) z(t) dt + b(s).
 
-    All evaluators are callbacks; A and B_i take a scalar sigma and return an
-    (n, n) array, the kernel takes (sigma, tau_array) and returns
-    (len(tau), n, n) (a scalar fallback per tau pair is also accepted), the
-    forcing takes sigma and returns an n-vector.
+    All evaluators are callbacks of one scalar: A and B_i take sigma and return
+    an (n, n) array (a scalar when n = 1), the kernel takes (sigma, tau) and
+    returns K(sigma, tau) the same way, the forcing takes sigma and returns an
+    n-vector. Each may declare `array_form`: it is then handed a 1-d array of
+    sigma (of tau, for the kernel) instead and returns its values stacked on a
+    leading axis, (len,) when each is a single number, bitwise those of its
+    per-point form, which a wrapper that drops the declaration gets.
     """
 
     dimension: int
@@ -50,50 +55,49 @@ class LinearMemorySystem:
     def has_memory(self) -> bool:
         return bool(self.delay_taps) or self.kernel is not None
 
-    def eval_coefficient(self, sigma: float) -> np.ndarray:
-        return _as_matrix(self.coefficient(sigma), self.dimension, "A", sigma)
+    def eval_coefficient(self, sigma) -> np.ndarray:  # sigma scalar or 1-d (see evaluate)
+        return evaluate(self.coefficient, sigma, (self.dimension,) * 2, "A")
 
-    def eval_tap(self, tap: DelayTap, sigma: float) -> np.ndarray:
-        return _as_matrix(tap.coefficient(sigma), self.dimension, "B", sigma)
+    def eval_tap(self, tap: DelayTap, sigma) -> np.ndarray:
+        return evaluate(tap.coefficient, sigma, (self.dimension,) * 2, "B")
 
     def eval_kernel(self, sigma: float, taus: np.ndarray) -> np.ndarray:
-        return kernel_matrices(self.kernel, self.dimension, sigma, taus)
+        return evaluate(self.kernel, taus, (self.dimension,) * 2, "K", sigma)
 
     def eval_forcing(self, sigma: float) -> np.ndarray:
-        b = np.atleast_1d(np.asarray(self.forcing(sigma), dtype=float))
-        if b.shape != (self.dimension,):
-            raise InvalidSystemError(f"forcing at sigma={sigma} has shape {b.shape}")
-        return b
+        return evaluate(self.forcing, sigma, (self.dimension,), "b")
 
 
-def _as_matrix(value, n: int, name: str, sigma: float) -> np.ndarray:
-    mat = np.asarray(value)
-    if mat.ndim == 0:
-        mat = mat.reshape(1, 1)
-    if mat.shape != (n, n):
-        raise InvalidSystemError(f"{name}({sigma}) has shape {mat.shape}, expected {(n, n)}")
-    return mat
+def array_form(fn: Callable) -> Callable:
+    """fn, declared to take a 1-d array of points last and return its values
+    there stacked on a leading axis."""
+    declared = functools.wraps(fn)(lambda *args: fn(*args))
+    declared.array_form = True
+    return declared
 
 
-def kernel_matrices(kernel: Callable, n: int, sigma: float, taus: np.ndarray) -> np.ndarray:
-    """Kernel values K(sigma, tau) as a (len(taus), n, n) array.
+def evaluate(fn: Callable, points, shape: tuple, name: str, *lead) -> np.ndarray:
+    """fn(*lead, p) as a `shape` float array at a scalar point, or stacked as
+    (len,) + shape over a 1-d array of points: in one call when fn declares
+    `array_form`, else in one call per point. A value of the wrong shape
+    raises InvalidSystemError naming `name`."""
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    if getattr(fn, "array_form", False):
+        out = _fit(fn(*lead, pts), pts.shape + shape, shape, name, None)
+    else:
+        out = np.array([_fit(fn(*lead, p), shape, shape, name, (*lead, p)) for p in pts])
+    return out.reshape(pts.shape + shape) if np.ndim(points) else out[0]
 
-    Accepts a kernel that returns that array, a (len(taus),) array when n = 1,
-    or, failing both, one (n, n) matrix (or scalar) per scalar tau.
-    """
-    taus = np.asarray(taus, dtype=float)
-    try:
-        out = np.asarray(kernel(sigma, taus), dtype=float)
-        if out.shape == (len(taus), n, n):
-            return out
-        if n == 1 and out.shape == (len(taus),):
-            return out.reshape(len(taus), 1, 1)
-    except (TypeError, ValueError):
-        pass
-    out = np.empty((len(taus), n, n))
-    for i, tau in enumerate(taus):
-        out[i] = _as_matrix(kernel(sigma, tau), n, "K", sigma)
-    return out
+
+def _fit(value, want: tuple, shape: tuple, name: str, args) -> np.ndarray:
+    value = np.asarray(value, dtype=float)
+    if value.shape == want:
+        return value
+    # reshaped where it cannot be misread: one number per point, or a leading 1
+    if value.shape == (1,) + want or (math.prod(shape) == 1 and value.size == math.prod(want)):
+        return value.reshape(want)
+    at = f" over {want[0]} points" if args is None else f"({', '.join(map(str, args))})"
+    raise InvalidSystemError(f"{name}{at} has shape {value.shape}, expected {want}")
 
 
 def quadrature_window(grid: PeriodicGrid, sigma: float, quadrature: str = "trapezoid"):
@@ -158,14 +162,12 @@ def validate_system(system: LinearMemorySystem, grid: PeriodicGrid) -> Validatio
     msgs = []
 
     def residual_of(evaluator, name):
-        res = 0.0
-        for s in nodes:
-            m0 = evaluator(s)
-            m1 = evaluator(s + sig)
-            if not (np.all(np.isfinite(m0)) and np.all(np.isfinite(m1))):
-                raise InvalidSystemError(f"non-finite {name} at node sigma={s}")
-            res = max(res, float(np.max(np.abs(m1 - m0))))
-        return res
+        m0 = evaluator(nodes)
+        m1 = evaluator(nodes + sig)
+        finite = (np.isfinite(m0) & np.isfinite(m1)).reshape(len(nodes), -1).all(axis=1)
+        if not finite.all():
+            raise InvalidSystemError(f"non-finite {name} at node sigma={nodes[np.argmin(finite)]}")
+        return float(np.max(np.abs(m1 - m0)))
 
     coeff_res = residual_of(system.eval_coefficient, "A")
     tap_res = tuple(
@@ -196,16 +198,19 @@ def validate_system(system: LinearMemorySystem, grid: PeriodicGrid) -> Validatio
 
 
 def apply_memory(system: LinearMemorySystem, grid: PeriodicGrid, sigma: float, z_at: Callable,
-                 out: np.ndarray, quadrature: str = "trapezoid") -> np.ndarray:
+                 out: np.ndarray, quadrature: str = "trapezoid", taps=None) -> np.ndarray:
     """Return out plus the memory part of L{z}(sigma): the delay taps, then the
     kernel integral over the quadrature window.
 
     z_at maps a 1-d array of times to the values of z there, one row per time.
+    taps holds B_i(sigma), one per delay tap, when the caller has them already.
     """
     # built for every system, so that an unknown quadrature name raises on each path
     taus, w, _ = quadrature_window(grid, sigma, quadrature)
-    for tap in system.delay_taps:
-        out = out + system.eval_tap(tap, sigma) @ z_at([sigma - tap.delay])[0]
+    if taps is None:
+        taps = [system.eval_tap(tap, sigma) for tap in system.delay_taps]
+    for tap, b in zip(system.delay_taps, taps):
+        out = out + b @ z_at([sigma - tap.delay])[0]
     if system.kernel is not None:
         kmat = system.eval_kernel(sigma, taus)
         out = out + np.einsum("t,tij,tj->i", w, kmat, z_at(taus))
@@ -251,8 +256,10 @@ def tabulated_coefficient(samples: np.ndarray, period: float) -> Callable:
     if samples.ndim == 1:
         samples = samples.reshape(-1, 1, 1)
 
+    @array_form
     def evaluator(sigma):
-        return periodic_interp(samples, period, sigma)[0]
+        out = periodic_interp(samples, period, sigma)
+        return out if np.ndim(sigma) else out[0]
 
     return evaluator
 
@@ -261,6 +268,7 @@ def difference_kernel(profile: Callable, scale=None) -> Callable:
     """Kernel K(sigma, tau) = C * profile(sigma - tau); constant-coefficient
     difference kernels are automatically bi-periodic."""
 
+    @array_form
     def kernel(sigma, taus):
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         vals = np.asarray(profile(sigma - taus), dtype=float)

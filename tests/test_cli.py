@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -329,3 +332,61 @@ def test_malformed_field_exits_2_and_names_it(tmp_path, capsys, vdp_cycle, comma
     assert main([command, "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)]) == 2
     assert path in capsys.readouterr().err
     assert not out.exists()
+
+
+_MEMORY_BASE = {"system": {"dimension": 1, "period": 1.0, "memory_depth": 0.5,
+                           "coefficient": [0.1] * 4,
+                           "delay_taps": [{"delay": 0.5, "coefficient": [-0.1] * 4}],
+                           "kernel": {"type": "exponential", "theta": 0.1, "amplitude": -0.5}},
+                "grid": {"samples_per_period": 64}, "modes": 1}
+
+
+@pytest.mark.parametrize("command, path, value, name", [
+    ("analyze", "system.period", True, "system.period"),
+    ("analyze", "system.period", "1.0", "system.period"),
+    ("analyze", "system.memory_depth", "0.5", "system.memory_depth"),
+    ("analyze", "system.delay_taps.0.delay", "0.5", "delay_taps[0].delay"),
+    ("analyze", "system.delay_taps.0.delay", True, "delay_taps[0].delay"),
+    ("analyze", "system.kernel.theta", True, "kernel.theta"),
+    ("analyze", "grid", [64], "grid"),
+    ("bands", "energies.min", "1.0", "energies.min"),
+    ("bands", "energies.max", True, "energies.max"),
+    ("bands", "grid", 64, "grid"),
+    ("stability", "period", True, "period"),
+    ("stability", "wrap_tol", "1e-6", "wrap_tol"),
+    ("stability", "fd_step", True, "fd_step"),
+    ("stability", "grid", [192], "grid"),
+])
+def test_number_fields_take_json_numbers_only(tmp_path, capsys, vdp_cycle, command, path,
+                                              value, name):
+    # a bool or a string is not read as a number, and a grid that is not an
+    # object is an invalid config, not a crash
+    cfg = json.loads(json.dumps(_MEMORY_BASE if command == "analyze" else _FIELD_BASES[command]))
+    if command == "stability":
+        _cycle_csv(tmp_path / "cycle.csv", *vdp_cycle)
+        cfg["cycle_file"] = str(tmp_path / "cycle.csv")
+    *parents, key = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    node[key] = value
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_memory_base_config_runs(tmp_path):
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", _write(tmp_path / "c.json", _MEMORY_BASE),
+                 "--out", str(out)]) == 0
+    assert (out / "spectrum.json").exists()
+
+
+def test_cli_import_leaves_unused_scipy_out():
+    code = ("import sys, gfloquet.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.sparse.linalg') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert res.stdout.strip() == "[]"

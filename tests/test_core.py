@@ -4,12 +4,12 @@ import pytest
 from gfloquet import (
     DelayTap, GridError, InvalidSystemError, LinearMemorySystem, PeriodicGrid,
     ResolutionError, StateSegment, difference_kernel, shift_commutation_residual,
-    step_integrate, validate_system,
+    step_integrate, tabulated_coefficient, validate_system,
 )
 from gfloquet.grid import interp_uniform, periodic_interp
 from gfloquet.integrate import propagate_history
 from gfloquet.builtins import delay_pi_over_2
-from gfloquet.system import apply_memory, quadrature_window
+from gfloquet.system import apply_memory, array_form, evaluate, quadrature_window
 
 
 def test_grid_basic_fields():
@@ -369,3 +369,92 @@ def test_delay_taps_match_reference_stepper(delay, unit):
     ref = _reference_propagate(system, g, hist0, 32, "trapezoid")
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _stage_times(n_steps):
+    # the stage times step*h + frac*h that propagate_history evaluates at
+    h = 1.0 / n_steps
+    return ((np.arange(n_steps) * h)[:, None] + np.array([0.0, 0.5, 1.0]) * h).ravel()
+
+
+@pytest.mark.parametrize("table_shape", [(4, 1, 1), (64, 1, 1), (16, 2, 2)])
+@pytest.mark.parametrize("n_steps", [64, 128])
+def test_array_form_equals_per_point_bitwise(table_shape, n_steps):
+    table = np.random.default_rng(table_shape[0] + n_steps).standard_normal(table_shape)
+    ev = tabulated_coefficient(table, 1.0)
+    n = table_shape[1]
+    sigmas = _stage_times(n_steps)
+    declared = LinearMemorySystem(n, ev).eval_coefficient(sigmas)
+    # a wrapper that drops the declaration is evaluated one point at a time
+    per_point = LinearMemorySystem(n, lambda s: ev(s)).eval_coefficient(sigmas)
+    assert declared.shape == (len(sigmas), n, n)
+    assert np.array_equal(declared, per_point)
+    assert np.array_equal(declared, np.array([ev(s) for s in sigmas]))
+    kernel = difference_kernel(lambda u: np.exp(-np.asarray(u) / 0.3), scale=table[0])
+    taus = 0.5 - sigmas
+    assert np.array_equal(evaluate(kernel, taus, (n, n), "K", 0.5),
+                          evaluate(lambda s, t: kernel(s, t), taus, (n, n), "K", 0.5))
+
+
+def test_undeclared_callbacks_only_see_scalars():
+    seen = []
+
+    def spy(value):
+        def fn(*args):
+            seen.extend(args)
+            return value
+        return fn
+
+    system = LinearMemorySystem(
+        2, spy(np.array([[0.0, 1.0], [-4.0, -0.1]])),
+        delay_taps=(DelayTap(0.3, spy(np.array([[-0.2, 0.0], [0.1, -0.3]]))),),
+        kernel=spy(np.array([[-0.5, 0.0], [0.2, -0.5]])))
+    grid = PeriodicGrid(1.0, 16, 0.4)
+    assert validate_system(system, grid).passed
+    propagate_history(system, grid, None, 20, quadrature="simpson")
+    assert seen and all(np.ndim(x) == 0 and isinstance(x, (float, np.floating)) for x in seen)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "K"])
+def test_declared_callback_of_the_wrong_shape_is_named(name):
+    good = lambda *args: np.eye(2)
+    bad = array_form(lambda *args: np.zeros((len(args[-1]), 2)))  # (len, 2), not (len, 2, 2)
+    parts = {"A": good, "B": good, "K": good}
+    parts[name] = bad
+    system = LinearMemorySystem(2, parts["A"], delay_taps=(DelayTap(0.25, parts["B"]),),
+                                kernel=parts["K"])
+    with pytest.raises(InvalidSystemError, match=rf"^{name} over \d+ points has shape"):
+        propagate_history(system, PeriodicGrid(1.0, 16, 0.5), None, 4)
+
+
+@pytest.mark.parametrize("declare", [False, True])
+def test_validate_names_the_first_non_finite_node(declare):
+    def coefficient(s):
+        return np.where((np.asarray(s) % 1.0 >= 0.4) & (np.asarray(s) % 1.0 <= 0.6), np.inf, 0.0)
+
+    system = LinearMemorySystem(1, array_form(coefficient) if declare else coefficient)
+    with pytest.raises(InvalidSystemError, match=r"non-finite A at node sigma=0\.40625$"):
+        validate_system(system, PeriodicGrid(1.0, 32, 0.0))
+    tap = DelayTap(0.5, array_form(coefficient) if declare else coefficient)
+    system = LinearMemorySystem(1, lambda s: 0.0, delay_taps=(tap,))
+    with pytest.raises(InvalidSystemError, match=r"non-finite B at node sigma=-0\.5$"):
+        validate_system(system, PeriodicGrid(1.0, 32, 0.5))
+
+
+def _diagonal_kernel(s, t):
+    # written for one scalar tau; an array tau would come back as (2, 2, len)
+    e = np.exp(-(s - t))
+    return np.array([[e, 0.0 * e], [0.0 * e, 2.0 * e]])
+
+
+def test_per_tau_kernel_is_not_read_as_an_array_when_len_equals_n():
+    system = LinearMemorySystem(2, lambda s: np.zeros((2, 2)), kernel=_diagonal_kernel)
+    got = system.eval_kernel(0.0, np.array([0.0, -0.5]))
+    assert np.array_equal(got[0], np.diag([1.0, 2.0]))
+    assert np.allclose(got[1], np.diag([1.0, 2.0]) * np.exp(-0.5), rtol=1e-15)
+    # a memory depth of one step gives the two-node window of the bug
+    grid = PeriodicGrid(1.0, 16, 1.0 / 16)
+    declared = LinearMemorySystem(2, lambda s: np.zeros((2, 2)), kernel=difference_kernel(
+        lambda u: np.exp(-np.asarray(u)), scale=np.diag([1.0, 2.0])))
+    assert np.allclose(propagate_history(system, grid, None, 16),
+                       propagate_history(declared, grid, None, 16), rtol=1e-14, atol=0.0)

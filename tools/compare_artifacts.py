@@ -54,6 +54,19 @@ BUILTIN_CONFIGS = {
                    "kernel": {"type": "exponential", "theta": 0.1,
                               "amplitude": [[-0.5, 0.0], [0.3, -0.5]]}},
         "grid": {"samples_per_period": 64}, "modes": 2, "quadrature": "simpson"}),
+    # table form with off-lattice delays: 0.3 needs non-trivial cubic tap
+    # weights, and 0.03 < 3h reads the rows computed so far through the
+    # fewer-than-4-node fallback in the first steps
+    "table_offlattice_taps": ("analyze", {
+        "system": {"dimension": 2, "period": 1.0, "memory_depth": 0.5,
+                   "coefficient": [[[0.0, 1.0], [a, -0.2]] for a in
+                                   (-6.0, -5.5, -4.5, -4.0, -4.5, -5.5)],
+                   "delay_taps": [{"delay": 0.3, "coefficient": [
+                       [[-0.2, 0.1], [0.0, -0.3]], [[-0.3, 0.0], [0.1, -0.2]],
+                       [[-0.1, 0.0], [0.2, -0.4]], [[-0.2, -0.1], [0.0, -0.1]]]},
+                       {"delay": 0.03, "coefficient": [[[-0.4, 0.0], [0.0, -0.2]],
+                                                       [[-0.3, 0.1], [0.0, -0.3]]] * 2}]},
+        "grid": {"samples_per_period": 64}, "modes": 2}),
     "kronig_penney": ("bands", {"potential": {"builtin": "kronig_penney"},
                                 "energies": {"min": 0.5, "max": 40.0, "count": 24}}),
     "separable_nonlocal": ("bands", {"potential": {"builtin": "separable_nonlocal"},
