@@ -177,18 +177,17 @@ def _system_from_config(cfg: dict):
 def cmd_analyze(args) -> int:
     cfg, fingerprint = _load_config(args.config)
     system, period, depth = _system_from_config(cfg)
-    grid = PeriodicGrid(period, _grid_size(cfg, args, 256), depth)
+    grid = PeriodicGrid(period, _grid_size(cfg, args, 256), depth,
+                        cfg.get("quadrature", "trapezoid"))
     tol = _tolerance(cfg, args, "tolerance", 1e-4)
     modes = _integer(cfg.get("modes", 8), "modes", 0)
-    quadrature = cfg.get("quadrature", "trapezoid")
     report = validate_system(system, grid)
     if not report.passed:
         print("validation failed:", "; ".join(report.messages) or "residuals above bound",
               file=sys.stderr)
         return EXIT_INVALID
-    dec = floquet_spectrum(system, grid, modes=modes, convergence_tol=tol,
-                           quadrature=quadrature)
-    ver = verify_floquet_form(system, grid, dec, quadrature=quadrature)
+    dec = floquet_spectrum(system, grid, modes=modes, convergence_tol=tol)
+    ver = verify_floquet_form(system, grid, dec)
     _write_json(args.out, "spectrum.json", {
         "config_fingerprint": fingerprint,
         "grid": {"period": grid.period, "samples_per_period": grid.samples_per_period,

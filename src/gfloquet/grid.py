@@ -19,11 +19,15 @@ class PeriodicGrid:
     [-memory_depth, 0] is covered by history_points extra nodes so that
     history_points * h >= memory_depth. A positive memory_depth always gets
     at least one history node, even when memory_depth / h underflows to 0.
+    quadrature names the rule of the kernel window over the memory,
+    "trapezoid" or "simpson" (see quadrature_window); every routine that
+    integrates the kernel on this grid follows it.
     """
 
     period: float
     samples_per_period: int
     memory_depth: float = 0.0
+    quadrature: str = "trapezoid"
 
     def __post_init__(self):
         if not (self.period > 0 and np.isfinite(self.period)):
@@ -32,6 +36,8 @@ class PeriodicGrid:
             raise GridError(f"samples_per_period must be >= 8, got {self.samples_per_period}")
         if not (self.memory_depth >= 0 and np.isfinite(self.memory_depth)):
             raise GridError(f"memory_depth must be non-negative, got {self.memory_depth}")
+        if self.quadrature not in ("trapezoid", "simpson"):
+            raise GridError(f"unknown quadrature {self.quadrature!r}")
 
     @property
     def step(self) -> float:
@@ -57,10 +63,53 @@ class PeriodicGrid:
         return np.arange(self.samples_per_period + 1) * self.step
 
     def refined(self, factor: int = 2) -> "PeriodicGrid":
-        return PeriodicGrid(self.period, self.samples_per_period * factor, self.memory_depth)
+        return PeriodicGrid(self.period, self.samples_per_period * factor, self.memory_depth,
+                            self.quadrature)
 
     def state_size(self, dimension: int) -> int:
         return dimension * (self.history_points + 1)
+
+
+def quadrature_window(grid: PeriodicGrid, sigma: float):
+    """Nodes/weights of the grid's quadrature rule on the moving window [sigma - r, sigma].
+
+    Returns (taus, weights, n_uniform): the first n_uniform nodes are the
+    grid-aligned points sigma - j*h (so that during stepping every interior
+    node refers to already-known history); an extra node at the exact lower
+    endpoint sigma - r is appended when the aligned nodes stop short of it,
+    and that remainder is closed with a trapezoid. "trapezoid" covers the
+    aligned nodes with the trapezoid rule; "simpson", given at least 4 history
+    points, covers [sigma - M*h, sigma] with M even by composite Simpson,
+    leaving a remainder at most two steps wide, where an admissible kernel is
+    near its truncation floor.
+    """
+    r = grid.memory_depth
+    h = grid.step
+    nh = grid.history_points
+    if nh == 0 or r == 0.0:
+        return np.array([sigma]), np.array([0.0]), 1
+    if nh == 1:
+        taus = np.array([sigma, sigma - r])
+        return taus, np.array([r / 2.0, r / 2.0]), 1
+    if grid.quadrature == "simpson" and nh >= 4:
+        m = nh - 1 if (nh - 1) % 2 == 0 else nh - 2
+        w = np.full(m + 1, 2.0)
+        w[1::2] = 4.0
+        w[0] = 1.0
+        w[-1] = 1.0
+        w *= h / 3.0
+    else:
+        m = nh - 1
+        w = np.full(m + 1, h)
+        w[0] = h / 2.0
+        w[-1] = h / 2.0
+    taus = sigma - np.arange(m + 1) * h
+    bottom = r - m * h
+    if bottom > 1e-12 * h:
+        taus = np.append(taus, sigma - r)
+        w[-1] += bottom / 2.0
+        w = np.append(w, bottom / 2.0)
+    return taus, w, m + 1
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import PeriodicGrid, StateSegment, _cubic_weights, _gather, interp_uniform
-from .system import LinearMemorySystem, quadrature_window
+from .grid import (PeriodicGrid, StateSegment, _cubic_weights, _gather, interp_uniform,
+                   quadrature_window)
+from .system import LinearMemorySystem
 
 _BLOCK = 48  # delayed stage times interpolated in the initial history at once
 
@@ -53,7 +54,6 @@ def propagate_history(
     hist0: np.ndarray | None,
     n_steps: int,
     include_forcing: bool = False,
-    quadrature: str = "trapezoid",
 ) -> np.ndarray:
     """Advance the initial history block n_steps; returns (nh+1+n_steps, n, m).
 
@@ -84,9 +84,8 @@ def propagate_history(
     t0 = -nh * h
     # window nodes sigma - j*h, then the exact lower endpoint sigma - r when it
     # is off the lattice: sigma + taus0 gives them bitwise, the weights do not
-    # depend on sigma, and node j > 0 lies offsets[j-1] steps back; built for
-    # every system, so that an unknown quadrature name raises on each path
-    taus0, w, n_uni = quadrature_window(grid, 0.0, quadrature)
+    # depend on sigma, and node j > 0 lies offsets[j-1] steps back
+    taus0, w, n_uni = quadrature_window(grid, 0.0)
     offsets = np.arange(1.0, len(taus0))
     offsets[n_uni - 1 :] = grid.memory_depth / h
 
@@ -165,13 +164,13 @@ def _tap_stencils(taus: np.ndarray, nh: int, h: float) -> list:
     return out
 
 
-def _trajectory(system, grid, initial, span, include_forcing, quadrature) -> Trajectory:
+def _trajectory(system, grid, initial, span, include_forcing) -> Trajectory:
     steps = span / grid.step
     n_steps = int(round(steps))
     if n_steps < 1 or abs(steps - n_steps) > 1e-9 * max(1.0, steps):
         raise ValueError(f"span {span} is not a positive multiple of the step {grid.step}")
     hist = propagate_history(system, grid, initial.samples[:, :, None], n_steps,
-                             include_forcing=include_forcing, quadrature=quadrature)
+                             include_forcing=include_forcing)
     return Trajectory(np.arange(n_steps + 1) * grid.step, hist[grid.history_points:, :, 0])
 
 
@@ -180,10 +179,9 @@ def step_integrate(
     grid: PeriodicGrid,
     initial: StateSegment,
     span: float,
-    quadrature: str = "trapezoid",
 ) -> Trajectory:
     """Integrate the homogeneous system from the initial history over [0, span]."""
-    return _trajectory(system, grid, initial, span, False, quadrature)
+    return _trajectory(system, grid, initial, span, False)
 
 
 def forced_response(
@@ -191,7 +189,6 @@ def forced_response(
     grid: PeriodicGrid,
     initial: StateSegment,
     span: float,
-    quadrature: str = "trapezoid",
 ) -> Trajectory:
     """Direct integration of the inhomogeneous system (forcing included)."""
-    return _trajectory(system, grid, initial, span, True, quadrature)
+    return _trajectory(system, grid, initial, span, True)

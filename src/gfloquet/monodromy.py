@@ -107,12 +107,10 @@ def principal_exponents(mus: np.ndarray, period: float) -> np.ndarray:
 def build_monodromy(
     system: LinearMemorySystem,
     grid: PeriodicGrid,
-    quadrature: str = "trapezoid",
 ) -> MonodromyOperator:
     """Column j of the result is the history segment at time Sigma reached from
     the j-th canonical unit segment (forcing is ignored)."""
-    hist = propagate_history(system, grid, None, grid.samples_per_period,
-                             include_forcing=False, quadrature=quadrature)
+    hist = propagate_history(system, grid, None, grid.samples_per_period, include_forcing=False)
     return MonodromyOperator(hist, grid)
 
 
@@ -150,14 +148,13 @@ def floquet_spectrum(
     grid: PeriodicGrid,
     modes: int = DEFAULT_MODES,
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL,
-    quadrature: str = "trapezoid",
 ) -> FloquetDecomposition:
     """Eigen-decompose the monodromy operator at the requested grid and flag as
     converged the multipliers that persist under grid refinement. Spurious
     discretization eigenvalues drift under refinement and stay unflagged."""
-    operator = build_monodromy(system, grid, quadrature=quadrature)
+    operator = build_monodromy(system, grid)
     mus, vecs = scipy.linalg.eig(operator.matrix)
-    op_f = build_monodromy(system, grid.refined(2), quadrature=quadrature)
+    op_f = build_monodromy(system, grid.refined(2))
     mus_f = _eig_leading(op_f.matrix, k=max(4 * modes, 32),
                          shift=op_f.grid.samples_per_period * system.dimension)
 
@@ -216,7 +213,7 @@ class VerificationReport:
     max_residual: float
 
 
-def _mode_operator_residual(system, grid, mode: PeriodicMode, quadrature: str) -> float:
+def _mode_operator_residual(system, grid, mode: PeriodicMode) -> float:
     """Residual of the reduced equation for the periodic part, with the
     derivative by 4th-order centered differences on the periodic samples."""
     big_n = grid.samples_per_period
@@ -236,7 +233,7 @@ def _mode_operator_residual(system, grid, mode: PeriodicMode, quadrature: str) -
     for k in range(big_n):
         s = k * h
         lw = a[k] @ (r[k] * np.exp(lam * s))
-        lw = apply_memory(system, grid, s, w_at, lw, quadrature, [bi[k] for bi in b])
+        lw = apply_memory(system, grid, s, w_at, lw, [bi[k] for bi in b])
         resid = dr[k] + lam * r[k] - np.exp(-lam * s) * lw
         res = max(res, float(np.max(np.abs(resid))))
     return res / max(float(np.abs(mode.samples).max()), 1e-300)
@@ -246,7 +243,6 @@ def verify_floquet_form(
     system: LinearMemorySystem,
     grid: PeriodicGrid,
     decomposition: FloquetDecomposition,
-    quadrature: str = "trapezoid",
 ) -> VerificationReport:
     """Check the three decomposition identities: the period-shift relation
     X(s+Sigma) = X(s) C over one period, periodicity of the stored modes, and
@@ -255,8 +251,7 @@ def verify_floquet_form(
     nh = grid.history_points
     m = grid.state_size(n)
     big_n = grid.samples_per_period
-    hist = propagate_history(system, grid, None, 2 * big_n,
-                             include_forcing=False, quadrature=quadrature)
+    hist = propagate_history(system, grid, None, 2 * big_n, include_forcing=False)
     u = hist[big_n : big_n + nh + 1].reshape(m, m)
     u_norm = max(float(np.linalg.norm(u)), 1e-300)
     # the segments s_k = hist[k : k+nh+1] overlap, so every s_k @ u is a block
@@ -268,8 +263,7 @@ def verify_floquet_form(
     window_sq = np.convolve(row_sq, np.ones(nh + 1), mode="valid")
     shift_res = float(np.sqrt(window_sq.max())) / u_norm
     mode_res = tuple(mode.periodicity_residual for mode in decomposition.modes)
-    op_res = tuple(_mode_operator_residual(system, grid, mode, quadrature)
-                   for mode in decomposition.modes)
+    op_res = tuple(_mode_operator_residual(system, grid, mode) for mode in decomposition.modes)
     all_res = (shift_res,) + mode_res + op_res
     return VerificationReport(shift_res, mode_res, op_res, max(all_res))
 

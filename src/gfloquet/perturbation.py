@@ -61,7 +61,7 @@ class LimitCycle:
 
     def residual(self, nl: NonlinearMemorySystem, grid: PeriodicGrid) -> float:
         """Max defect of the nonlinear equation on the cycle nodes (5-point
-        periodic derivative, trapezoid memory quadrature)."""
+        periodic derivative, the grid's memory quadrature)."""
         y = self.samples[:-1]
         h = self.period / y.shape[0]
         dy = periodic_derivative(y, h)

@@ -8,7 +8,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import PeriodicGrid, StateSegment, interp_uniform, periodic_interp
+from .grid import (PeriodicGrid, StateSegment, interp_uniform, periodic_interp,
+                   quadrature_window)
 
 VALIDATION_TOL = 1e-10
 
@@ -100,50 +101,6 @@ def _fit(value, want: tuple, shape: tuple, name: str, args) -> np.ndarray:
     raise InvalidSystemError(f"{name}{at} has shape {value.shape}, expected {want}")
 
 
-def quadrature_window(grid: PeriodicGrid, sigma: float, quadrature: str = "trapezoid"):
-    """Nodes/weights of a quadrature rule on the moving window [sigma - r, sigma].
-
-    Returns (taus, weights, n_uniform): the first n_uniform nodes are the
-    grid-aligned points sigma - j*h (so that during stepping every interior
-    node refers to already-known history); an extra node at the exact lower
-    endpoint sigma - r is appended when the aligned nodes stop short of it,
-    and that remainder is closed with a trapezoid. "trapezoid" covers the
-    aligned nodes with the trapezoid rule; "simpson", given at least 4 history
-    points, covers [sigma - M*h, sigma] with M even by composite Simpson,
-    leaving a remainder at most two steps wide, where an admissible kernel is
-    near its truncation floor.
-    """
-    if quadrature not in ("trapezoid", "simpson"):
-        raise ValueError(f"unknown quadrature {quadrature!r}")
-    r = grid.memory_depth
-    h = grid.step
-    nh = grid.history_points
-    if nh == 0 or r == 0.0:
-        return np.array([sigma]), np.array([0.0]), 1
-    if nh == 1:
-        taus = np.array([sigma, sigma - r])
-        return taus, np.array([r / 2.0, r / 2.0]), 1
-    if quadrature == "simpson" and nh >= 4:
-        m = nh - 1 if (nh - 1) % 2 == 0 else nh - 2
-        w = np.full(m + 1, 2.0)
-        w[1::2] = 4.0
-        w[0] = 1.0
-        w[-1] = 1.0
-        w *= h / 3.0
-    else:
-        m = nh - 1
-        w = np.full(m + 1, h)
-        w[0] = h / 2.0
-        w[-1] = h / 2.0
-    taus = sigma - np.arange(m + 1) * h
-    bottom = r - m * h
-    if bottom > 1e-12 * h:
-        taus = np.append(taus, sigma - r)
-        w[-1] += bottom / 2.0
-        w = np.append(w, bottom / 2.0)
-    return taus, w, m + 1
-
-
 @dataclass
 class ValidationReport:
     passed: bool
@@ -198,20 +155,19 @@ def validate_system(system: LinearMemorySystem, grid: PeriodicGrid) -> Validatio
 
 
 def apply_memory(system: LinearMemorySystem, grid: PeriodicGrid, sigma: float, z_at: Callable,
-                 out: np.ndarray, quadrature: str = "trapezoid", taps=None) -> np.ndarray:
+                 out: np.ndarray, taps=None) -> np.ndarray:
     """Return out plus the memory part of L{z}(sigma): the delay taps, then the
-    kernel integral over the quadrature window.
+    kernel integral over the grid's quadrature window.
 
     z_at maps a 1-d array of times to the values of z there, one row per time.
     taps holds B_i(sigma), one per delay tap, when the caller has them already.
     """
-    # built for every system, so that an unknown quadrature name raises on each path
-    taus, w, _ = quadrature_window(grid, sigma, quadrature)
     if taps is None:
         taps = [system.eval_tap(tap, sigma) for tap in system.delay_taps]
     for tap, b in zip(system.delay_taps, taps):
         out = out + b @ z_at([sigma - tap.delay])[0]
     if system.kernel is not None:
+        taus, w, _ = quadrature_window(grid, sigma)
         kmat = system.eval_kernel(sigma, taus)
         out = out + np.einsum("t,tij,tj->i", w, kmat, z_at(taus))
     return out
@@ -233,7 +189,7 @@ def shift_commutation_residual(
     t0 = -grid.history_points * grid.step
 
     def apply_operator(sigma, shift):
-        # L{z(. + shift)}(sigma): trapezoid memory window, off-node values by
+        # L{z(. + shift)}(sigma): the grid's memory window, off-node values by
         # piecewise-cubic interpolation of the samples
         def z_at(times):
             return interp_uniform(z, t0, grid.step, np.asarray(times) + shift)

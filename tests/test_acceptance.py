@@ -63,8 +63,8 @@ def dec_kernel():
     # truncation depth for a 1e-10 tail bound: theta ln(|b| theta / eps)
     depth = 0.3 * np.log(9.0 * 0.3 / 1e-10)
     system, meta = exp_kernel(depth=depth)
-    grid = PeriodicGrid(meta["period"], 96, depth)
-    dec = floquet_spectrum(system, grid, modes=2, quadrature="simpson")
+    grid = PeriodicGrid(meta["period"], 96, depth, "simpson")
+    dec = floquet_spectrum(system, grid, modes=2)
     return system, grid, dec, meta["augmented_matrix"]
 
 
@@ -101,15 +101,15 @@ def test_criterion_4_exponential_kernel_equivalence(dec_kernel):
 def test_criterion_5_floquet_form_verification(dec_scalar, dec_constant,
                                                dec_delay, dec_kernel):
     cases = [
-        ("scalar", dec_scalar[0], dec_scalar[1], dec_scalar[2], 1e-6, "trapezoid"),
-        ("constant", dec_constant[0], dec_constant[1], dec_constant[2], 1e-6, "trapezoid"),
-        ("delay", dec_delay[0], dec_delay[1], dec_delay[2], 1e-3, "trapezoid"),
-        ("kernel", dec_kernel[0], dec_kernel[1], dec_kernel[2], 1e-3, "simpson"),
+        ("scalar", dec_scalar[0], dec_scalar[1], dec_scalar[2], 1e-6),
+        ("constant", dec_constant[0], dec_constant[1], dec_constant[2], 1e-6),
+        ("delay", dec_delay[0], dec_delay[1], dec_delay[2], 1e-3),
+        ("kernel", dec_kernel[0], dec_kernel[1], dec_kernel[2], 1e-3),
     ]
     worst = []
     ok = True
-    for name, system, grid, dec, bound, quad in cases:
-        rep = verify_floquet_form(system, grid, dec, quadrature=quad)
+    for name, system, grid, dec, bound in cases:
+        rep = verify_floquet_form(system, grid, dec)
         res = max(rep.shift_residual, rep.max_residual)
         worst.append(f"{name} {res:.1e}<{bound:.0e}")
         ok = ok and res <= bound

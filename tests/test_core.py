@@ -6,10 +6,9 @@ from gfloquet import (
     ResolutionError, StateSegment, difference_kernel, shift_commutation_residual,
     step_integrate, tabulated_coefficient, validate_system,
 )
-from gfloquet.grid import interp_uniform, periodic_interp
+from gfloquet.grid import interp_uniform, periodic_interp, quadrature_window
 from gfloquet.integrate import propagate_history
-from gfloquet.builtins import delay_pi_over_2
-from gfloquet.system import apply_memory, array_form, evaluate, quadrature_window
+from gfloquet.system import array_form, evaluate
 
 
 def test_grid_basic_fields():
@@ -127,27 +126,31 @@ def test_delay_tap_requires_positive_delay():
 
 
 def test_kernel_window_weights_integrate_constant():
-    g = PeriodicGrid(1.0, 64, 0.37)
     for quadrature in ("trapezoid", "simpson"):
-        taus, w, n_uni = quadrature_window(g, 0.8, quadrature)
+        g = PeriodicGrid(1.0, 64, 0.37, quadrature)
+        taus, w, n_uni = quadrature_window(g, 0.8)
         assert np.isclose(np.sum(w), 0.37)
         assert taus[0] == pytest.approx(0.8)
         assert taus[-1] == pytest.approx(0.8 - 0.37)
 
 
 def test_quadrature_window_names():
-    with pytest.raises(ValueError, match="unknown quadrature 'gauss'"):
-        quadrature_window(PeriodicGrid(1.0, 64, 0.37), 0.8, "gauss")
+    # the window follows the rule its grid names, and the refined grid keeps it
+    g = PeriodicGrid(1.0, 64, 0.37, "simpson")
+    assert g.refined(2).quadrature == "simpson"
+    simpson = quadrature_window(g, 0.8)[1]
+    trapezoid = quadrature_window(PeriodicGrid(1.0, 64, 0.37), 0.8)[1]
+    assert simpson[1] == pytest.approx(4 * g.step / 3) and trapezoid[1] == pytest.approx(g.step)
+    with pytest.raises(GridError, match="unknown quadrature 'gauss'"):
+        PeriodicGrid(1.0, 64, 0.37, "gauss")
 
 
-@pytest.mark.parametrize("system", [
-    delay_pi_over_2()[0], LinearMemorySystem(1, lambda s: np.array([[0.0]]))],
-    ids=["delay_only", "memoryless"])
-def test_apply_memory_rejects_unknown_quadrature_without_kernel(system):
-    # no kernel window is needed, but the name is still checked
-    z_at = lambda times: np.ones((len(times), 1))
-    with pytest.raises(ValueError, match="unknown quadrature 'gauss'"):
-        apply_memory(system, PeriodicGrid(1.0, 32, 1.0), 0.3, z_at, np.zeros(1), "gauss")
+@pytest.mark.parametrize("depth", [1.0, 0.0], ids=["delay_only", "memoryless"])
+def test_grid_rejects_unknown_quadrature_without_kernel(depth):
+    # no kernel window is ever built at these depths, but the name is checked
+    # once, when the grid is built
+    with pytest.raises(GridError, match="unknown quadrature 'gauss'"):
+        PeriodicGrid(1.0, 32, depth, "gauss")
 
 
 def test_step_integrate_exponential():
@@ -231,7 +234,7 @@ def test_shift_commutation_zero_system():
     assert shift_commutation_residual(sys_, g, seg) == 0.0
 
 
-def _reference_propagate(system, grid, hist0, n_steps, quadrature):
+def _reference_propagate(system, grid, hist0, n_steps):
     """Method-of-steps RK4 that interpolates every delayed value and every
     kernel window node on its own with interp_uniform and sums w_j K_j z(tau_j)
     (oracle for the taps and the folded window weights of propagate_history)."""
@@ -251,7 +254,7 @@ def _reference_propagate(system, grid, hist0, n_steps, quadrature):
             d = d + system.eval_tap(tap, sigma) @ zd
         if system.kernel is None:
             return d
-        taus, w, _ = quadrature_window(grid, sigma, quadrature)
+        taus, w, _ = quadrature_window(grid, sigma)
         kmat = system.eval_kernel(sigma, taus)
         d = d + w[0] * kmat[0] @ z
         vals = interp_uniform(hist[: known + 1], t0, h, taus[1:])
@@ -280,23 +283,23 @@ def _scalar_kernel_system():
 def test_folded_kernel_window_matches_per_node_interpolation(quadrature, depth):
     # depth 0.5 is on the node lattice, 1-3 steps give nh = 1, 2, 3 (short
     # stencils), 0.37 puts the lower endpoint between nodes
-    g = PeriodicGrid(1.0, 32, depth)
+    g = PeriodicGrid(1.0, 32, depth, quadrature)
     m = g.state_size(1)
     hist0 = np.eye(m).reshape(m, 1, m)
     system = _scalar_kernel_system()
-    got = propagate_history(system, g, hist0, 40, quadrature=quadrature)
-    ref = _reference_propagate(system, g, hist0, 40, quadrature)
+    got = propagate_history(system, g, hist0, 40)
+    ref = _reference_propagate(system, g, hist0, 40)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_folded_kernel_window_complex_column():
-    g = PeriodicGrid(1.0, 32, 0.41)
+    g = PeriodicGrid(1.0, 32, 0.41, "simpson")
     rng = np.random.default_rng(5)
     shape = (g.history_points + 1, 1, 1)
     seg = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     system = _scalar_kernel_system()
-    got = propagate_history(system, g, seg, 40, quadrature="simpson")
-    ref = _reference_propagate(system, g, seg, 40, "simpson")
+    got = propagate_history(system, g, seg, 40)
+    ref = _reference_propagate(system, g, seg, 40)
     assert got.dtype == complex
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -313,7 +316,7 @@ def test_folded_kernel_window_matrix_kernel_with_tap():
     m = g.state_size(2)
     hist0 = np.eye(m).reshape(-1, 2, m)
     got = propagate_history(system, g, hist0, 40)
-    ref = _reference_propagate(system, g, hist0, 40, "trapezoid")
+    ref = _reference_propagate(system, g, hist0, 40)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -322,11 +325,11 @@ def test_folded_kernel_window_matrix_kernel_with_tap():
 def test_unit_basis_start_matches_explicit_identity(quadrature, depth):
     # hist0=None takes the unit initial rows of the kernel window in closed
     # form; depth 1.7 outlasts the 40 steps, so every stage still reaches them
-    g = PeriodicGrid(1.0, 32, depth)
+    g = PeriodicGrid(1.0, 32, depth, quadrature)
     m = g.state_size(1)
     system = _scalar_kernel_system()
-    got = propagate_history(system, g, None, 40, quadrature=quadrature)
-    ref = propagate_history(system, g, np.eye(m).reshape(m, 1, m), 40, quadrature=quadrature)
+    got = propagate_history(system, g, None, 40)
+    ref = propagate_history(system, g, np.eye(m).reshape(m, 1, m), 40)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -341,10 +344,10 @@ def test_unit_basis_start_matrix_kernel_with_tap(quadrature, depth):
         delay_taps=(tap,),
         kernel=difference_kernel(lambda u: np.exp(-np.asarray(u) / 0.2), scale=amp),
     )
-    g = PeriodicGrid(1.0, 32, depth)
+    g = PeriodicGrid(1.0, 32, depth, quadrature)
     m = g.state_size(2)
-    got = propagate_history(system, g, None, 40, quadrature=quadrature)
-    ref = propagate_history(system, g, np.eye(m).reshape(-1, 2, m), 40, quadrature=quadrature)
+    got = propagate_history(system, g, None, 40)
+    ref = propagate_history(system, g, np.eye(m).reshape(-1, 2, m), 40)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -366,7 +369,7 @@ def test_delay_taps_match_reference_stepper(delay, unit):
     else:
         hist0 = np.random.default_rng(3).standard_normal((g.history_points + 1, 2, 3))
     got = propagate_history(system, g, None if unit else hist0, 32)
-    ref = _reference_propagate(system, g, hist0, 32, "trapezoid")
+    ref = _reference_propagate(system, g, hist0, 32)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -409,9 +412,9 @@ def test_undeclared_callbacks_only_see_scalars():
         2, spy(np.array([[0.0, 1.0], [-4.0, -0.1]])),
         delay_taps=(DelayTap(0.3, spy(np.array([[-0.2, 0.0], [0.1, -0.3]]))),),
         kernel=spy(np.array([[-0.5, 0.0], [0.2, -0.5]])))
-    grid = PeriodicGrid(1.0, 16, 0.4)
+    grid = PeriodicGrid(1.0, 16, 0.4, "simpson")
     assert validate_system(system, grid).passed
-    propagate_history(system, grid, None, 20, quadrature="simpson")
+    propagate_history(system, grid, None, 20)
     assert seen and all(np.ndim(x) == 0 and isinstance(x, (float, np.floating)) for x in seen)
 
 

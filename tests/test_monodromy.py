@@ -14,8 +14,8 @@ from gfloquet.integrate import propagate_history
 from gfloquet.builtins import delay_pi_over_2, exp_kernel, scalar_cosine
 
 
-def _grid_for(meta, n):
-    return PeriodicGrid(meta["period"], n, meta["memory_depth"])
+def _grid_for(meta, n, quadrature="trapezoid"):
+    return PeriodicGrid(meta["period"], n, meta["memory_depth"], quadrature)
 
 
 def test_monodromy_scalar_cosine():
@@ -169,9 +169,9 @@ def test_verify_delay_residuals():
 def test_verify_simpson_job_uses_simpson_operator_residual():
     # a trapezoid window in the check would read its own O(h^2) error, 5.5e-4 here
     system, meta = exp_kernel(a=2.0, b=-9.0, theta=0.3, depth=7.2)
-    grid = _grid_for(meta, 64)
-    dec = floquet_spectrum(system, grid, modes=2, quadrature="simpson")
-    rep = verify_floquet_form(system, grid, dec, quadrature="simpson")
+    grid = _grid_for(meta, 64, "simpson")
+    dec = floquet_spectrum(system, grid, modes=2)
+    rep = verify_floquet_form(system, grid, dec)
     assert len(rep.operator_residuals) >= 1
     assert max(rep.operator_residuals) < 1e-6
 
@@ -279,8 +279,8 @@ def test_monodromy_leading_rows_are_unit_shift():
     # memory deeper than the period: the first m - N*n rows only move the history
     depth = 1.6
     system, _ = exp_kernel(depth=depth)
-    grid = PeriodicGrid(1.0, 32, depth)
-    u = build_monodromy(system, grid, quadrature="simpson").matrix
+    grid = PeriodicGrid(1.0, 32, depth, "simpson")
+    u = build_monodromy(system, grid).matrix
     m, s = u.shape[0], grid.samples_per_period * system.dimension
     assert m > s
     np.testing.assert_array_equal(u[: m - s], np.eye(m)[s:])
@@ -313,16 +313,16 @@ def test_eig_leading_is_deterministic():
     # the refined operator of the floquet_kernel benchmark (m = 924), on ARPACK
     depth = 0.3 * np.log(9.0 * 0.3 / 1e-10)
     system, _ = exp_kernel(depth=depth)
-    grid = PeriodicGrid(1.0, 128, depth)
-    u = build_monodromy(system, grid, quadrature="simpson").matrix
+    grid = PeriodicGrid(1.0, 128, depth, "simpson")
+    u = build_monodromy(system, grid).matrix
     assert u.shape[0] > monodromy._DENSE_EIG_LIMIT
     first, second = (monodromy._eig_leading(u, k=32, shift=grid.samples_per_period)
                      for _ in range(2))
     np.testing.assert_array_equal(first, second)
 
 
-def _leading_multiplier_error(system, grid, exact, quadrature="trapezoid"):
-    mus = scipy.linalg.eigvals(build_monodromy(system, grid, quadrature=quadrature).matrix)
+def _leading_multiplier_error(system, grid, exact):
+    mus = scipy.linalg.eigvals(build_monodromy(system, grid).matrix)
     top = mus[np.argsort(-np.abs(mus))[: len(exact)]]
     return max(np.min(np.abs(top - mu)) for mu in exact)
 
@@ -333,7 +333,7 @@ def test_kernel_multiplier_convergence_order(quadrature, order):
     depth = 0.3 * np.log(9.0 * 0.3 / 1e-10)
     system, meta = exp_kernel(depth=depth)
     exact = np.linalg.eigvals(scipy.linalg.expm(meta["augmented_matrix"]))
-    errs = [_leading_multiplier_error(system, PeriodicGrid(1.0, n, depth), exact, quadrature)
+    errs = [_leading_multiplier_error(system, PeriodicGrid(1.0, n, depth, quadrature), exact)
             for n in (32, 64)]
     assert np.log2(errs[0] / errs[1]) > order
 
@@ -363,14 +363,13 @@ def _kernel_with_tap_system():
     )
 
 
-def _reintegrated_mode(system, grid, mu, eigenvector, quadrature):
+def _reintegrated_mode(system, grid, mu, eigenvector):
     """Samples and periodicity residual of the mode of (mu, eigenvector) with the
     eigenvector's history segment propagated over the period on its own, then
     normalized to unit max node magnitude with the leading component real."""
     n, nh = system.dimension, grid.history_points
     seg = np.asarray(eigenvector).reshape(nh + 1, n, 1)
-    z = propagate_history(system, grid, seg, grid.samples_per_period,
-                          quadrature=quadrature)[nh:, :, 0]
+    z = propagate_history(system, grid, seg, grid.samples_per_period)[nh:, :, 0]
     lam = principal_exponents(np.array([mu]), grid.period)[0]
     r = z * np.exp(-lam * np.arange(grid.samples_per_period + 1) * grid.step)[:, None]
     mag = np.linalg.norm(r, axis=1)
@@ -380,21 +379,21 @@ def _reintegrated_mode(system, grid, mu, eigenvector, quadrature):
     return r * (abs(c) / c) / mag[k], residual
 
 
-@pytest.mark.parametrize("system, grid, quadrature", [
-    (_tap_system(0.5), PeriodicGrid(1.0, 64, 0.5), "trapezoid"),
-    (_tap_system(1.0), PeriodicGrid(1.0, 64, 1.0), "trapezoid"),
-    (exp_kernel(depth=1.3)[0], PeriodicGrid(1.0, 32, 1.3), "simpson"),
-    (_kernel_with_tap_system(), PeriodicGrid(1.0, 64, 0.43), "trapezoid"),
+@pytest.mark.parametrize("system, grid", [
+    (_tap_system(0.5), PeriodicGrid(1.0, 64, 0.5)),
+    (_tap_system(1.0), PeriodicGrid(1.0, 64, 1.0)),
+    (exp_kernel(depth=1.3)[0], PeriodicGrid(1.0, 32, 1.3, "simpson")),
+    (_kernel_with_tap_system(), PeriodicGrid(1.0, 64, 0.43)),
 ], ids=["delay0.5", "delay1.0", "exp_kernel_simpson", "matrix_kernel_with_tap"])
-def test_modes_match_reintegrated_eigenvectors(system, grid, quadrature):
+def test_modes_match_reintegrated_eigenvectors(system, grid):
     # the build's unit-basis propagation combined by the eigenvector is the
     # eigenvector's own propagation, up to roundoff
-    dec = floquet_spectrum(system, grid, modes=8, quadrature=quadrature)
-    mus, vecs = scipy.linalg.eig(build_monodromy(system, grid, quadrature=quadrature).matrix)
+    dec = floquet_spectrum(system, grid, modes=8)
+    mus, vecs = scipy.linalg.eig(build_monodromy(system, grid).matrix)
     assert len(dec.modes) >= 2
     for mode in dec.modes:
         j = int(np.argmin(np.abs(mus - mode.multiplier)))
-        want, residual = _reintegrated_mode(system, grid, mus[j], vecs[:, j], quadrature)
+        want, residual = _reintegrated_mode(system, grid, mus[j], vecs[:, j])
         assert mode.samples.shape == want.shape
         np.testing.assert_allclose(mode.samples, want, rtol=0, atol=1e-12)
         assert abs(mode.periodicity_residual - residual) <= 1e-12

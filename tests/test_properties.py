@@ -6,9 +6,8 @@ from gfloquet import (
     LinearMemorySystem, PeriodicGrid, StateSegment, forced_response,
     multiplier_phases_to_k, principal_exponents, sort_multipliers,
 )
-from gfloquet.system import quadrature_window
 from gfloquet.bloch import _symmetrize_unit
-from gfloquet.grid import interp_uniform
+from gfloquet.grid import interp_uniform, quadrature_window
 
 from bloch_oracles import kronig_penney_reference
 
