@@ -24,7 +24,7 @@ from .bloch import (NonlocalPotential1D, band_scan, detect_interior_extrema,
 from .builtins import CATALOG
 from .grid import GridError, PeriodicGrid, StateSegment
 from .monodromy import ConvergenceError, floquet_spectrum, verify_floquet_form
-from .perturbation import LimitCycle, linearize, stability_verdict
+from .perturbation import LimitCycle, NonlinearMemorySystem, linearize, stability_verdict
 from .system import (InvalidSystemError, LinearMemorySystem, DelayTap, array_form,
                      difference_kernel, tabulated_coefficient, validate_system)
 
@@ -71,20 +71,25 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _section(value, name: str, kind: type = dict):
+    """A config section: a JSON object, or a JSON array when kind is list."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {'a list' if kind is list else 'an object'}, got {value!r}")
+    return value
+
+
 def _grid_size(cfg: dict, args, default: int) -> int:
     """--grid (PeriodicGrid rejects sizes below 8), else grid.samples_per_period."""
     if args.grid is not None:
         return args.grid
-    grid = cfg.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError(f"grid must be an object, got {grid!r}")
+    grid = _section(cfg.get("grid", {}), "grid")
     return _integer(grid.get("samples_per_period", default), "grid.samples_per_period", 8)
 
 
 def _tolerance(cfg: dict, args, key: str, default: float) -> float:
     """--tol, else the config's `key`; either must be positive and finite."""
     name, tol = ("--tol", args.tol) if args.tol is not None else (key, cfg.get(key, default))
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < np.inf:
+    if not _number(tol, name) > 0:
         raise ConfigError(f"{name} must be positive and finite, got {tol!r}")
     return float(tol)
 
@@ -106,8 +111,8 @@ def _write_json(out_dir: str, name: str, payload: dict):
     _atomic_write(out_dir, name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _c2l(z):  # complex -> [re, im] for JSON
-    return [float(np.real(z)), float(np.imag(z))]
+def _c2l(z):  # complex -> [re, im] for JSON, a non-finite part as null
+    return [float(x) if np.isfinite(x) else None for x in (np.real(z), np.imag(z))]
 
 
 def _builtin(spec: dict, where: str, expect):
@@ -115,9 +120,7 @@ def _builtin(spec: dict, where: str, expect):
     if name not in CATALOG:
         raise ConfigError(f"unknown builtin '{name}' in {where}; "
                           f"choose from {sorted(CATALOG)}")
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"'params' in {where} must be an object")
+    params = _section(spec.get("params", {}), f"{where}.params")
     try:
         obj, meta = CATALOG[name](**params)
     except TypeError as exc:
@@ -129,7 +132,7 @@ def _builtin(spec: dict, where: str, expect):
 
 
 def _system_from_config(cfg: dict):
-    spec = _require(cfg, "system", "config")
+    spec = _section(_require(cfg, "system", "config"), "system")
     if "builtin" in spec:
         system, meta = _builtin(spec, "system", LinearMemorySystem)
         period = _number(spec.get("period", meta.get("period", 1.0)), "system.period")
@@ -151,22 +154,24 @@ def _system_from_config(cfg: dict):
                           f"dimension {dim}")
     coefficient = tabulated_coefficient(table, period)
     taps = []
-    for i, tap in enumerate(spec.get("delay_taps", [])):
-        d = _number(_require(tap, "delay", f"delay_taps[{i}]"), f"delay_taps[{i}].delay")
-        tt = np.asarray(_require(tap, "coefficient", f"delay_taps[{i}]"), dtype=float)
+    for i, tap in enumerate(_section(spec.get("delay_taps", []), "system.delay_taps", list)):
+        where = f"system.delay_taps[{i}]"
+        tap = _section(tap, where)
+        d = _number(_require(tap, "delay", where), f"{where}.delay")
+        tt = np.asarray(_require(tap, "coefficient", where), dtype=float)
         if tt.ndim == 1:
             tt = tt.reshape(-1, 1, 1)
         taps.append(DelayTap(d, tabulated_coefficient(tt, period)))
     kernel = None
-    kspec = spec.get("kernel")
-    if kspec is not None:
-        ktype = _require(kspec, "type", "kernel")
+    if spec.get("kernel") is not None:
+        kspec = _section(spec["kernel"], "system.kernel")
+        ktype = _require(kspec, "type", "system.kernel")
         if ktype != "exponential":
             raise ConfigError(f"unsupported kernel type '{ktype}' (only 'exponential')")
-        amp = np.asarray(_require(kspec, "amplitude", "kernel"), dtype=float)
+        amp = np.asarray(_require(kspec, "amplitude", "system.kernel"), dtype=float)
         if amp.ndim == 0:
             amp = amp.reshape(1, 1)
-        theta = _number(_require(kspec, "theta", "kernel"), "kernel.theta")
+        theta = _number(_require(kspec, "theta", "system.kernel"), "system.kernel.theta")
         if theta <= 0:
             raise ConfigError("kernel theta must be positive")
         kernel = difference_kernel(lambda u: np.exp(-np.asarray(u) / theta), scale=amp)
@@ -245,10 +250,8 @@ def _read_cycle_csv(path: str, dim: int):
 
 def cmd_stability(args) -> int:
     cfg, fingerprint = _load_config(args.config)
-    spec = _require(cfg, "system", "config")
+    spec = _section(_require(cfg, "system", "config"), "system")
     nl, meta = _builtin(spec, "system", object)
-    from .perturbation import NonlinearMemorySystem
-
     if not isinstance(nl, NonlinearMemorySystem):
         raise ConfigError("stability requires a nonlinear builtin (e.g. van_der_pol)")
     times, samples = _read_cycle_csv(_require(cfg, "cycle_file", "config"), nl.dimension)
@@ -284,7 +287,7 @@ def cmd_stability(args) -> int:
 
 
 def _potential_from_config(cfg: dict) -> NonlocalPotential1D:
-    spec = _require(cfg, "potential", "config")
+    spec = _section(_require(cfg, "potential", "config"), "potential")
     if "builtin" in spec:
         pot, _ = _builtin(spec, "potential", NonlocalPotential1D)
         return pot
@@ -313,7 +316,7 @@ def cmd_bands(args) -> int:
                   f"kernel {rep.kernel_residual:.2e}, symmetry {rep.symmetry_residual:.2e}",
                   file=sys.stderr)
             return EXIT_INVALID
-    espec = _require(cfg, "energies", "config")
+    espec = _section(_require(cfg, "energies", "config"), "energies")
     count = _integer(_require(espec, "count", "energies"), "energies.count", 1)
     energies = np.linspace(_number(_require(espec, "min", "energies"), "energies.min"),
                            _number(_require(espec, "max", "energies"), "energies.max"), count)

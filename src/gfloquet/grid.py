@@ -19,9 +19,8 @@ class PeriodicGrid:
     [-memory_depth, 0] is covered by history_points extra nodes so that
     history_points * h >= memory_depth. A positive memory_depth always gets
     at least one history node, even when memory_depth / h underflows to 0.
-    quadrature names the rule of the kernel window over the memory,
-    "trapezoid" or "simpson" (see quadrature_window); every routine that
-    integrates the kernel on this grid follows it.
+    quadrature names the rule of the memory window, "trapezoid" or "simpson"
+    (see quadrature_window), which every kernel integral on this grid follows.
     """
 
     period: float

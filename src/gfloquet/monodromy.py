@@ -100,7 +100,7 @@ def sort_multipliers(mus: np.ndarray):
 
 def principal_exponents(mus: np.ndarray, period: float) -> np.ndarray:
     phase = _folded_phase(mus)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero mu gives -inf + nan i
         return (np.log(np.abs(mus)) + 1j * phase) / period
 
 

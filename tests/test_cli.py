@@ -93,6 +93,30 @@ def test_analyze_unknown_quadrature_exits_2(tmp_path, system):
     assert not out.exists()
 
 
+def test_zero_multiplier_exponents_are_strict_json(tmp_path):
+    # memory deeper than the only delay: the history nodes before the delay are
+    # never read, so the monodromy has exactly-zero multipliers, whose
+    # exponents (-inf + nan i) are written as null
+    cfg = _write(tmp_path / "c.json", {
+        "system": {"dimension": 1, "period": 1.0, "memory_depth": 0.5,
+                   "coefficient": [-0.5] * 4,
+                   "delay_taps": [{"delay": 0.25, "coefficient": [-1.0] * 4}]},
+        "grid": {"samples_per_period": 32}, "modes": 2})
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    spectrum, _ = (json.loads((out / name).read_text(), parse_constant=reject)
+                   for name in ("spectrum.json", "verify.json"))
+    zero = [e for m, e in zip(spectrum["multipliers"], spectrum["exponents"])
+            if m == [0.0, 0.0]]
+    assert zero and all(e == [None, None] for e in zero)
+    assert all(None not in e for m, e in zip(spectrum["multipliers"], spectrum["exponents"])
+               if m != [0.0, 0.0])
+
+
 def test_analyze_numerical_failure_exits_3(tmp_path, monkeypatch):
     def failing_eig(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalue iteration did not converge")
@@ -315,6 +339,14 @@ _FIELD_BASES = {
     ("bands", "unit_tol", -1),
     ("stability", "modes", 2.5),
     ("stability", "autonomous", "false"),
+    # a section that is not a JSON object (or, for the taps, a list of objects)
+    ("analyze", "system", 5),
+    ("analyze", "system.delay_taps", 5),
+    ("analyze", "system.delay_taps", [1.0]),
+    ("analyze", "system.kernel", 3),
+    ("bands", "energies", 3),
+    ("bands", "potential", [1]),
+    ("stability", "system", 5),
 ])
 def test_malformed_field_exits_2_and_names_it(tmp_path, capsys, vdp_cycle, command, path,
                                                value):

@@ -91,6 +91,15 @@ def test_limit_cycle_residual_kernel_trapezoid_error():
         assert res == pytest.approx(2 * np.pi ** 3 / 3 / n ** 2, rel=0.02)
 
 
+def test_limit_cycle_residual_kernel_follows_the_grid_rule():
+    # on a Simpson grid the kernel window no longer leaves the trapezoid's h^2
+    # error: the exact cycle reads less, and the residual falls faster
+    res = {q: [_cosine_cycle(n).residual(_KERNEL_CYCLE_SYSTEM, PeriodicGrid(1.0, n, 0.5, q))
+               for n in (64, 128)] for q in ("trapezoid", "simpson")}
+    assert all(s < t for s, t in zip(res["simpson"], res["trapezoid"]))
+    assert res["simpson"][0] / res["simpson"][1] >= 7.0
+
+
 @pytest.mark.parametrize("nl, depth", [(_DELAY_CYCLE_SYSTEM, 0.25), (_KERNEL_CYCLE_SYSTEM, 0.5)])
 def test_limit_cycle_residual_phase_distorted_negative_control(nl, depth):
     bad = _cosine_cycle(64, distortion=0.3)
