@@ -80,9 +80,9 @@ def _section(value, name: str, kind: type = dict):
 
 def _grid_size(cfg: dict, args, default: int) -> int:
     """--grid (PeriodicGrid rejects sizes below 8), else grid.samples_per_period."""
+    grid = _section(cfg.get("grid", {}), "grid")
     if args.grid is not None:
         return args.grid
-    grid = _section(cfg.get("grid", {}), "grid")
     return _integer(grid.get("samples_per_period", default), "grid.samples_per_period", 8)
 
 

@@ -311,6 +311,15 @@ def test_zero_grid_is_rejected_not_ignored(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["analyze", "bands"])
+def test_grid_section_is_checked_under_the_grid_flag(tmp_path, capsys, command):
+    cfg = _write(tmp_path / "c.json", dict(_OVERRIDE_CONFIGS[command], grid=[64]))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--grid", "32"]) == 2
+    assert "grid must be an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "bands"])
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_tol_must_be_positive_and_finite(tmp_path, capsys, command, tol):
     cfg = _write(tmp_path / "c.json", _OVERRIDE_CONFIGS[command])

@@ -147,8 +147,8 @@ def test_quadrature_window_names():
 
 @pytest.mark.parametrize("depth", [1.0, 0.0], ids=["delay_only", "memoryless"])
 def test_grid_rejects_unknown_quadrature_without_kernel(depth):
-    # no kernel window is ever built at these depths, but the name is checked
-    # once, when the grid is built
+    # a delay-only or memoryless job never builds a kernel window, but the
+    # name is checked once, when the grid is built
     with pytest.raises(GridError, match="unknown quadrature 'gauss'"):
         PeriodicGrid(1.0, 32, depth, "gauss")
 
