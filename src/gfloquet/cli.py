@@ -192,7 +192,7 @@ def cmd_analyze(args) -> int:
               file=sys.stderr)
         return EXIT_INVALID
     dec = floquet_spectrum(system, grid, modes=modes, convergence_tol=tol)
-    ver = verify_floquet_form(system, grid, dec)
+    ver = verify_floquet_form(system, dec)
     _write_json(args.out, "spectrum.json", {
         "config_fingerprint": fingerprint,
         "grid": {"period": grid.period, "samples_per_period": grid.samples_per_period,
@@ -250,6 +250,8 @@ def _read_cycle_csv(path: str, dim: int):
 
 def cmd_stability(args) -> int:
     cfg, fingerprint = _load_config(args.config)
+    if "quadrature" in cfg:
+        raise ConfigError("stability takes no 'quadrature'; its grid uses the trapezoid rule")
     spec = _section(_require(cfg, "system", "config"), "system")
     nl, meta = _builtin(spec, "system", object)
     if not isinstance(nl, NonlinearMemorySystem):

@@ -54,11 +54,16 @@ def propagate_history(
     hist0: np.ndarray | None,
     n_steps: int,
     include_forcing: bool = False,
+    resume: np.ndarray | None = None,
 ) -> np.ndarray:
     """Advance the initial history block n_steps; returns (nh+1+n_steps, n, m).
 
     hist0=None is the unit basis, m = (nh+1)*n: column j starts from the j-th
     canonical unit segment, and the kernel window multiplies computed rows only.
+    resume is a history an earlier call returned for the same system, grid,
+    hist0 and include_forcing; the call then takes n_steps further steps after
+    its last row and returns its rows followed by the new ones, bitwise equal
+    to the history of one call that takes all the steps.
     """
     n = system.dimension
     nh = grid.history_points
@@ -69,6 +74,10 @@ def propagate_history(
         hist0 = hist0[:, :, None]
     if hist0.shape[:2] != (nh + 1, n):
         raise ValueError(f"initial history has shape {hist0.shape}, expected ({nh + 1}, {n}, m)")
+    done = hist0 if resume is None else np.asarray(resume)
+    if done.shape[1:] != hist0.shape[1:] or len(done) < nh + 1:
+        raise ValueError(f"resumed history has shape {done.shape}, expected "
+                         f"(k, {n}, {hist0.shape[2]}) with k >= {nh + 1}")
     for tap in system.delay_taps:
         if tap.delay < h * (1 - 1e-9):
             raise ResolutionError(
@@ -76,26 +85,43 @@ def propagate_history(
             )
         if tap.delay > grid.memory_depth * (1 + 1e-9):
             raise ResolutionError(f"delay {tap.delay} exceeds memory depth {grid.memory_depth}")
-    dtype = np.result_type(hist0.dtype, float)
-    hist = np.zeros((nh + 1 + n_steps, n, hist0.shape[2]), dtype=dtype)
-    hist[: nh + 1] = hist0
+    start = len(done) - nh - 1  # steps taken before this call
+    dtype = np.result_type(done.dtype, float)
+    hist = np.zeros((len(done) + n_steps, n, hist0.shape[2]), dtype=dtype)
+    hist[: len(done)] = done
     use_kernel = system.kernel is not None and nh > 0
     forcing = include_forcing and system.forcing is not None
     t0 = -nh * h
-    # window nodes sigma - j*h, then the exact lower endpoint sigma - r when it
-    # is off the lattice: sigma + taus0 gives them bitwise, the weights do not
-    # depend on sigma, and node j > 0 lies offsets[j-1] steps back
-    taus0, w, n_uni = quadrature_window(grid, 0.0)
-    offsets = np.arange(1.0, len(taus0))
-    offsets[n_uni - 1 :] = grid.memory_depth / h
 
     # every stage time step*h + frac*h, frac = 0, 1/2, 1; A, each B_i and the
     # forcing are evaluated there once per propagation
-    sigmas = ((np.arange(n_steps) * h)[:, None] + np.array([0.0, 0.5, 1.0]) * h).ravel()
+    steps = np.arange(start, start + n_steps)
+    fracs = np.array([0.0, 0.5, 1.0])
+    sigmas = ((steps * h)[:, None] + fracs * h).ravel()
     a_all = system.eval_coefficient(sigmas)
     f_all = system.eval_forcing(sigmas)[:, :, None] if forcing else None
-    taps = [(tap.delay, system.eval_tap(tap, sigmas), _tap_stencils(sigmas - tap.delay, nh, h))
-            for tap in system.delay_taps]
+    taps = [(tap.delay, system.eval_tap(tap, sigmas),
+             _tap_stencils(sigmas - tap.delay, nh, h, start)) for tap in system.delay_taps]
+    if use_kernel:
+        # window nodes sigma - j*h, then the exact lower endpoint sigma - r when it
+        # is off the lattice: sigma + taus0 gives them bitwise, the weights do not
+        # depend on sigma, and node j > 0 lies offsets[j-1] steps back
+        taus0, w, n_uni = quadrature_window(grid, 0.0)
+        offsets = np.arange(1.0, len(taus0))
+        offsets[n_uni - 1 :] = grid.memory_depth / h
+        # at a stage frac steps past stored row `known`, node j's cubic stencil sits
+        # at known + frac - offsets[j-1]. For the grid-aligned nodes that is exact,
+        # and once 4 rows are stored their stencils are the same relative to known:
+        # set up once per frac. The endpoint's rounding moves with known, so its
+        # stencils are set up for all stages in one call.
+        ref = max(nh, 3)
+        aligned = [_cubic_weights(ref + frac - offsets[: n_uni - 1], ref + 1) for frac in fracs]
+        aligned = [(k0 - ref, c) for k0, c in aligned]
+        short = 3 * max(0, 3 - nh - start)  # stages with fewer than 4 rows stored
+        knowns = np.repeat(nh + steps, 3)[short:, None]
+        end_k0, end_c = _cubic_weights(knowns + np.tile(fracs, n_steps)[short:, None]
+                                       - offsets[n_uni - 1 :], knowns + 1)
+        slots = {}
 
     def stage(i, known, frac):
         # the right-hand side at stage time i, frac steps past stored row `known`,
@@ -110,11 +136,20 @@ def propagate_history(
             wk = w[:, None, None] * system.eval_kernel(sigma, sigma + taus0)
             # the nodes' cubic interpolation weights fold into w_j K_j, so the rest of
             # the integral is one weight row times a contiguous block of stored rows
-            k0, c = _cubic_weights(known + frac - offsets, known + 1)
+            if i < short:  # the full-degree stencil through every stored row
+                k0, c = _cubic_weights(known + frac - offsets, known + 1)
+            else:
+                k0 = np.concatenate([known + aligned[i % 3][0], end_k0[i - short]])
+                c = np.concatenate([aligned[i % 3][1], end_c[i - short]])
             lo = int(k0.min())
-            # one bincount sums in the order of one np.add.at per stencil slot
-            slot = (k0 - lo + np.arange(c.shape[1])[:, None])[:, :, None] * n * n + np.arange(n * n)
-            g = np.bincount(slot.ravel(), (c.T[:, :, None, None] * wk[1:]).ravel(),
+            # one bincount sums in the order of one np.add.at per stencil slot; the
+            # endpoint, when there is one, is the lowest node, so the slots depend
+            # on the stage only through frac, known - lo and the stencil width
+            key = (i % 3, known - lo, c.shape[1])
+            if key not in slots:
+                slots[key] = ((k0 - lo + np.arange(c.shape[1])[:, None])[:, :, None] * n * n
+                              + np.arange(n * n)).ravel()
+            g = np.bincount(slots[key], (c.T[:, :, None, None] * wk[1:]).ravel(),
                             (known + 1 - lo) * n * n).reshape(-1, n, n).transpose(1, 0, 2)
             # unit initial rows: row j's weight goes to columns j*n .. j*n+n-1
             cut = max(lo, nh + 1) if unit else lo
@@ -134,12 +169,12 @@ def propagate_history(
         return rhs
 
     for step in range(n_steps):
-        known = nh + step
+        known = nh + start + step
         if step % (_BLOCK // 3) == 0:
             # the solution has a derivative kink where the initial history ends, so
             # a lookup before it reads the initial history only; the next _BLOCK
-            # stage times' are made in one interpolation, blocked so that its
-            # temporaries do not grow with the propagation
+            # stage times' are made in one interpolation, blocked (from this call's
+            # first step on) so that its temporaries do not grow with the propagation
             block = [interp_uniform(hist[: nh + 1], t0, h, sigmas[3 * step : 3 * step + _BLOCK] - d)
                      for d, _, _ in taps]
         hist[known + 1] = rk4_step(lambda frac: stage(3 * step + int(2 * frac), known, frac),
@@ -147,13 +182,14 @@ def propagate_history(
     return hist
 
 
-def _tap_stencils(taus: np.ndarray, nh: int, h: float) -> list:
-    """Per delayed stage time tau (three per step): None when tau <= 0, else the
-    hist rows and cubic weights, shaped for one `_gather`, of its lookup among
-    the rows computed by then (the full-degree fallback while fewer than 4)."""
+def _tap_stencils(taus: np.ndarray, nh: int, h: float, start: int) -> list:
+    """Per delayed stage time tau (three per step, from step `start` on): None
+    when tau <= 0, else the hist rows and cubic weights, shaped for one `_gather`,
+    of its lookup among the rows computed by then (the full-degree fallback
+    while fewer than 4)."""
     out = [None] * len(taus)
     late = np.flatnonzero(~(taus <= 0.0))
-    rows = late // 3 + 1  # computed rows from the one at tau = 0 on
+    rows = start + late // 3 + 1  # computed rows from the one at tau = 0 on
     few = rows < 4
     for i, r in zip(late[few], rows[few]):
         k0, c = _cubic_weights(taus[i : i + 1] / h, int(r))

@@ -60,12 +60,20 @@ class PeriodicMode:
 
 @dataclass(frozen=True)
 class FloquetDecomposition:
+    """The spectrum of the operator built on `grid`, and that operator.
+
+    operator is kept so that verify_floquet_form can continue its unit-basis
+    propagation instead of repeating it; verify refuses a decomposition
+    without one (None).
+    """
+
     multipliers: np.ndarray  # sorted: |mu| descending, ties by ascending phase
     exponents: np.ndarray  # principal branch, Im in (-pi/Sigma, pi/Sigma]
     converged: np.ndarray  # bool per multiplier (two-grid agreement)
     modes: tuple  # PeriodicMode for the leading retained multipliers
     p_retained: int
     grid: PeriodicGrid
+    operator: MonodromyOperator | None = field(default=None, repr=False)
 
     @property
     def retained(self) -> np.ndarray:
@@ -183,6 +191,7 @@ def floquet_spectrum(
         modes=tuple(mode_list),
         p_retained=p_retained,
         grid=grid,
+        operator=operator,
     )
 
 
@@ -241,17 +250,27 @@ def _mode_operator_residual(system, grid, mode: PeriodicMode) -> float:
 
 def verify_floquet_form(
     system: LinearMemorySystem,
-    grid: PeriodicGrid,
     decomposition: FloquetDecomposition,
 ) -> VerificationReport:
     """Check the three decomposition identities: the period-shift relation
     X(s+Sigma) = X(s) C over one period, periodicity of the stored modes, and
-    the reduced equation satisfied by each periodic part."""
+    the reduced equation satisfied by each periodic part, on the
+    decomposition's grid.
+
+    The shift relation needs the unit basis propagated over two periods; the
+    first is the decomposition's operator, so only the second is propagated
+    here. system must be the one the decomposition was computed for; a
+    decomposition without an operator raises ValueError.
+    """
+    operator = decomposition.operator
+    if operator is None:
+        raise ValueError("the decomposition keeps no monodromy operator to continue")
+    grid = decomposition.grid
     n = system.dimension
     nh = grid.history_points
     m = grid.state_size(n)
     big_n = grid.samples_per_period
-    hist = propagate_history(system, grid, None, 2 * big_n, include_forcing=False)
+    hist = propagate_history(system, grid, None, big_n, resume=operator.history)
     u = hist[big_n : big_n + nh + 1].reshape(m, m)
     u_norm = max(float(np.linalg.norm(u)), 1e-300)
     # the segments s_k = hist[k : k+nh+1] overlap, so every s_k @ u is a block

@@ -109,7 +109,7 @@ def test_criterion_5_floquet_form_verification(dec_scalar, dec_constant,
     worst = []
     ok = True
     for name, system, grid, dec, bound in cases:
-        rep = verify_floquet_form(system, grid, dec)
+        rep = verify_floquet_form(system, dec)
         res = max(rep.shift_residual, rep.max_residual)
         worst.append(f"{name} {res:.1e}<{bound:.0e}")
         ok = ok and res <= bound

@@ -165,6 +165,20 @@ def test_stability_van_der_pol(tmp_path, vdp_cycle):
     assert rep["decisive_magnitude"] < 1.0
 
 
+@pytest.mark.parametrize("quadrature", ["gauss", "simpson"])
+def test_stability_quadrature_exits_2(tmp_path, capsys, vdp_cycle, quadrature):
+    # any value is refused, a name analyze accepts too
+    period, samples = vdp_cycle
+    _cycle_csv(tmp_path / "cycle.csv", period, samples)
+    cfg = _write(tmp_path / "c.json", {
+        "system": {"builtin": "van_der_pol"}, "cycle_file": str(tmp_path / "cycle.csv"),
+        "period": period, "grid": {"samples_per_period": 192}, "quadrature": quadrature})
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 2
+    assert "stability takes no 'quadrature'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stability_dimension_mismatch(tmp_path, vdp_cycle):
     period, samples = vdp_cycle
     _cycle_csv(tmp_path / "cycle.csv", period, samples[:, :1])  # drop a column

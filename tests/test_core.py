@@ -374,6 +374,48 @@ def test_delay_taps_match_reference_stepper(delay, unit):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _deep_tap_kernel_system():
+    taps = (DelayTap(0.23, lambda s: np.array([[0.1, 0.0], [0.2 * np.sin(2 * np.pi * s), -0.1]])),
+            DelayTap(2.13, lambda s: np.array([[-0.3, 0.1], [0.0, -0.2 * np.cos(2 * np.pi * s)]])))
+    return LinearMemorySystem(
+        2, lambda s: np.array([[0.0, 1.0], [-1.0 - 0.3 * np.cos(2 * np.pi * s), -0.1]]),
+        delay_taps=taps,
+        kernel=difference_kernel(lambda u: np.exp(-np.asarray(u) / 0.2),
+                                 scale=np.array([[-0.5, 0.2], [0.1, -0.3]])),
+    )
+
+
+@pytest.mark.parametrize("quadrature", ["trapezoid", "simpson"])
+@pytest.mark.parametrize("n_steps", [40, 64])
+@pytest.mark.parametrize("unit", [True, False])
+def test_resumed_propagation_equals_one_call_bitwise(quadrature, n_steps, unit):
+    # 40 steps end inside a 16-step block of initial-history tap lookups; after
+    # either resume the 2.13 tap still reads the initial history, the 0.23 tap
+    # reads computed rows, and the window's lower endpoint (depth 2.2) is off
+    # the lattice
+    g = PeriodicGrid(1.0, 32, 2.2, quadrature)
+    system = _deep_tap_kernel_system()
+    hist0 = None
+    if not unit:
+        rng = np.random.default_rng(n_steps)
+        shape = (g.history_points + 1, 2, 3)
+        hist0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    whole = propagate_history(system, g, hist0, 2 * n_steps)
+    first = propagate_history(system, g, hist0, n_steps)
+    resumed = propagate_history(system, g, hist0, n_steps, resume=first)
+    assert resumed.dtype == whole.dtype
+    assert np.array_equal(resumed, whole)
+    assert np.array_equal(resumed[: len(first)], first)
+
+
+def test_resume_rejects_a_history_of_other_columns():
+    g = PeriodicGrid(1.0, 32, 0.5)
+    system = _scalar_kernel_system()
+    first = propagate_history(system, g, None, 8)
+    with pytest.raises(ValueError, match="resumed history"):
+        propagate_history(system, g, np.ones((g.history_points + 1, 1, 2)), 8, resume=first)
+
+
 def _stage_times(n_steps):
     # the stage times step*h + frac*h that propagate_history evaluates at
     h = 1.0 / n_steps

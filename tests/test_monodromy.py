@@ -151,7 +151,7 @@ def test_verify_constant_matrix_residuals():
     system = LinearMemorySystem(2, lambda s: a)
     grid = PeriodicGrid(1.0, 128, 0.0)
     dec = floquet_spectrum(system, grid, modes=2)
-    rep = verify_floquet_form(system, grid, dec)
+    rep = verify_floquet_form(system, dec)
     assert rep.shift_residual < 1e-8
     assert rep.max_residual < 1e-6
 
@@ -160,7 +160,7 @@ def test_verify_delay_residuals():
     system, meta = delay_pi_over_2()
     grid = _grid_for(meta, 256)
     dec = floquet_spectrum(system, grid, modes=2)
-    rep = verify_floquet_form(system, grid, dec)
+    rep = verify_floquet_form(system, dec)
     assert rep.shift_residual <= 1e-3
     assert max(rep.mode_periodicity_residuals) <= 1e-3
     assert max(rep.operator_residuals) <= 1e-3
@@ -171,9 +171,19 @@ def test_verify_simpson_job_uses_simpson_operator_residual():
     system, meta = exp_kernel(a=2.0, b=-9.0, theta=0.3, depth=7.2)
     grid = _grid_for(meta, 64, "simpson")
     dec = floquet_spectrum(system, grid, modes=2)
-    rep = verify_floquet_form(system, grid, dec)
+    rep = verify_floquet_form(system, dec)
     assert len(rep.operator_residuals) >= 1
     assert max(rep.operator_residuals) < 1e-6
+
+
+def test_verify_refuses_a_decomposition_without_operator():
+    # verify continues the kept operator's propagation and builds none itself
+    from dataclasses import replace
+
+    system, meta = scalar_cosine()
+    dec = floquet_spectrum(system, _grid_for(meta, 64), modes=1)
+    with pytest.raises(ValueError, match="no monodromy operator"):
+        verify_floquet_form(system, replace(dec, operator=None))
 
 
 def test_verify_corrupted_mode_negative_control():
@@ -185,7 +195,7 @@ def test_verify_corrupted_mode_negative_control():
     sig = np.arange(grid.samples_per_period + 1) * grid.step
     bad_mode = replace(dec.modes[0], samples=dec.modes[0].samples * np.exp(sig)[:, None])
     bad = replace(dec, modes=(bad_mode,))
-    rep = verify_floquet_form(system, grid, bad)
+    rep = verify_floquet_form(system, bad)
     assert max(rep.operator_residuals) > 1e-1
 
 

@@ -67,6 +67,20 @@ BUILTIN_CONFIGS = {
                        {"delay": 0.03, "coefficient": [[[-0.4, 0.0], [0.0, -0.2]],
                                                        [[-0.3, 0.1], [0.0, -0.3]]] * 2}]},
         "grid": {"samples_per_period": 64}, "modes": 2}),
+    # N = 40 is not a multiple of propagate_history's 16-step tap blocks, so
+    # verify resumes the coarse build off a block boundary
+    "exp_kernel_n40": ("analyze", {"system": {"builtin": "exp_kernel"},
+                                   "grid": {"samples_per_period": 40}, "modes": 2,
+                                   "quadrature": "simpson"}),
+    # kernel windows 1, 2 and 3 steps deep keep fewer than 4 rows in the first
+    # steps (the full-degree stencils); 2.5 steps adds an off-lattice endpoint
+    **{f"table_kernel_{name}": ("analyze", {
+        "system": {"dimension": 1, "period": 1.0, "memory_depth": steps / 32,
+                   "coefficient": [-0.6, -0.3, 0.1, -0.2, -0.5, -0.8],
+                   "kernel": {"type": "exponential", "theta": 0.1, "amplitude": -2.0}},
+        "grid": {"samples_per_period": 32}, "modes": 2, "tolerance": 1e-2})
+       for name, steps in (("1_step", 1), ("2_steps", 2), ("3_steps", 3),
+                           ("offlattice", 2.5))},
     "kronig_penney": ("bands", {"potential": {"builtin": "kronig_penney"},
                                 "energies": {"min": 0.5, "max": 40.0, "count": 24}}),
     "separable_nonlocal": ("bands", {"potential": {"builtin": "separable_nonlocal"},
