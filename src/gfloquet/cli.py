@@ -229,6 +229,8 @@ def cmd_analyze(args) -> int:
 
 
 def _read_cycle_csv(path: str, dim: int):
+    if not isinstance(path, str):  # open() would take a number as a file descriptor
+        raise ConfigError(f"cycle_file must be a path string, got {path!r}")
     try:
         with open(path, newline="") as fh:
             rows = [r for r in csv.reader(fh) if r]
@@ -238,6 +240,8 @@ def _read_cycle_csv(path: str, dim: int):
         [float(v) for v in rows[0]]
     except (IndexError, ValueError):
         rows = rows[1:]  # a first row that is not numeric is a header
+    if len({len(r) for r in rows}) > 1:
+        raise ConfigError(f"rows of cycle file {path} differ in length")
     try:
         data = np.asarray([[float(v) for v in r] for r in rows])
     except ValueError as exc:

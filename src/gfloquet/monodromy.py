@@ -232,19 +232,13 @@ def _mode_operator_residual(system, grid, mode: PeriodicMode) -> float:
     dr = periodic_derivative(r, h)
 
     def w_at(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         return periodic_interp(r, grid.period, taus) * np.exp(lam * taus)[:, None]
 
     sigmas = np.arange(big_n) * h
     a = system.eval_coefficient(sigmas).astype(complex)
-    b = [system.eval_tap(tap, sigmas) for tap in system.delay_taps]
-    res = 0.0
-    for k in range(big_n):
-        s = k * h
-        lw = a[k] @ (r[k] * np.exp(lam * s))
-        lw = apply_memory(system, grid, s, w_at, lw, [bi[k] for bi in b])
-        resid = dr[k] + lam * r[k] - np.exp(-lam * s) * lw
-        res = max(res, float(np.max(np.abs(resid))))
+    lw = (a @ (r * np.exp(lam * sigmas)[:, None])[:, :, None])[:, :, 0]
+    lw = apply_memory(system, grid, sigmas, w_at, lw)
+    res = float(np.max(np.abs(dr + lam * r - np.exp(-lam * sigmas)[:, None] * lw)))
     return res / max(float(np.abs(mode.samples).max()), 1e-300)
 
 

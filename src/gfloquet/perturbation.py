@@ -69,16 +69,12 @@ class LimitCycle:
         memory = LinearMemorySystem(self.dimension, None, nl.delay_taps, nl.kernel)
 
         def g_at(taus):
-            taus = np.atleast_1d(np.asarray(taus, dtype=float))
             return np.array([nl.memory_field(yt, tau) for yt, tau in zip(self.at(taus), taus)])
 
-        res = 0.0
-        for k in range(y.shape[0]):
-            t = k * h
-            rhs = np.asarray(nl.vector_field(y[k], t), dtype=float)
-            rhs = apply_memory(memory, grid, t, g_at, rhs)
-            res = max(res, float(np.max(np.abs(dy[k] - rhs))))
-        return res
+        t = np.arange(y.shape[0]) * h
+        rhs = np.array([nl.vector_field(yk, tk) for yk, tk in zip(y, t)], dtype=float)
+        rhs = apply_memory(memory, grid, t, g_at, rhs)
+        return float(np.max(np.abs(dy - rhs)))
 
 
 def _fd_jacobian(func, y, t, fd_step):

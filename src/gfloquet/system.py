@@ -12,6 +12,9 @@ from .grid import (PeriodicGrid, StateSegment, interp_uniform, periodic_interp,
                    quadrature_window)
 
 VALIDATION_TOL = 1e-10
+# apply_memory takes the kernel windows of about this many lookups at a time:
+# all nodes at once, their stencils raised the peak RSS of repeated analyze jobs
+_LOOKUPS = 4096
 
 
 class InvalidSystemError(ValueError):
@@ -154,22 +157,28 @@ def validate_system(system: LinearMemorySystem, grid: PeriodicGrid) -> Validatio
     return ValidationReport(passed, coeff_res, tap_res, kern_res, bound, tuple(msgs))
 
 
-def apply_memory(system: LinearMemorySystem, grid: PeriodicGrid, sigma: float, z_at: Callable,
-                 out: np.ndarray, taps=None) -> np.ndarray:
-    """Return out plus the memory part of L{z}(sigma): the delay taps, then the
-    kernel integral over the grid's quadrature window.
+def apply_memory(system: LinearMemorySystem, grid: PeriodicGrid, sigmas: np.ndarray,
+                 z_at: Callable, out: np.ndarray) -> np.ndarray:
+    """Return out plus the memory part of L{z} at each of sigmas, one row per
+    sigma: the delay taps, then the kernel integral over the grid's quadrature
+    window.
 
-    z_at maps a 1-d array of times to the values of z there, one row per time.
-    taps holds B_i(sigma), one per delay tap, when the caller has them already.
+    sigmas is a 1-d array of times; z_at maps a 1-d array of times to the
+    values of z there, one row per time.
     """
-    if taps is None:
-        taps = [system.eval_tap(tap, sigma) for tap in system.delay_taps]
-    for tap, b in zip(system.delay_taps, taps):
-        out = out + b @ z_at([sigma - tap.delay])[0]
+    for tap in system.delay_taps:
+        out = out + (system.eval_tap(tap, sigmas) @ z_at(sigmas - tap.delay)[:, :, None])[:, :, 0]
     if system.kernel is not None:
-        taus, w, _ = quadrature_window(grid, sigma)
-        kmat = system.eval_kernel(sigma, taus)
-        out = out + np.einsum("t,tij,tj->i", w, kmat, z_at(taus))
+        # sigma + taus0 is bitwise the window sigma - j*h of quadrature_window(grid, sigma)
+        taus0, w, _ = quadrature_window(grid, 0.0)
+        step = max(1, _LOOKUPS // len(taus0))
+        terms = []
+        for part in np.split(sigmas, range(step, len(sigmas), step)):
+            taus = part[:, None] + taus0
+            kmat = np.array([system.eval_kernel(s, t) for s, t in zip(part, taus)])
+            zs = z_at(taus.ravel()).reshape(taus.shape + (-1,))
+            terms.append(np.einsum("t,stij,stj->si", w, kmat, zs))
+        out = out + np.concatenate(terms)
     return out
 
 
@@ -188,21 +197,17 @@ def shift_commutation_residual(
     z = hist[:, :, 0]
     t0 = -grid.history_points * grid.step
 
-    def apply_operator(sigma, shift):
-        # L{z(. + shift)}(sigma): the grid's memory window, off-node values by
-        # piecewise-cubic interpolation of the samples
+    def apply_operator(sigmas, shift):
+        # L{z(. + shift)} at sigmas: the grid's memory window, off-node values
+        # by piecewise-cubic interpolation of the samples
         def z_at(times):
-            return interp_uniform(z, t0, grid.step, np.asarray(times) + shift)
+            return interp_uniform(z, t0, grid.step, times + shift)
 
-        out = system.eval_coefficient(sigma) @ z_at([sigma])[0]
-        return apply_memory(system, grid, sigma, z_at, out)
+        out = (system.eval_coefficient(sigmas) @ z_at(sigmas)[:, :, None])[:, :, 0]
+        return apply_memory(system, grid, sigmas, z_at, out)
 
-    res = 0.0
-    for s in grid.period_nodes:
-        lhs = apply_operator(s, sig)
-        rhs = apply_operator(s + sig, 0.0)
-        res = max(res, float(np.max(np.abs(lhs - rhs))))
-    return res
+    nodes = grid.period_nodes
+    return float(np.max(np.abs(apply_operator(nodes, sig) - apply_operator(nodes + sig, 0.0))))
 
 
 def tabulated_coefficient(samples: np.ndarray, period: float) -> Callable:

@@ -139,6 +139,27 @@ def test_read_cycle_csv_header_only_if_not_numeric(tmp_path, first, header):
         assert times[0] == float(first.split(",")[0])
 
 
+@pytest.mark.parametrize("value", [0, True, 5])
+def test_stability_cycle_file_must_be_a_string(tmp_path, capsys, value):
+    # open() takes an integer or a bool as a file descriptor: 0 would read
+    # stdin, True would read fd 1 and close it
+    cfg = _write(tmp_path / "c.json", {
+        "system": {"builtin": "van_der_pol"}, "cycle_file": value, "period": 6.0})
+    assert main(["stability", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "cycle_file must be a path string" in capsys.readouterr().err
+    os.fstat(1)
+    print("stdout still open")
+    assert capsys.readouterr().out == "stdout still open\n"
+
+
+def test_stability_cycle_rows_of_different_length_exit_2(tmp_path, capsys):
+    (tmp_path / "cycle.csv").write_text("0.0,1.0,2.0\n0.5,3.0\n1.0,1.0,2.0\n")
+    cfg = _write(tmp_path / "c.json", {
+        "system": {"builtin": "van_der_pol"}, "cycle_file": str(tmp_path / "cycle.csv")})
+    assert main(["stability", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "differ in length" in capsys.readouterr().err
+
+
 def _cycle_csv(path, period, samples):
     ts = np.linspace(0.0, period, len(samples))
     with open(path, "w", newline="") as fh:

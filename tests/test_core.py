@@ -8,7 +8,7 @@ from gfloquet import (
 )
 from gfloquet.grid import interp_uniform, periodic_interp, quadrature_window
 from gfloquet.integrate import propagate_history
-from gfloquet.system import array_form, evaluate
+from gfloquet.system import apply_memory, array_form, evaluate
 
 
 def test_grid_basic_fields():
@@ -234,6 +234,14 @@ def test_shift_commutation_zero_system():
     assert shift_commutation_residual(sys_, g, seg) == 0.0
 
 
+def test_shift_commutation_of_a_non_finite_system_is_nan():
+    # a NaN at every node must not read as a residual of 0
+    sys_ = LinearMemorySystem(1, lambda s: np.array([[np.nan]]))
+    g = PeriodicGrid(1.0, 32, 0.25)
+    seg = StateSegment(g, np.ones((g.history_points + 1, 1)))
+    assert np.isnan(shift_commutation_residual(sys_, g, seg))
+
+
 def _reference_propagate(system, grid, hist0, n_steps):
     """Method-of-steps RK4 that interpolates every delayed value and every
     kernel window node on its own with interp_uniform and sums w_j K_j z(tau_j)
@@ -414,6 +422,44 @@ def test_resume_rejects_a_history_of_other_columns():
     first = propagate_history(system, g, None, 8)
     with pytest.raises(ValueError, match="resumed history"):
         propagate_history(system, g, np.ones((g.history_points + 1, 1, 2)), 8, resume=first)
+
+
+def _reference_apply_memory(system, grid, sigmas, z_at, out):
+    """apply_memory one sigma at a time: B_i(sigma) z(sigma - d_i) for each tap,
+    then the kernel sum over quadrature_window(grid, sigma)."""
+    rows = []
+    for sigma, row in zip(sigmas, out):
+        for tap in system.delay_taps:
+            row = row + system.eval_tap(tap, sigma) @ z_at(np.array([sigma - tap.delay]))[0]
+        if system.kernel is not None:
+            taus, w, _ = quadrature_window(grid, sigma)
+            row = row + np.einsum("t,tij,tj->i", w, system.eval_kernel(sigma, taus), z_at(taus))
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("quadrature", ["trapezoid", "simpson"])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("big_n", [32, 256])
+def test_apply_memory_equals_per_node_reference_bitwise(quadrature, dtype, big_n):
+    # the 0.23 and 2.13 taps and the window's lower endpoint (depth 0.37) are
+    # all off the node lattice; at N = 256 the 96-node windows of the 257
+    # nodes are looked up in several blocks, the last one short
+    g = PeriodicGrid(1.0, big_n, 0.37, quadrature)
+    system = _deep_tap_kernel_system()
+    rng = np.random.default_rng(11)
+    samples = rng.standard_normal((big_n, 2)).astype(dtype)
+    out = rng.standard_normal((big_n + 1, 2)).astype(dtype)
+    if dtype is complex:
+        samples += 1j * rng.standard_normal((big_n, 2))
+        out += 1j * rng.standard_normal((big_n + 1, 2))
+
+    def z_at(times):
+        return periodic_interp(samples, g.period, times)
+
+    got = apply_memory(system, g, g.period_nodes, z_at, out)
+    assert got.dtype == dtype
+    assert np.array_equal(got, _reference_apply_memory(system, g, g.period_nodes, z_at, out))
 
 
 def _stage_times(n_steps):

@@ -67,6 +67,19 @@ BUILTIN_CONFIGS = {
                        {"delay": 0.03, "coefficient": [[[-0.4, 0.0], [0.0, -0.2]],
                                                        [[-0.3, 0.1], [0.0, -0.3]]] * 2}]},
         "grid": {"samples_per_period": 64}, "modes": 2}),
+    # n = 2 under the trapezoid rule with a 0.23 tap and a kernel window 0.37
+    # deep, both off the node lattice: verify.json's operator residual takes
+    # the tap and the window's extra endpoint node at every period node
+    "table_offlattice_tap_kernel": ("analyze", {
+        "system": {"dimension": 2, "period": 1.0, "memory_depth": 0.37,
+                   "coefficient": [[[0.0, 1.0], [a, -0.1]] for a in
+                                   (-5.0, -4.6, -3.8, -3.4, -3.8, -4.6)],
+                   "delay_taps": [{"delay": 0.23, "coefficient": [
+                       [[-0.3, 0.1], [0.0, -0.2]], [[-0.2, 0.0], [0.1, -0.3]],
+                       [[-0.1, 0.0], [0.2, -0.4]], [[-0.2, -0.1], [0.0, -0.1]]]}],
+                   "kernel": {"type": "exponential", "theta": 0.1,
+                              "amplitude": [[-0.4, 0.1], [0.2, -0.5]]}},
+        "grid": {"samples_per_period": 64}, "modes": 2}),
     # N = 40 is not a multiple of propagate_history's 16-step tap blocks, so
     # verify resumes the coarse build off a block boundary
     "exp_kernel_n40": ("analyze", {"system": {"builtin": "exp_kernel"},
