@@ -57,8 +57,6 @@ class NonlocalPotential1D:
 
     def eval_kernel(self, x: float, xp) -> np.ndarray:
         xp = np.atleast_1d(np.asarray(xp, dtype=float))
-        if self.kernel is None:
-            return np.zeros(len(xp))
         vals = np.asarray(self.kernel(x, xp), dtype=float).reshape(len(xp))
         return np.where(np.abs(xp - x) <= self.kernel_range, vals, 0.0)
 
@@ -252,7 +250,7 @@ def multiplier_phases_to_k(mus: np.ndarray, a: float) -> np.ndarray:
     """Quasimomenta k = arg(mu)/a folded into (-pi/a, pi/a]."""
     k = np.angle(mus) / a
     edge = np.pi / a
-    k = np.where(np.isclose(k, -edge, atol=1e-12), edge, k)
+    k = np.where(np.isclose(k, -edge, rtol=0.0, atol=1e-12), edge, k)
     return k
 
 

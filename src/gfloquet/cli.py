@@ -22,7 +22,7 @@ import numpy as np
 from .bloch import (NonlocalPotential1D, band_scan, detect_interior_extrema,
                     validate_potential)
 from .builtins import CATALOG
-from .grid import GridError, PeriodicGrid, StateSegment
+from .grid import GridError, PeriodicGrid
 from .monodromy import ConvergenceError, floquet_spectrum, verify_floquet_form
 from .perturbation import LimitCycle, NonlinearMemorySystem, linearize, stability_verdict
 from .system import (InvalidSystemError, LinearMemorySystem, DelayTap, array_form,
@@ -69,6 +69,24 @@ def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _table(spec: dict, key: str, where: str, shape: tuple, rows: int = 1) -> np.ndarray:
+    """spec[key]: finite JSON numbers nested as `shape`, at least `rows` along
+    its k axis; 1x1 matrices may be plain numbers (a flat list, a number)."""
+    value = _require(spec, key, where)
+    num = lambda v: [num(e) for e in v] if isinstance(v, list) else _number(v, key)
+    try:
+        table = np.array(num(value))  # a non-number fails, as do rows of unequal length
+    except ValueError:
+        table = np.empty(0)
+    if table.ndim == sum(s != 1 for s in shape) < len(shape):
+        table = table.reshape(table.shape + (1,) * (len(shape) - table.ndim))
+    if table.ndim != len(shape) or any(t < rows if s == "k" else t != s
+                                       for s, t in zip(shape, table.shape)):
+        raise ConfigError(f"{where}.{key} must be a table of finite numbers shaped "
+                          f"({', '.join(map(str, shape))})" + f", k >= {rows}" * ("k" in shape))
+    return table
 
 
 def _section(value, name: str, kind: type = dict):
@@ -146,21 +164,14 @@ def _system_from_config(cfg: dict):
         raise ConfigError(f"period must be positive, got {period}")
     if depth < 0:
         raise ConfigError(f"memory_depth must be non-negative, got {depth}")
-    table = np.asarray(_require(spec, "coefficient", "system"), dtype=float)
-    if table.ndim == 1:
-        table = table.reshape(-1, 1, 1)
-    if table.ndim != 3 or table.shape[1:] != (dim, dim):
-        raise ConfigError(f"coefficient table shape {table.shape} does not match "
-                          f"dimension {dim}")
+    table = _table(spec, "coefficient", "system", ("k", dim, dim))
     coefficient = tabulated_coefficient(table, period)
     taps = []
     for i, tap in enumerate(_section(spec.get("delay_taps", []), "system.delay_taps", list)):
         where = f"system.delay_taps[{i}]"
         tap = _section(tap, where)
         d = _number(_require(tap, "delay", where), f"{where}.delay")
-        tt = np.asarray(_require(tap, "coefficient", where), dtype=float)
-        if tt.ndim == 1:
-            tt = tt.reshape(-1, 1, 1)
+        tt = _table(tap, "coefficient", where, ("k", dim, dim))
         taps.append(DelayTap(d, tabulated_coefficient(tt, period)))
     kernel = None
     if spec.get("kernel") is not None:
@@ -168,9 +179,7 @@ def _system_from_config(cfg: dict):
         ktype = _require(kspec, "type", "system.kernel")
         if ktype != "exponential":
             raise ConfigError(f"unsupported kernel type '{ktype}' (only 'exponential')")
-        amp = np.asarray(_require(kspec, "amplitude", "system.kernel"), dtype=float)
-        if amp.ndim == 0:
-            amp = amp.reshape(1, 1)
+        amp = _table(kspec, "amplitude", "system.kernel", (dim, dim))
         theta = _number(_require(kspec, "theta", "system.kernel"), "system.kernel.theta")
         if theta <= 0:
             raise ConfigError("kernel theta must be positive")
@@ -300,10 +309,7 @@ def _potential_from_config(cfg: dict) -> NonlocalPotential1D:
     a = _number(_require(spec, "lattice_constant", "potential"), "potential.lattice_constant")
     local = None
     if "local_table" in spec:
-        table = np.asarray(spec["local_table"], dtype=float)
-        if table.ndim != 1 or len(table) < 4:
-            raise ConfigError("local_table must be a flat list of at least 4 samples")
-        ev = tabulated_coefficient(table, a)
+        ev = tabulated_coefficient(_table(spec, "local_table", "potential", ("k",), 4), a)
         local = array_form(lambda x: ev(x)[..., 0, 0])
     return NonlocalPotential1D(a, local=local)
 

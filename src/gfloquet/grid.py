@@ -61,34 +61,34 @@ class PeriodicGrid:
         """Nodes of one period, [0, h, ..., period]."""
         return np.arange(self.samples_per_period + 1) * self.step
 
-    def refined(self, factor: int = 2) -> "PeriodicGrid":
-        return PeriodicGrid(self.period, self.samples_per_period * factor, self.memory_depth,
+    def refined(self) -> "PeriodicGrid":
+        return PeriodicGrid(self.period, self.samples_per_period * 2, self.memory_depth,
                             self.quadrature)
 
     def state_size(self, dimension: int) -> int:
         return dimension * (self.history_points + 1)
 
 
-def quadrature_window(grid: PeriodicGrid, sigma: float):
-    """Nodes/weights of the grid's quadrature rule on the moving window [sigma - r, sigma].
+def quadrature_window(grid: PeriodicGrid):
+    """Nodes/weights of the grid's quadrature rule on the memory window [-r, 0];
+    node sigma's window has the nodes sigma + taus (bitwise sigma - j*h, sigma - r).
 
     Returns (taus, weights, n_uniform): the first n_uniform nodes are the
-    grid-aligned points sigma - j*h (so that during stepping every interior
-    node refers to already-known history); an extra node at the exact lower
-    endpoint sigma - r is appended when the aligned nodes stop short of it,
-    and that remainder is closed with a trapezoid. "trapezoid" covers the
-    aligned nodes with the trapezoid rule; "simpson", given at least 4 history
-    points, covers [sigma - M*h, sigma] with M even by composite Simpson,
-    leaving a remainder at most two steps wide, where an admissible kernel is
-    near its truncation floor.
+    grid-aligned points -j*h (so that during stepping every interior node
+    refers to already-known history); an extra node at the exact lower
+    endpoint -r is appended when the aligned nodes stop short of it, and that
+    remainder is closed with a trapezoid. "trapezoid" covers the aligned nodes
+    with the trapezoid rule; "simpson", given at least 4 history points,
+    covers [-M*h, 0] with M even by composite Simpson, leaving a remainder at
+    most two steps wide, where an admissible kernel is near its truncation floor.
     """
     r = grid.memory_depth
     h = grid.step
     nh = grid.history_points
     if nh == 0 or r == 0.0:
-        return np.array([sigma]), np.array([0.0]), 1
+        return np.array([0.0]), np.array([0.0]), 1
     if nh == 1:
-        taus = np.array([sigma, sigma - r])
+        taus = np.array([0.0, -r])
         return taus, np.array([r / 2.0, r / 2.0]), 1
     if grid.quadrature == "simpson" and nh >= 4:
         m = nh - 1 if (nh - 1) % 2 == 0 else nh - 2
@@ -102,10 +102,10 @@ def quadrature_window(grid: PeriodicGrid, sigma: float):
         w = np.full(m + 1, h)
         w[0] = h / 2.0
         w[-1] = h / 2.0
-    taus = sigma - np.arange(m + 1) * h
+    taus = 0.0 - np.arange(m + 1) * h
     bottom = r - m * h
     if bottom > 1e-12 * h:
-        taus = np.append(taus, sigma - r)
+        taus = np.append(taus, -r)
         w[-1] += bottom / 2.0
         w = np.append(w, bottom / 2.0)
     return taus, w, m + 1
@@ -127,10 +127,6 @@ class StateSegment:
         if not np.all(np.isfinite(samples)):
             raise GridError("segment samples must be finite")
         object.__setattr__(self, "samples", samples)
-
-    @property
-    def dimension(self) -> int:
-        return self.samples.shape[1]
 
 
 def _lagrange4(u: np.ndarray) -> np.ndarray:

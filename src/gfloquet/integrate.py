@@ -56,7 +56,7 @@ def propagate_history(
     include_forcing: bool = False,
     resume: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Advance the initial history block n_steps; returns (nh+1+n_steps, n, m).
+    """Advance the initial history hist0, (nh+1, n, m), n_steps; returns (nh+1+n_steps, n, m).
 
     hist0=None is the unit basis, m = (nh+1)*n: column j starts from the j-th
     canonical unit segment, and the kernel window multiplies computed rows only.
@@ -70,9 +70,7 @@ def propagate_history(
     h = grid.step
     unit = hist0 is None
     hist0 = np.eye(grid.state_size(n)).reshape(nh + 1, n, -1) if unit else np.asarray(hist0)
-    if hist0.ndim == 2:
-        hist0 = hist0[:, :, None]
-    if hist0.shape[:2] != (nh + 1, n):
+    if hist0.ndim != 3 or hist0.shape[:2] != (nh + 1, n):
         raise ValueError(f"initial history has shape {hist0.shape}, expected ({nh + 1}, {n}, m)")
     done = hist0 if resume is None else np.asarray(resume)
     if done.shape[1:] != hist0.shape[1:] or len(done) < nh + 1:
@@ -104,9 +102,8 @@ def propagate_history(
              _tap_stencils(sigmas - tap.delay, nh, h, start)) for tap in system.delay_taps]
     if use_kernel:
         # window nodes sigma - j*h, then the exact lower endpoint sigma - r when it
-        # is off the lattice: sigma + taus0 gives them bitwise, the weights do not
-        # depend on sigma, and node j > 0 lies offsets[j-1] steps back
-        taus0, w, n_uni = quadrature_window(grid, 0.0)
+        # is off the lattice; node j > 0 lies offsets[j-1] steps back
+        taus0, w, n_uni = quadrature_window(grid)
         offsets = np.arange(1.0, len(taus0))
         offsets[n_uni - 1 :] = grid.memory_depth / h
         # at a stage frac steps past stored row `known`, node j's cubic stencil sits

@@ -15,6 +15,7 @@ DEFAULT_CONVERGENCE_TOL = 1e-4
 DEFAULT_MODES = 8
 _DENSE_EIG_LIMIT = 900
 _TIE_RTOL = 1e-12  # relative magnitude gap below which multipliers tie
+_MAX_DOUBLINGS = 60  # of the kernel tail's blocks, and of the truncation depth
 
 
 class ConvergenceError(RuntimeError):
@@ -122,24 +123,20 @@ def build_monodromy(
     return MonodromyOperator(hist, grid)
 
 
-def _eig_leading(matrix: np.ndarray, k: int, shift: int = 0) -> np.ndarray:
-    """Leading-magnitude eigenvalues; dense for small operators, ARPACK otherwise.
-
-    A monodromy operator over N steps of n components (shift = N*n) reaches
-    ARPACK as its first m - shift rows, eye(m)[shift:], plus X = matrix[m - shift:].
-    When ARPACK does not converge, the full dense spectrum is returned.
-    """
-    m = matrix.shape[0]
+def _eig_leading(operator: MonodromyOperator, k: int) -> np.ndarray:
+    """Leading-magnitude eigenvalues of the operator's matrix; dense for small
+    operators, ARPACK otherwise. Over N steps of n components the first m - s
+    rows, s = min(N*n, m), only shift the history, eye(m)[s:], so ARPACK sees
+    them as a shift plus X = matrix[m - s:]. When ARPACK does not converge, the
+    full dense spectrum is returned."""
+    matrix, m = operator.matrix, operator.size
     if m <= _DENSE_EIG_LIMIT or k >= m - 2:
         return scipy.linalg.eigvals(matrix)
     from scipy.sparse import linalg as sla  # loaded only for operators this large
 
-    op = matrix  # shift 0: no known structure
-    if shift > 0:
-        s = min(shift, m)  # memory shorter than the period: every row is computed
-        op = sla.LinearOperator(
-            matrix.shape, matvec=lambda x: np.concatenate([x[s:], matrix[m - s:] @ x]),
-            dtype=matrix.dtype)
+    s = min(operator.grid.samples_per_period * operator.history.shape[1], m)
+    op = sla.LinearOperator(matrix.shape, dtype=matrix.dtype,
+                            matvec=lambda x: np.concatenate([x[s:], matrix[m - s:] @ x]))
     try:
         # a fixed start vector: ARPACK's own is drawn from a process-global state
         return sla.eigs(
@@ -162,9 +159,8 @@ def floquet_spectrum(
     discretization eigenvalues drift under refinement and stay unflagged."""
     operator = build_monodromy(system, grid)
     mus, vecs = scipy.linalg.eig(operator.matrix)
-    op_f = build_monodromy(system, grid.refined(2))
-    mus_f = _eig_leading(op_f.matrix, k=max(4 * modes, 32),
-                         shift=op_f.grid.samples_per_period * system.dimension)
+    op_f = build_monodromy(system, grid.refined())
+    mus_f = _eig_leading(op_f, k=max(4 * modes, 32))
 
     order = sort_multipliers(mus)
     mus = mus[order]
@@ -283,23 +279,18 @@ def verify_floquet_form(
 
 def truncate_infinite_kernel(
     system: LinearMemorySystem,
-    reference_amplitude,
+    reference_amplitude: float,
     eps: float,
     grid: PeriodicGrid,
-    max_doublings: int = 60,
 ) -> float:
     """Smallest grid-aligned memory depth r such that the tail of the system's
-    kernel beyond r (Frobenius norm), weighted by the periodic reference
-    amplitude, integrates below eps."""
+    kernel beyond r (Frobenius norm), times the reference amplitude,
+    integrates below eps."""
     if system.kernel is None:
         raise ValueError("the system has no kernel to truncate")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if callable(reference_amplitude):
-        bound = reference_amplitude
-    else:
-        amp = float(reference_amplitude)
-        bound = lambda taus: np.full(np.shape(taus), amp)
+    amp = float(reference_amplitude)
     h = grid.step
     sigmas = grid.period_nodes[:: max(1, grid.samples_per_period // 16)]
 
@@ -310,10 +301,9 @@ def truncate_infinite_kernel(
             total = 0.0
             width = max(grid.period, r, 1.0)
             converged = False
-            for _ in range(max_doublings):
+            for _ in range(_MAX_DOUBLINGS):
                 xs = np.linspace(upper - width, upper, 129)
-                g = (np.linalg.norm(system.eval_kernel(sigma, xs), axis=(1, 2))
-                     * np.asarray(bound(xs), dtype=float))
+                g = np.linalg.norm(system.eval_kernel(sigma, xs), axis=(1, 2)) * amp
                 block = float(np.sum((xs[1:] - xs[:-1]) * (g[1:] + g[:-1]) / 2.0))
                 total += block
                 if block < eps * 1e-3:
@@ -331,7 +321,7 @@ def truncate_infinite_kernel(
     if tail(0.0) < eps:
         return 0.0
     r = h
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         if tail(r) < eps:
             break
         r *= 2.0

@@ -4,7 +4,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -54,10 +54,6 @@ class LinearMemorySystem:
         if self.dimension < 1:
             raise InvalidSystemError("dimension must be >= 1")
         object.__setattr__(self, "delay_taps", tuple(self.delay_taps))
-
-    @property
-    def has_memory(self) -> bool:
-        return bool(self.delay_taps) or self.kernel is not None
 
     def eval_coefficient(self, sigma) -> np.ndarray:  # sigma scalar or 1-d (see evaluate)
         return evaluate(self.coefficient, sigma, (self.dimension,) * 2, "A")
@@ -136,8 +132,9 @@ def validate_system(system: LinearMemorySystem, grid: PeriodicGrid) -> Validatio
     kern_res = 0.0
     bound = 0.0
     if system.kernel is not None:
+        taus0, w, _ = quadrature_window(grid)
         for s in grid.period_nodes:
-            taus, w, _ = quadrature_window(grid, s)
+            taus = s + taus0
             k0 = system.eval_kernel(s, taus)
             k1 = system.eval_kernel(s + sig, taus + sig)
             if not (np.all(np.isfinite(k0)) and np.all(np.isfinite(k1))):
@@ -169,8 +166,7 @@ def apply_memory(system: LinearMemorySystem, grid: PeriodicGrid, sigmas: np.ndar
     for tap in system.delay_taps:
         out = out + (system.eval_tap(tap, sigmas) @ z_at(sigmas - tap.delay)[:, :, None])[:, :, 0]
     if system.kernel is not None:
-        # sigma + taus0 is bitwise the window sigma - j*h of quadrature_window(grid, sigma)
-        taus0, w, _ = quadrature_window(grid, 0.0)
+        taus0, w, _ = quadrature_window(grid)
         step = max(1, _LOOKUPS // len(taus0))
         terms = []
         for part in np.split(sigmas, range(step, len(sigmas), step)):

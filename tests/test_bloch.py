@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from gfloquet import (
-    InvalidSystemError, NonlocalPotential1D, PeriodicGrid, band_scan,
+    BandDiagram, BandRecord, InvalidSystemError, NonlocalPotential1D, PeriodicGrid, band_scan,
     bloch_multipliers_collocation, cell_collocation_matrices,
     detect_interior_extrema, fixed_k_energies, local_cell_monodromy,
     multiplier_phases_to_k, propagating_multipliers, validate_potential,
@@ -346,3 +346,13 @@ def test_local_band_scan_callback_failure_fails_every_record():
     diagram = band_scan(NonlocalPotential1D(1.0, local=boom), [1.0, 2.0, 3.0], GRID)
     assert all(r.failed and r.message == "boom" for r in diagram.records)
     assert len(diagram.records) == 3
+
+
+def test_band_maximum_from_two_sheets_dying_together():
+    # two sheets born at E = 0 about k = 1.1 (a minimum), drawn together at
+    # E = 0.5 and gone at E = 1 (a maximum at the last energy they were seen)
+    records = (BandRecord(0.0, (1.0, 1.2), 2, ()), BandRecord(0.5, (1.05, 1.15), 2, ()),
+               BandRecord(1.0, (), 0, ()))
+    found = detect_interior_extrema(BandDiagram(1.0, records))
+    assert [(e.band_index, e.energy_star) for e in found] == [(0, 0.0), (0, 0.5)]
+    assert all(e.k_star == pytest.approx(1.1, abs=1e-12) for e in found)

@@ -432,11 +432,20 @@ _MEMORY_BASE = {"system": {"dimension": 1, "period": 1.0, "memory_depth": 0.5,
     ("stability", "wrap_tol", "1e-6", "wrap_tol"),
     ("stability", "fd_step", True, "fd_step"),
     ("stability", "grid", [192], "grid"),
+    # a table: a non-empty list of finite numbers, in its documented shape
+    ("analyze", "system.coefficient", [], "system.coefficient"),
+    ("analyze", "system.coefficient", [True, False, True, False], "system.coefficient"),
+    ("analyze", "system.delay_taps.0.coefficient", [], "system.delay_taps[0].coefficient"),
+    ("analyze", "system.delay_taps.0.coefficient", ["-0.5"] * 4,
+     "system.delay_taps[0].coefficient"),
+    ("analyze", "system.kernel.amplitude", [-9.0], "system.kernel.amplitude"),
+    ("bands", "potential", {"lattice_constant": 1.0, "local_table": ["1", "2", "3", "4"]},
+     "potential.local_table"),
 ])
 def test_number_fields_take_json_numbers_only(tmp_path, capsys, vdp_cycle, command, path,
                                               value, name):
-    # a bool or a string is not read as a number, and a grid that is not an
-    # object is an invalid config, not a crash
+    # a bool or a string is not read as a number, a table is not reshaped, and
+    # a grid that is not an object is an invalid config, not a crash
     cfg = json.loads(json.dumps(_MEMORY_BASE if command == "analyze" else _FIELD_BASES[command]))
     if command == "stability":
         _cycle_csv(tmp_path / "cycle.csv", *vdp_cycle)
@@ -450,6 +459,26 @@ def test_number_fields_take_json_numbers_only(tmp_path, capsys, vdp_cycle, comma
     assert main([command, "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)]) == 2
     assert name in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bands_local_table_constant_potential(tmp_path):
+    # V = 2 everywhere: the free dispersion shifted up, k = +-sqrt(E - 2)
+    cfg = _write(tmp_path / "c.json", {
+        "potential": {"lattice_constant": 1.0, "local_table": [2.0] * 8},
+        "energies": {"min": 2.5, "max": 6.0, "count": 8},
+        "grid": {"samples_per_period": 64},
+    })
+    out = tmp_path / "out"
+    assert main(["bands", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "bands.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 8
+    for row in rows:
+        energy, p = float(row[0]), int(row[1])
+        assert p == 2
+        ks = sorted(float(v) for v in row[2:2 + p])
+        np.testing.assert_allclose(ks, [-np.sqrt(energy - 2.0), np.sqrt(energy - 2.0)],
+                                   rtol=0, atol=1e-6)
 
 
 def test_memory_base_config_runs(tmp_path):

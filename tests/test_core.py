@@ -36,7 +36,7 @@ def test_grid_rejects_bad_parameters():
 
 def test_grid_refined():
     g = PeriodicGrid(1.0, 64, 0.5)
-    g2 = g.refined(2)
+    g2 = g.refined()
     assert g2.samples_per_period == 128
     assert g2.period == g.period and g2.memory_depth == g.memory_depth
 
@@ -128,7 +128,8 @@ def test_delay_tap_requires_positive_delay():
 def test_kernel_window_weights_integrate_constant():
     for quadrature in ("trapezoid", "simpson"):
         g = PeriodicGrid(1.0, 64, 0.37, quadrature)
-        taus, w, n_uni = quadrature_window(g, 0.8)
+        taus0, w, n_uni = quadrature_window(g)
+        taus = 0.8 + taus0
         assert np.isclose(np.sum(w), 0.37)
         assert taus[0] == pytest.approx(0.8)
         assert taus[-1] == pytest.approx(0.8 - 0.37)
@@ -137,9 +138,9 @@ def test_kernel_window_weights_integrate_constant():
 def test_quadrature_window_names():
     # the window follows the rule its grid names, and the refined grid keeps it
     g = PeriodicGrid(1.0, 64, 0.37, "simpson")
-    assert g.refined(2).quadrature == "simpson"
-    simpson = quadrature_window(g, 0.8)[1]
-    trapezoid = quadrature_window(PeriodicGrid(1.0, 64, 0.37), 0.8)[1]
+    assert g.refined().quadrature == "simpson"
+    simpson = quadrature_window(g)[1]
+    trapezoid = quadrature_window(PeriodicGrid(1.0, 64, 0.37))[1]
     assert simpson[1] == pytest.approx(4 * g.step / 3) and trapezoid[1] == pytest.approx(g.step)
     with pytest.raises(GridError, match="unknown quadrature 'gauss'"):
         PeriodicGrid(1.0, 64, 0.37, "gauss")
@@ -262,7 +263,8 @@ def _reference_propagate(system, grid, hist0, n_steps):
             d = d + system.eval_tap(tap, sigma) @ zd
         if system.kernel is None:
             return d
-        taus, w, _ = quadrature_window(grid, sigma)
+        taus0, w, _ = quadrature_window(grid)
+        taus = sigma + taus0
         kmat = system.eval_kernel(sigma, taus)
         d = d + w[0] * kmat[0] @ z
         vals = interp_uniform(hist[: known + 1], t0, h, taus[1:])
@@ -426,13 +428,14 @@ def test_resume_rejects_a_history_of_other_columns():
 
 def _reference_apply_memory(system, grid, sigmas, z_at, out):
     """apply_memory one sigma at a time: B_i(sigma) z(sigma - d_i) for each tap,
-    then the kernel sum over quadrature_window(grid, sigma)."""
+    then the kernel sum over the quadrature window [sigma - r, sigma]."""
     rows = []
     for sigma, row in zip(sigmas, out):
         for tap in system.delay_taps:
             row = row + system.eval_tap(tap, sigma) @ z_at(np.array([sigma - tap.delay]))[0]
         if system.kernel is not None:
-            taus, w, _ = quadrature_window(grid, sigma)
+            taus0, w, _ = quadrature_window(grid)
+            taus = sigma + taus0
             row = row + np.einsum("t,tij,tj->i", w, system.eval_kernel(sigma, taus), z_at(taus))
         rows.append(row)
     return np.array(rows)
@@ -549,3 +552,24 @@ def test_per_tau_kernel_is_not_read_as_an_array_when_len_equals_n():
         lambda u: np.exp(-np.asarray(u)), scale=np.diag([1.0, 2.0])))
     assert np.allclose(propagate_history(system, grid, None, 16),
                        propagate_history(declared, grid, None, 16), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("kernel", [False, True])
+def test_tap_lookups_among_fewer_than_four_rows_match_reference(kernel):
+    # at N = 32 the taps 0.05, 0.09 and 1/32 reach past tau = 0 within the first
+    # steps, where fewer than 4 rows are computed and the full-degree stencil is used
+    coef = lambda c: (lambda s: np.array([[c * (1.0 + 0.3 * np.sin(2 * np.pi * s))]]))
+    system = LinearMemorySystem(
+        1, lambda s: np.array([[-0.3 + 0.2 * np.cos(2 * np.pi * s)]]),
+        delay_taps=tuple(DelayTap(d, coef(c)) for d, c in ((0.05, -0.8), (0.09, 0.5),
+                                                             (1 / 32, 0.3))),
+        kernel=_scalar_kernel_system().kernel if kernel else None,
+    )
+    g = PeriodicGrid(1.0, 32, 0.09)
+    m = g.state_size(1)
+    got = propagate_history(system, g, None, 32)
+    ref = _reference_propagate(system, g, np.eye(m).reshape(m, 1, m), 32)
+    if kernel:
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    else:
+        assert np.array_equal(got, ref)

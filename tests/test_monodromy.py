@@ -213,7 +213,7 @@ def test_two_period_semigroup():
     # single-period error estimated against a refined grid
     from gfloquet.grid import interp_uniform
 
-    g2 = grid.refined(2)
+    g2 = grid.refined()
     h0f = interp_uniform(h0.reshape(-1, 1), -grid.memory_depth, grid.step,
                          np.linspace(-g2.memory_depth, 0.0, g2.history_points + 1))
     fine = step_integrate(system, g2, StateSegment(g2, h0f),
@@ -267,12 +267,16 @@ def test_truncate_harmonic_tail_raises():
     grid = PeriodicGrid(1.0, 64, 1.0)
     kernel = difference_kernel(lambda u: 1.0 / (np.asarray(u) + 1.0))
     with pytest.raises(NonTruncatableError):
-        truncate_infinite_kernel(_kernel_system(kernel), 1.0, 1e-8, grid, max_doublings=25)
+        truncate_infinite_kernel(_kernel_system(kernel), 1.0, 1e-8, grid)
 
 
 def test_eig_leading_dense_fallback_on_partial_arpack(monkeypatch):
     rng = np.random.default_rng(11)
     mat = rng.standard_normal((40, 40))
+    # the matrix of an operator over N = 8 steps with nh + 1 = 40 history rows
+    hist = np.zeros((48, 1, 40))
+    hist[8:, 0] = mat
+    op = monodromy.MonodromyOperator(hist, PeriodicGrid(1.0, 8, 39 / 8))
 
     def no_convergence(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence(
@@ -280,7 +284,7 @@ def test_eig_leading_dense_fallback_on_partial_arpack(monkeypatch):
 
     monkeypatch.setattr(monodromy, "_DENSE_EIG_LIMIT", 10)
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
-    mus = monodromy._eig_leading(mat, k=8)
+    mus = monodromy._eig_leading(op, k=8)
     assert len(mus) == 40
     np.testing.assert_allclose(np.sort_complex(mus), np.sort_complex(scipy.linalg.eigvals(mat)))
 
@@ -300,7 +304,8 @@ def test_eig_leading_shift_structured_matches_dense(monkeypatch):
     depth = 2.3
     system, _ = exp_kernel(depth=depth)
     grid = PeriodicGrid(1.0, 32, depth)
-    u = build_monodromy(system, grid).matrix
+    op = build_monodromy(system, grid)
+    u = op.matrix
     seen = []
     eigs = scipy.sparse.linalg.eigs
 
@@ -310,7 +315,7 @@ def test_eig_leading_shift_structured_matches_dense(monkeypatch):
 
     monkeypatch.setattr(monodromy, "_DENSE_EIG_LIMIT", 10)
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", spy)
-    got = monodromy._eig_leading(u, k=6, shift=grid.samples_per_period)
+    got = monodromy._eig_leading(op, k=6)
     assert isinstance(seen[0], scipy.sparse.linalg.LinearOperator)
     assert len(got) == 6  # ARPACK converged; no dense fallback
     dense = scipy.linalg.eigvals(u)
@@ -324,10 +329,10 @@ def test_eig_leading_is_deterministic():
     depth = 0.3 * np.log(9.0 * 0.3 / 1e-10)
     system, _ = exp_kernel(depth=depth)
     grid = PeriodicGrid(1.0, 128, depth, "simpson")
-    u = build_monodromy(system, grid).matrix
+    op = build_monodromy(system, grid)
+    u = op.matrix
     assert u.shape[0] > monodromy._DENSE_EIG_LIMIT
-    first, second = (monodromy._eig_leading(u, k=32, shift=grid.samples_per_period)
-                     for _ in range(2))
+    first, second = (monodromy._eig_leading(op, k=32) for _ in range(2))
     np.testing.assert_array_equal(first, second)
 
 

@@ -19,7 +19,7 @@ def variation_of_constants_response(
     """Independent cross-check for the memoryless case: z = X(s) c0 +
     int_0^s X(s) X(eta)^-1 b(eta) deta, with the transition matrix from an
     adaptive integrator and the convolution by Simpson quadrature."""
-    if grid.history_points != 0 or system.has_memory:
+    if grid.history_points != 0 or system.delay_taps or system.kernel is not None:
         raise ValueError("variation-of-constants form requires a memoryless system")
     n = system.dimension
     n_steps = int(round(span / grid.step))
@@ -289,3 +289,26 @@ def test_exponent_class_reconstruction_invariance():
     shift = 2j * np.pi / grid.period
     z2 = (mode.samples[:, 0] * np.exp(-shift * sig)) * np.exp((lam + shift) * sig)
     assert np.max(np.abs(z1 - z2)) < 1e-8
+
+
+def test_linearize_carries_the_kernel_onto_the_jacobian_of_g():
+    # g(y) = y^2 about y = 1 + 0.5 cos 2 pi t: the linearized kernel is K 2 y(tau)
+    ts = np.linspace(0.0, 1.0, 257)
+    cycle = LimitCycle(1.0, (1.0 + 0.5 * np.cos(2 * np.pi * ts)).reshape(-1, 1))
+    kern = lambda t, taus: np.exp(-(t - np.asarray(taus)) / 0.3)
+    nl = NonlinearMemorySystem(1, lambda y, t: -y, memory_field=lambda y, t: y ** 2,
+                               kernel=kern, memory_depth=0.5)
+    lin = linearize(nl, cycle)
+    for t in (0.0, 0.37, 0.9):
+        taus = t - np.linspace(0.0, 0.5, 23)
+        want = kern(t, taus) * 2.0 * (1.0 + 0.5 * np.cos(2 * np.pi * taus))
+        got = lin.eval_kernel(t, taus)[:, 0, 0]
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+def test_verdict_groups_equal_exponents_into_one_class():
+    # the double multiplier 0.5 shares one exponent; -0.3 is a class of its own
+    rep = stability_verdict(_dec_from_multipliers([0.5, 0.5, -0.3]))
+    assert sorted(len(cls) for cls in rep.exponent_classes) == [1, 2]
+    double = next(cls for cls in rep.exponent_classes if len(cls) == 2)
+    assert all(mu == pytest.approx(0.5) for _, mu in double)

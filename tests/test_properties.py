@@ -79,7 +79,8 @@ def test_interpolation_reproduces_cubics(coeffs, query):
 @settings(max_examples=60, deadline=None)
 def test_kernel_window_weights_sum_to_depth(depth, n):
     grid = PeriodicGrid(1.0, n, depth)
-    taus, weights, _ = quadrature_window(grid, 0.4)
+    taus0, weights, _ = quadrature_window(grid)
+    taus = 0.4 + taus0
     # trapezoid weights integrate 1 exactly over the window [sigma - r, sigma]
     assert abs(np.sum(weights) - depth) < 1e-12 * max(depth, 1.0)
     assert np.all(np.diff(taus) < 0)  # window walks backward from sigma
@@ -113,6 +114,7 @@ def test_forced_response_linearity(w1, w2, span_scale):
 @given(st.lists(st.floats(min_value=-np.pi, max_value=np.pi), min_size=1, max_size=8),
        st.floats(min_value=0.2, max_value=5.0))
 @settings(max_examples=80, deadline=None)
+@example(phases=[-np.pi + 2e-5], a=2.5)  # inside the zone edge: kept, not folded to +pi/a
 def test_phase_folding_range(phases, a):
     mus = np.exp(1j * np.array(phases))
     ks = multiplier_phases_to_k(mus, a)
