@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .grid import PeriodicGrid
 from .integrate import rk4_step
@@ -164,6 +163,8 @@ def cell_collocation_matrices(pot: NonlocalPotential1D, energy: float, n_nodes: 
 def bloch_multipliers_collocation(pot: NonlocalPotential1D, energy: float, n_nodes: int):
     """All finite multipliers of the quadratic pencil via companion
     linearization: [[B0, Bm], [I, 0]] z = mu [[-Bp, 0], [0, I]] z."""
+    import scipy.linalg  # numpy has no generalized eig; other paths leave scipy unloaded
+
     bm, b0, bp = cell_collocation_matrices(pot, energy, n_nodes)
     n = b0.shape[0]
     lhs = np.block([[b0, bm], [np.eye(n), np.zeros((n, n))]])

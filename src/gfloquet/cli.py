@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -65,10 +66,16 @@ def _integer(value, name: str, minimum: int) -> int:
 
 
 def _number(value, name: str) -> float:
-    """A JSON number: not a bool, not a string, and finite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+    """A JSON number: not a bool, not a string, and finite as a float."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # a JSON integer beyond float range
+            pass
+    if not math.isfinite(number):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _table(spec: dict, key: str, where: str, shape: tuple, rows: int = 1) -> np.ndarray:

@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .grid import PeriodicGrid, periodic_derivative, periodic_interp
 from .integrate import propagate_history
@@ -131,8 +130,8 @@ def _eig_leading(operator: MonodromyOperator, k: int) -> np.ndarray:
     full dense spectrum is returned."""
     matrix, m = operator.matrix, operator.size
     if m <= _DENSE_EIG_LIMIT or k >= m - 2:
-        return scipy.linalg.eigvals(matrix)
-    from scipy.sparse import linalg as sla  # loaded only for operators this large
+        return np.linalg.eigvals(matrix).astype(complex, copy=False)
+    from scipy.sparse import linalg as sla  # scipy is loaded only for operators this large
 
     s = min(operator.grid.samples_per_period * operator.history.shape[1], m)
     op = sla.LinearOperator(matrix.shape, dtype=matrix.dtype,
@@ -145,7 +144,7 @@ def _eig_leading(operator: MonodromyOperator, k: int) -> np.ndarray:
         )
     except sla.ArpackNoConvergence:
         # a partial set would leave leading multipliers without a partner
-        return scipy.linalg.eigvals(matrix)
+        return np.linalg.eigvals(matrix).astype(complex, copy=False)
 
 
 def floquet_spectrum(
@@ -158,7 +157,8 @@ def floquet_spectrum(
     converged the multipliers that persist under grid refinement. Spurious
     discretization eigenvalues drift under refinement and stay unflagged."""
     operator = build_monodromy(system, grid)
-    mus, vecs = scipy.linalg.eig(operator.matrix)
+    # numpy returns a real spectrum as float64; the cast to complex is exact
+    mus, vecs = (a.astype(complex, copy=False) for a in np.linalg.eig(operator.matrix))
     op_f = build_monodromy(system, grid.refined())
     mus_f = _eig_leading(op_f, k=max(4 * modes, 32))
 

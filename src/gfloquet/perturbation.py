@@ -103,8 +103,11 @@ def linearize(
         raise ValueError(f"fd_step {fd_step} outside (0, 1e-2*|y|]")
     n = cycle.dimension
 
-    def coefficient(t):
-        return _fd_jacobian(nl.vector_field, cycle.at(t)[0], t, fd_step)
+    @array_form
+    def coefficient(t):  # one cycle lookup for all times, then the per-point Jacobians
+        jacs = np.array([_fd_jacobian(nl.vector_field, y, s, fd_step)
+                         for y, s in zip(cycle.at(t), np.atleast_1d(t))])
+        return jacs if np.ndim(t) else jacs[0]
 
     def g_jacobian(t):
         return _fd_jacobian(nl.memory_field, cycle.at(t)[0], t, fd_step)

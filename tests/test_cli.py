@@ -6,9 +6,8 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from gfloquet.cli import _read_cycle_csv, main
+from gfloquet.cli import ConfigError, _number, _read_cycle_csv, main
 
 
 def _write(path, payload):
@@ -121,7 +120,7 @@ def test_analyze_numerical_failure_exits_3(tmp_path, monkeypatch):
     def failing_eig(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalue iteration did not converge")
 
-    monkeypatch.setattr(scipy.linalg, "eig", failing_eig)
+    monkeypatch.setattr(np.linalg, "eig", failing_eig)
     cfg = _write(tmp_path / "c.json", {
         "system": {"builtin": "scalar_cosine"}, "grid": {"samples_per_period": 32}})
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
@@ -441,6 +440,11 @@ _MEMORY_BASE = {"system": {"dimension": 1, "period": 1.0, "memory_depth": 0.5,
     ("analyze", "system.kernel.amplitude", [-9.0], "system.kernel.amplitude"),
     ("bands", "potential", {"lattice_constant": 1.0, "local_table": ["1", "2", "3", "4"]},
      "potential.local_table"),
+    # a JSON integer beyond float range
+    pytest.param("analyze", "system.period", 10 ** 400, "system.period",
+                 id="analyze-system.period-1e400-system.period"),
+    pytest.param("analyze", "system.coefficient", [10 ** 400] * 4, "system.coefficient",
+                 id="analyze-system.coefficient-1e400-system.coefficient"),
 ])
 def test_number_fields_take_json_numbers_only(tmp_path, capsys, vdp_cycle, command, path,
                                               value, name):
@@ -488,10 +492,46 @@ def test_memory_base_config_runs(tmp_path):
     assert (out / "spectrum.json").exists()
 
 
-def test_cli_import_leaves_unused_scipy_out():
-    code = ("import sys, gfloquet.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.sparse.linalg') if m in sys.modules))")
+def test_json_integer_beyond_int64_is_read_as_a_float(tmp_path):
+    assert _number(10 ** 23, "period") == 1e23
+    with pytest.raises(ConfigError, match="period"):
+        _number(10 ** 400, "period")
+    cfg = _write(tmp_path / "c.json", {"system": {"builtin": "scalar_cosine"}, "modes": 1,
+                                       "tolerance": 10 ** 23})
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+_SCIPY_LOADED = ("import sys; from gfloquet.cli import main; code = main(sys.argv[1:]); "
+                 "print(code, sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))")
+
+
+def _run_fresh(code, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                         check=True)
-    assert res.stdout.strip() == "[]"
+    res = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         env=env, check=True)
+    return res.stdout.strip()
+
+
+def test_cli_import_leaves_unused_scipy_out():
+    assert _run_fresh("import sys, gfloquet.cli; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") == "[]"
+
+
+@pytest.mark.parametrize("command, cfg, loads_scipy", [
+    ("analyze", {"system": {"builtin": "delay_pi_over_2"}, "grid": {"samples_per_period": 32}},
+     False),
+    ("stability", {"system": {"builtin": "van_der_pol"}, "grid": {"samples_per_period": 192}},
+     False),
+    ("bands", {"potential": {"builtin": "kronig_penney"},
+               "energies": {"min": 1.0, "max": 2.0, "count": 4}}, False),
+    # numpy has no generalized eigensolver for the nonlocal pencil
+    ("bands", {"potential": {"builtin": "separable_nonlocal"},
+               "energies": {"min": 1.0, "max": 2.0, "count": 2}}, True),
+], ids=["delay_analyze", "stability", "local_bands", "nonlocal_bands"])
+def test_only_the_nonlocal_pencil_loads_scipy(tmp_path, vdp_cycle, command, cfg, loads_scipy):
+    if command == "stability":
+        _cycle_csv(tmp_path / "cycle.csv", *vdp_cycle)
+        cfg = dict(cfg, cycle_file=str(tmp_path / "cycle.csv"))
+    out = _run_fresh(_SCIPY_LOADED, command, "--config", _write(tmp_path / "c.json", cfg),
+                     "--out", str(tmp_path / "out"))
+    assert out == ("0 ['scipy']" if loads_scipy else "0 []")

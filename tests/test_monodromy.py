@@ -52,6 +52,9 @@ def test_spectrum_scalar_cosine():
     dec = floquet_spectrum(system, _grid_for(meta, 128), modes=2)
     assert dec.p_retained == 1
     assert abs(dec.retained[0] - np.exp(0.3)) < 1e-6
+    # a real spectrum still comes back complex, as do the modes built from it
+    assert dec.multipliers.dtype == np.complex128
+    assert [m.samples.dtype for m in dec.modes] == [np.complex128]
 
 
 def test_spectrum_constant_diagonal():

@@ -151,6 +151,23 @@ def test_linearize_jacobian_order():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
 
+def test_linearize_coefficient_array_form_equals_per_point_jacobians(vdp_cycle):
+    from gfloquet.builtins import van_der_pol
+    from gfloquet.perturbation import _fd_jacobian
+
+    nl, _ = van_der_pol()
+    period, samples = vdp_cycle
+    cycle = LimitCycle(period, samples, wrap_tol=1e-6)
+    lin = linearize(nl, cycle, fd_step=1e-6)
+    assert lin.coefficient.array_form
+    ts = np.arange(160) * (period / 128)  # the half steps of a 64-node grid, past one period
+    want = np.array([_fd_jacobian(nl.vector_field, cycle.at(t)[0], t, 1e-6) for t in ts])
+    assert np.array_equal(lin.eval_coefficient(ts), want)
+    assert np.array_equal(lin.eval_coefficient(ts[5]), want[5])
+    # a wrapper that drops the declaration calls it one point at a time
+    assert np.array_equal(lin.coefficient(ts[5]), want[5])
+
+
 def test_linearize_rejects_bad_fd_step():
     cycle = _cubic_cycle()
     nl = NonlinearMemorySystem(1, lambda y, t: np.array([-y[0]]))
