@@ -293,7 +293,7 @@ def cmd_stability(args) -> int:
     cycle = LimitCycle(period, samples, wrap_tol=_number(cfg.get("wrap_tol", 1e-6), "wrap_tol"))
     linear = linearize(nl, cycle, fd_step=_number(cfg.get("fd_step", 1e-6), "fd_step"))
     dec = floquet_spectrum(linear, grid, modes=modes, convergence_tol=tol)
-    report = stability_verdict(dec, autonomous=autonomous, cycle=cycle)
+    report = stability_verdict(dec, autonomous=autonomous)
     _write_json(args.out, "stability.json", {
         "config_fingerprint": fingerprint,
         "verdict": report.verdict,

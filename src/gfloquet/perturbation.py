@@ -97,27 +97,24 @@ def linearize(
     fd_step: float = 1e-6,
 ) -> LinearMemorySystem:
     """Central-difference Jacobians of f and g along the cycle; the memory
-    operator structure (taps, kernel) is carried over onto the linearization."""
+    operator structure (taps, kernel) is carried over onto the linearization.
+    A, each B_i and K declare `array_form`, and each call looks the cycle up
+    once over all of its points."""
     scale = float(np.abs(cycle.samples).max())
     if not (0.0 < fd_step <= 1e-2 * max(scale, 1.0)):
         raise ValueError(f"fd_step {fd_step} outside (0, 1e-2*|y|]")
     n = cycle.dimension
 
-    @array_form
-    def coefficient(t):  # one cycle lookup for all times, then the per-point Jacobians
-        jacs = np.array([_fd_jacobian(nl.vector_field, y, s, fd_step)
-                         for y, s in zip(cycle.at(t), np.atleast_1d(t))])
+    def jacobians(func, t):  # (len(t), n, n), or (n, n) at a scalar t
+        ts = np.atleast_1d(t)
+        jacs = np.array([_fd_jacobian(func, y, s, fd_step) for y, s in zip(cycle.at(ts), ts)])
         return jacs if np.ndim(t) else jacs[0]
 
-    def g_jacobian(t):
-        return _fd_jacobian(nl.memory_field, cycle.at(t)[0], t, fd_step)
-
+    coefficient = array_form(lambda t: jacobians(nl.vector_field, t))
     taps = tuple(
-        DelayTap(
-            tap.delay,
-            lambda t, tap=tap: np.atleast_2d(np.asarray(tap.coefficient(t), dtype=float))
-            @ g_jacobian(t - tap.delay),
-        )
+        DelayTap(tap.delay, array_form(
+            lambda t, tap=tap: evaluate(tap.coefficient, t, (n, n), "B")
+            @ jacobians(nl.memory_field, t - tap.delay)))
         for tap in nl.delay_taps
     )
     kernel = None
@@ -125,10 +122,9 @@ def linearize(
 
         @array_form
         def kernel(t, taus):
-            taus = np.atleast_1d(np.asarray(taus, dtype=float))
-            km = evaluate(nl.kernel, taus, (n, n), "K", t)
-            gj = np.array([g_jacobian(tau) for tau in taus])
-            return np.einsum("tij,tjk->tik", km, gj)
+            taus = np.atleast_1d(taus)
+            return np.einsum("tij,tjk->tik", evaluate(nl.kernel, taus, (n, n), "K", t),
+                             jacobians(nl.memory_field, taus))
 
     return LinearMemorySystem(n, coefficient, delay_taps=taps, kernel=kernel)
 
@@ -140,13 +136,11 @@ class StabilityReport:
     trivial_error: Optional[float]
     decisive_magnitude: float
     exponent_classes: tuple  # groups of (exponent, multiplier) with shared growth rate
-    phase_mode_shape: Optional[np.ndarray] = None  # dy_S/dt samples, for manual checks
 
 
 def stability_verdict(
     decomposition: FloquetDecomposition,
     autonomous: bool = False,
-    cycle: Optional[LimitCycle] = None,
 ) -> StabilityReport:
     """Classify the retained spectrum; for autonomous cycles the multiplier
     nearest 1 is the trivial phase mode and is excluded from the verdict."""
@@ -189,9 +183,5 @@ def stability_verdict(
                 members.append((complex(exps[j]), complex(retained[j])))
                 used[j] = True
         classes.append(tuple(members))
-    shape = None
-    if autonomous and cycle is not None:
-        y = cycle.samples[:-1]
-        shape = periodic_derivative(y, cycle.period / y.shape[0])
-    return StabilityReport(verdict, trivial_mu, trivial_err, decisive, tuple(classes), shape)
+    return StabilityReport(verdict, trivial_mu, trivial_err, decisive, tuple(classes))
 

@@ -151,21 +151,69 @@ def test_linearize_jacobian_order():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
 
-def test_linearize_coefficient_array_form_equals_per_point_jacobians(vdp_cycle):
-    from gfloquet.builtins import van_der_pol
-    from gfloquet.perturbation import _fd_jacobian
+def _memory_linearization():
+    """A 2-D system whose memory field feeds one tap and a kernel, about a
+    closed-form cycle."""
+    ts = np.linspace(0.0, 1.0, 129)
+    cycle = LimitCycle(1.0, np.stack([1.0 + 0.4 * np.cos(2 * np.pi * ts),
+                                      0.3 * np.sin(2 * np.pi * ts)], 1))
+    nl = NonlinearMemorySystem(
+        2, lambda y, t: np.array([y[1] - 0.3 * y[0] ** 3, -y[0] + 0.1 * np.cos(2 * np.pi * t)]),
+        memory_field=lambda y, t: np.array([np.tanh(y[0] + y[1]), y[0] * y[1]]),
+        delay_taps=(DelayTap(0.37, lambda t: np.array([[0.2, 0.1 * np.cos(2 * np.pi * t)],
+                                                       [0.0, -0.3]])),),
+        kernel=lambda t, taus: np.multiply.outer(np.exp(-(t - taus) / 0.3),
+                                                 np.array([[0.5, -0.2], [0.1, 0.3]])),
+        memory_depth=0.7)
+    return nl, cycle, linearize(nl, cycle, fd_step=1e-6)
 
-    nl, _ = van_der_pol()
-    period, samples = vdp_cycle
-    cycle = LimitCycle(period, samples, wrap_tol=1e-6)
-    lin = linearize(nl, cycle, fd_step=1e-6)
-    assert lin.coefficient.array_form
-    ts = np.arange(160) * (period / 128)  # the half steps of a 64-node grid, past one period
-    want = np.array([_fd_jacobian(nl.vector_field, cycle.at(t)[0], t, 1e-6) for t in ts])
-    assert np.array_equal(lin.eval_coefficient(ts), want)
-    assert np.array_equal(lin.eval_coefficient(ts[5]), want[5])
+
+@pytest.mark.parametrize("callback", ["A", "B", "K"])
+def test_linearize_coefficient_array_form_equals_per_point_jacobians(callback):
+    from gfloquet.perturbation import _fd_jacobian
+    from gfloquet.system import evaluate
+
+    nl, cycle, lin = _memory_linearization()
+    tap = nl.delay_taps[0]
+    jac = lambda func, t: _fd_jacobian(func, cycle.at(t)[0], t, 1e-6)
+    ts = np.arange(160) / 128  # the half steps of a 64-node grid, past one period
+    lead = ()
+    if callback == "A":
+        fn = lin.coefficient
+        want = np.array([jac(nl.vector_field, t) for t in ts])
+    elif callback == "B":
+        fn = lin.delay_taps[0].coefficient
+        want = np.array([tap.coefficient(t) @ jac(nl.memory_field, t - tap.delay) for t in ts])
+    else:
+        fn, lead, ts = lin.kernel, (0.3,), 0.3 - np.linspace(0.0, 0.7, 23)
+        want = np.array([np.einsum("ij,jk->ik", nl.kernel(0.3, np.array([tau]))[0],
+                                   jac(nl.memory_field, tau)) for tau in ts])
+    assert fn.array_form
+    assert np.array_equal(evaluate(fn, ts, (2, 2), callback, *lead), want)
+    assert np.array_equal(evaluate(fn, ts[5], (2, 2), callback, *lead), want[5])
     # a wrapper that drops the declaration calls it one point at a time
-    assert np.array_equal(lin.coefficient(ts[5]), want[5])
+    per_point = lambda *args: fn(*args)
+    assert np.array_equal(evaluate(per_point, ts, (2, 2), callback, *lead), want)
+
+
+def test_linearized_callbacks_look_the_cycle_up_once_per_call(monkeypatch):
+    from gfloquet.integrate import propagate_history
+
+    _, _, lin = _memory_linearization()
+    counts = {"at": 0, "eval": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(LimitCycle, "at", counted(LimitCycle.at, "at"))
+    for name in ("eval_coefficient", "eval_tap", "eval_kernel"):
+        monkeypatch.setattr(LinearMemorySystem, name,
+                            counted(getattr(LinearMemorySystem, name), "eval"))
+    propagate_history(lin, PeriodicGrid(1.0, 32, 0.7), None, 32)
+    assert counts["eval"] > 2 and counts["at"] == counts["eval"]
 
 
 def test_linearize_rejects_bad_fd_step():
@@ -231,16 +279,10 @@ def test_van_der_pol_stability(vdp_cycle):
     lin = linearize(nl, cycle, fd_step=1e-6)
     grid = PeriodicGrid(period, 256, 0.0)
     dec = floquet_spectrum(lin, grid, modes=2)
-    rep = stability_verdict(dec, autonomous=True, cycle=cycle)
+    rep = stability_verdict(dec, autonomous=True)
     assert rep.verdict == "STABLE"
     assert rep.trivial_error < 1e-3
     assert rep.decisive_magnitude < 1.0
-    assert rep.phase_mode_shape is not None
-    # trivial mode shape check: dy_S/dt should match the vector field
-    mid = len(cycle.samples) // 3
-    t_mid = mid * period / (len(cycle.samples) - 1)
-    f_mid = nl.vector_field(cycle.samples[mid], t_mid)
-    assert np.max(np.abs(rep.phase_mode_shape[mid] - f_mid)) < 1e-5
 
 
 def test_forced_scalar_textbook():

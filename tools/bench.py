@@ -11,7 +11,10 @@ so a slow phase of the host falls on all workloads rather than on one. Each
 workload then runs once with `--trace 1` at the first seed for its per-layer
 metrics. The file holds the per-seed end-to-end metrics with their median,
 quartiles and IQR, the per-layer metrics, the tier-1 result and the provenance
-of the runs (commit, CPU, library versions, BLAS threads).
+of the runs (commit, CPU, library versions, BLAS threads). A run that exits
+non-zero is listed under "failed_runs" with its exit code and the tail of its
+stderr; the summaries cover the seeds that finished, and the script exits 1
+once the file is written.
 """
 from __future__ import annotations
 
@@ -30,13 +33,19 @@ from run import _quartiles  # noqa: E402  (one IQR definition for BENCH files an
 
 SEEDS = (1, 2, 3)
 RUN_FIELDS = ("workload", "seed", "trace", "repetitions")  # per run, not per file
+STDERR_TAIL = 2000  # characters of a failed run's stderr kept in the file
 
 
 def perfbench(workload: str, seed: int, seconds: float, trace: int) -> tuple:
-    """One perfbench run: (provenance, result) parsed from its stdout."""
+    """One perfbench run: (provenance, result) parsed from its stdout, or
+    (None, failure record) when it exits non-zero."""
     cmd = [sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode:
+        return None, {"workload": workload, "seed": seed, "trace": trace,
+                      "exit_code": proc.returncode, "stderr_tail": proc.stderr[-STDERR_TAIL:]}
+    out = proc.stdout.splitlines()
     prov = next(json.loads(line.split(" ", 1)[1]) for line in out
                 if line.startswith("provenance "))
     return prov, json.loads(out[-1])
@@ -74,15 +83,31 @@ def main(argv=None) -> int:
     names = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
 
+    failed, prov = [], {}
+
+    def run(workload: str, seed: int, trace: int):
+        """The run's result, or None once its failure is recorded."""
+        nonlocal prov
+        got, result = perfbench(workload, seed, seconds, trace)
+        if got is None:
+            failed.append(result)
+            print(f"{workload} seed {seed} trace {trace}: exit {result['exit_code']}", flush=True)
+            return None
+        prov = got
+        return result
+
     runs = {w: {} for w in names}
     for seed in SEEDS:
         for workload in names:
-            prov, result = perfbench(workload, seed, seconds, 0)
-            runs[workload][seed] = result
-            print(f"{workload} seed {seed}: " + ", ".join(
-                f"{k} {m['value']:.4g}" for k, m in result["metrics"].items()), flush=True)
+            result = run(workload, seed, 0)
+            if result is not None:
+                runs[workload][seed] = result
+                print(f"{workload} seed {seed}: " + ", ".join(
+                    f"{k} {m['value']:.4g}" for k, m in result["metrics"].items()), flush=True)
     end_to_end = {}
     for workload, by_seed in runs.items():
+        if not by_seed:
+            continue
         units = {k: m["unit"] for k, m in next(iter(by_seed.values()))["metrics"].items()}
         end_to_end[workload] = {
             "per_seed": {str(s): {k: m["value"] for k, m in r["metrics"].items()}
@@ -93,26 +118,28 @@ def main(argv=None) -> int:
         }
     per_layer = {}
     for workload in names:
-        _, result = perfbench(workload, SEEDS[0], seconds, 1)
-        per_layer[workload] = result["metrics"]
-        print(f"{workload} traced at seed {SEEDS[0]}", flush=True)
+        result = run(workload, SEEDS[0], 1)
+        if result is not None:
+            per_layer[workload] = result["metrics"]
+            print(f"{workload} traced at seed {SEEDS[0]}", flush=True)
 
     doc = {
         "label": args.label,
         "provenance": dict({k: v for k, v in prov.items() if k not in RUN_FIELDS},
                            seeds=list(SEEDS), traced_seed=SEEDS[0],
                            date=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())),
-        "src_lines": prov["src_lines"],
+        "src_lines": prov.get("src_lines"),
         "end_to_end": end_to_end,
         "per_layer": per_layer,
+        "failed_runs": failed,
         "tier1": tier1(),
     }
     path = f"BENCH_{args.label}.json"
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {path}")
-    return 0
+    print(f"wrote {path}" + (f"; {len(failed)} run(s) failed" if failed else ""))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
