@@ -9,7 +9,10 @@ A nonlocal potential couples both directions in x, unlike causal time memory,
 so nonlocal kernels are solved by whole-cell collocation: with
 psi(x + a) = mu psi(x), the equation on one cell becomes the cell operator
 B(mu) = B_{-1}/mu + B_0 + mu B_{+1} (cell_collocation_matrices), whose
-quadratic eigenproblem in mu is linearized to a companion pencil. Local
+quadratic eigenproblem in mu is linearized to a pencil. The reported
+multipliers come from the companion pencil on the N-node grid; the 2N-node
+solve that confirms them uses the trimmed pencil, which leaves out the
+structurally infinite eigenvalues of B_{+1}'s zero columns. Local
 potentials, delta combs included, use the 2x2 cell transfer matrix.
 """
 from __future__ import annotations
@@ -28,6 +31,9 @@ from .system import VALIDATION_TOL, InvalidSystemError, evaluate
 _D2_STENCIL = (-1.0, 16.0, -30.0, 16.0, -1.0)  # 4th-order second derivative / 12h^2
 _VALIDATION_NODES = 64  # probe points per cell in validate_potential
 _EDGE_FRACTION = 0.03  # extrema this close to the zone boundary (in pi/a) are folding artifacts
+# |mu| beyond eps^(-1/2) is rounding on either grid (two backward-stable
+# pencils disagree about it), so such a multiplier is never confirmed
+_UNRESOLVED_MAGNITUDE = np.finfo(float).eps ** -0.5
 
 
 @dataclass(frozen=True)
@@ -173,6 +179,35 @@ def bloch_multipliers_collocation(pot: NonlocalPotential1D, energy: float, n_nod
     return mus[np.isfinite(mus)]
 
 
+def _trimmed_pencil(bm, b0, bp):
+    """Trimmed linearization of mu^2 B_{+1} + mu B_0 + B_{-1}: only the
+    nonzero columns C of B_{+1} carry a second unknown chi = mu psi_C, so
+    [[B_{-1}, 0], [0, I]] z = mu [[-B_0, -B_{+1}[:, C]], [E_C^T, 0]] z has
+    n + |C| rows and none of the companion pencil's n - |C| structurally
+    infinite eigenvalues (Byers, Mehrmann & Xu, LAA 429, 2008). Both sides
+    are Fortran-ordered, so the solve can overwrite them without a copy."""
+    cols = np.flatnonzero(np.any(bp != 0.0, axis=0))
+    n, c = b0.shape[0], cols.size
+    lhs = np.zeros((n + c, n + c), order="F")
+    rhs = np.zeros((n + c, n + c), order="F")
+    lhs[:n, :n] = bm
+    lhs[n:, n:] = np.eye(c)
+    rhs[:n, :n] = -b0
+    rhs[:n, n:] = -bp[:, cols]
+    rhs[n + np.arange(c), cols] = 1.0
+    return lhs, rhs
+
+
+def _trimmed_multipliers(pot: NonlocalPotential1D, energy: float, n_nodes: int):
+    """All finite multipliers of the trimmed pencil; they agree with the
+    companion pencil's to rounding, not bitwise."""
+    import scipy.linalg
+
+    lhs, rhs = _trimmed_pencil(*cell_collocation_matrices(pot, energy, n_nodes))
+    mus = scipy.linalg.eig(lhs, rhs, right=False, overwrite_a=True, overwrite_b=True)
+    return mus[np.isfinite(mus)]
+
+
 def fixed_k_energies(
     pot: NonlocalPotential1D, k: float, n_nodes: int, n_bands: int = 8
 ) -> np.ndarray:
@@ -216,24 +251,28 @@ def propagating_multipliers(
 ) -> PropagatingSet:
     """One-cell multiplier spectrum at fixed energy; near-unit multipliers are
     confirmed against the grid refined twofold before being reported as
-    propagating, and ordered by sort_multipliers."""
+    propagating, and ordered by sort_multipliers. For a nonlocal kernel the
+    reported multipliers solve the companion pencil on the N-node grid and
+    the confirming ones the trimmed pencil on the 2N-node grid."""
     n = grid.samples_per_period
     if pot.kernel is None:
         coarse = np.linalg.eigvals(local_cell_monodromy(pot, energy, n))
         fine = np.linalg.eigvals(local_cell_monodromy(pot, energy, 2 * n))
     else:
         coarse = bloch_multipliers_collocation(pot, energy, n)
-        fine = bloch_multipliers_collocation(pot, energy, 2 * n)
+        fine = _trimmed_multipliers(pot, energy, 2 * n)
     return _confirmed_set(energy, coarse, fine, unit_tol)
 
 
 def _confirmed_set(energy, coarse, fine, unit_tol) -> PropagatingSet:
-    """Keep the coarse multipliers the fine grid confirms; the near-unit ones,
-    deduplicated, symmetrized and sorted, are the propagating set."""
+    """Keep the coarse multipliers the fine grid confirms, none beyond
+    _UNRESOLVED_MAGNITUDE; the near-unit ones, deduplicated, symmetrized and
+    sorted, are the propagating set."""
+    fine = np.asarray(fine)
     confirmed = []
     for mu in coarse:
         d = np.min(np.abs(fine - mu)) / max(1.0, abs(mu))
-        if d <= 10 * unit_tol:
+        if d <= 10 * unit_tol and abs(mu) <= _UNRESOLVED_MAGNITUDE:
             confirmed.append(mu)
     confirmed = np.asarray(confirmed, dtype=complex)
     near_unit = confirmed[np.abs(np.abs(confirmed) - 1.0) <= unit_tol]

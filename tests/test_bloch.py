@@ -9,6 +9,7 @@ from gfloquet import (
     detect_interior_extrema, fixed_k_energies, local_cell_monodromy,
     multiplier_phases_to_k, propagating_multipliers, validate_potential,
 )
+from gfloquet.bloch import _confirmed_set, _trimmed_multipliers, _trimmed_pencil
 from gfloquet.builtins import kronig_penney, separable_nonlocal
 
 from bloch_oracles import kronig_penney_reference
@@ -139,6 +140,44 @@ def test_collocation_matches_entrywise_assembly():
             got = cell_collocation_matrices(pot, 2.5, n)
             for block, ref in zip(got, _reference_collocation(pot, 2.5, n)):
                 assert np.array_equal(block, ref)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_trimmed_pencil_keeps_the_resolved_spectrum(n):
+    pot, _ = separable_nonlocal()
+    for energy in (-12.0, -3.0, 2.5):
+        blocks = cell_collocation_matrices(pot, energy, n)
+        cols = np.flatnonzero(np.any(blocks[2] != 0.0, axis=0))
+        assert cols.size == int(0.9 * n)  # the kernel's reach past the cell edge
+        lhs, rhs = _trimmed_pencil(*blocks)
+        assert lhs.shape == rhs.shape == (n + cols.size, n + cols.size)
+        full = bloch_multipliers_collocation(pot, energy, n)
+        trimmed = _trimmed_multipliers(pot, energy, n)
+        for ours, theirs in ((full, trimmed), (trimmed, full)):
+            for mu in ours[np.abs(ours) <= 1e3]:
+                assert np.min(np.abs(theirs - mu)) <= 1e-8 * max(1.0, abs(mu))
+
+
+def test_unresolved_multiplier_is_never_confirmed():
+    # 1e9 lies within 0.5% of a fine multiplier, but beyond eps^(-1/2) both
+    # grids only round, so the match confirms nothing
+    ps = _confirmed_set(0.0, [1e9, 1.0], [1.005e9, 1.0], 1e-3)
+    assert ps.all_multipliers.tolist() == [1.0]
+
+
+# bands_nonlocal seeds 11 (energy 0) and 13 (energy 21): with one BLAS thread
+# the trimmed pencil put a rounding pair near |mu| = 1e9 within the two-grid
+# threshold of the coarse one, where the full pencil did not
+@pytest.mark.parametrize("gamma, energy", [
+    (-79.04765037396754, -13.169584515603795),
+    (-79.30713603867295, 2.94721573469719),
+])
+def test_trimmed_confirmation_matches_the_full_pencil(gamma, energy):
+    pot, _ = separable_nonlocal(gamma=gamma)
+    got = propagating_multipliers(pot, energy, GRID).all_multipliers
+    want = _confirmed_set(energy, bloch_multipliers_collocation(pot, energy, 64),
+                          bloch_multipliers_collocation(pot, energy, 128), 1e-3).all_multipliers
+    assert got.tobytes() == want.tobytes()
 
 
 def test_collocation_rejects_wide_kernel():
