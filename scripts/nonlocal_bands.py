@@ -2,7 +2,8 @@
 
 Scans propagating modes over an energy window for the built-in separable
 kernel, reports interior band extrema (absent for every local potential),
-and writes the k(E) table to CSV.
+and writes the k(E) table to CSV. The energies are solved one after another:
+both eigensolvers hold the GIL, so worker threads would not overlap them.
 """
 import argparse
 import csv
@@ -21,7 +22,6 @@ def main():
     ap.add_argument("--e-max", type=float, default=4.5)
     ap.add_argument("--count", type=int, default=110)
     ap.add_argument("--grid", type=int, default=64)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", default="nonlocal_bands.csv")
     args = ap.parse_args()
 
@@ -29,7 +29,7 @@ def main():
                  else separable_nonlocal())
     grid = PeriodicGrid(meta["lattice_constant"], args.grid, 0.0)
     energies = np.linspace(args.e_min, args.e_max, args.count)
-    diagram = band_scan(pot, energies, grid, jobs=args.jobs)
+    diagram = band_scan(pot, energies, grid)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -17,7 +17,6 @@ potentials, delta combs included, use the 2x2 cell transfer matrix.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -243,6 +242,19 @@ def _symmetrize_unit(mus: np.ndarray, tol: float) -> np.ndarray:
     return np.asarray(out)
 
 
+def _grid_solves(pot: NonlocalPotential1D, energies: np.ndarray, n: int):
+    """solve(i) -> (coarse, fine): the multipliers at energies[i] on the N-
+    and the 2N-node grid. A local potential's transfer matrices come from one
+    sweep per grid over all energies (a failed sweep raises here), a kernel's
+    multipliers from the companion pencil on N nodes and the trimmed pencil
+    on 2N."""
+    if pot.kernel is None:
+        cells = [local_cell_monodromy(pot, energies, m) for m in (n, 2 * n)]
+        return lambda i: tuple(np.linalg.eigvals(c[i]) for c in cells)
+    return lambda i: (bloch_multipliers_collocation(pot, energies[i], n),
+                      _trimmed_multipliers(pot, energies[i], 2 * n))
+
+
 def propagating_multipliers(
     pot: NonlocalPotential1D,
     energy: float,
@@ -254,14 +266,8 @@ def propagating_multipliers(
     propagating, and ordered by sort_multipliers. For a nonlocal kernel the
     reported multipliers solve the companion pencil on the N-node grid and
     the confirming ones the trimmed pencil on the 2N-node grid."""
-    n = grid.samples_per_period
-    if pot.kernel is None:
-        coarse = np.linalg.eigvals(local_cell_monodromy(pot, energy, n))
-        fine = np.linalg.eigvals(local_cell_monodromy(pot, energy, 2 * n))
-    else:
-        coarse = bloch_multipliers_collocation(pot, energy, n)
-        fine = _trimmed_multipliers(pot, energy, 2 * n)
-    return _confirmed_set(energy, coarse, fine, unit_tol)
+    solve = _grid_solves(pot, np.array([energy], dtype=float), grid.samples_per_period)
+    return _confirmed_set(energy, *solve(0), unit_tol)
 
 
 def _confirmed_set(energy, coarse, fine, unit_tol) -> PropagatingSet:
@@ -319,48 +325,36 @@ def band_scan(
     energies,
     grid: PeriodicGrid,
     unit_tol: float = 1e-3,
-    jobs: int = 1,
 ) -> BandDiagram:
-    """Propagating quasimomenta over an ascending energy grid; failures are
-    recorded per energy, and assembly order is by energy index regardless of
-    worker scheduling. A local potential's transfer matrices are built for all
-    energies in one sweep per grid, so the jobs threads run only each energy's
-    eigensolve and confirmation; nonlocal pencils are solved in the threads."""
+    """Propagating quasimomenta over an ascending energy grid, one energy
+    after another; failures are recorded per energy. The scan is serial
+    because both eigensolvers hold the GIL through each solve, so threads
+    would never run two energies' solves at once."""
     energies = np.asarray(energies, dtype=float)
     if energies.size == 0:
         raise ValueError("empty energy grid")
     if np.any(np.diff(energies) <= 0):
         raise ValueError("energy grid must be strictly ascending")
     a = pot.lattice_constant
-    n = grid.samples_per_period
 
     def failed(energy, exc):
         return BandRecord(float(energy), (), 0, (), failed=True, message=str(exc))
 
-    if pot.kernel is None:
+    try:
+        solve = _grid_solves(pot, energies, grid.samples_per_period)
+    except Exception as exc:  # a local sweep is shared, so every energy fails with it
+        return BandDiagram(a, tuple(failed(e, exc) for e in energies))
+    records = []
+    for i, energy in enumerate(energies):
         try:
-            cells = [local_cell_monodromy(pot, energies, m) for m in (n, 2 * n)]
-        except Exception as exc:  # the sweep is shared, so every energy fails with it
-            return BandDiagram(a, tuple(failed(e, exc) for e in energies))
-
-    def one(i, energy):
-        try:
-            ps = (_confirmed_set(energy, *(np.linalg.eigvals(c[i]) for c in cells), unit_tol)
-                  if pot.kernel is None else
-                  propagating_multipliers(pot, energy, grid, unit_tol=unit_tol))
+            ps = _confirmed_set(energy, *solve(i), unit_tol)
             ks = multiplier_phases_to_k(ps.propagating, a)
-            return BandRecord(
+            records.append(BandRecord(
                 float(energy), tuple(sorted(float(k) for k in ks)), ps.p,
                 tuple(np.sort(np.abs(ps.all_multipliers))[::-1][:12]),
-            )
+            ))
         except Exception as exc:  # per-energy failure is data, not fatal
-            return failed(energy, exc)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(one, range(energies.size), energies))
-    else:
-        records = [one(i, e) for i, e in enumerate(energies)]
+            records.append(failed(energy, exc))
     return BandDiagram(a, tuple(records))
 
 

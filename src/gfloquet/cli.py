@@ -145,7 +145,8 @@ def _builtin(spec: dict, where: str, expect):
     if name not in CATALOG:
         raise ConfigError(f"unknown builtin '{name}' in {where}; "
                           f"choose from {sorted(CATALOG)}")
-    params = _section(spec.get("params", {}), f"{where}.params")
+    params = {key: _number(value, f"{where}.params.{key}") for key, value
+              in _section(spec.get("params", {}), f"{where}.params").items()}
     try:
         obj, meta = CATALOG[name](**params)
     except TypeError as exc:
@@ -322,8 +323,6 @@ def _potential_from_config(cfg: dict) -> NonlocalPotential1D:
 
 
 def cmd_bands(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg, fingerprint = _load_config(args.config)
     pot = _potential_from_config(cfg)
     grid = PeriodicGrid(pot.lattice_constant, _grid_size(cfg, args, 64), 0.0)
@@ -341,7 +340,7 @@ def cmd_bands(args) -> int:
                            _number(_require(espec, "max", "energies"), "energies.max"), count)
     if energies.size > 1 and energies[0] >= energies[-1]:
         raise ConfigError("energy range must be ascending")
-    diagram = band_scan(pot, energies, grid, unit_tol=unit_tol, jobs=args.jobs)
+    diagram = band_scan(pot, energies, grid, unit_tol=unit_tol)
     failures = sum(r.failed for r in diagram.records)
     ambiguity = []
     extrema = detect_interior_extrema(diagram, ambiguity_log=ambiguity)
@@ -389,9 +388,6 @@ def main(argv=None) -> int:
                        help="override samples per period")
         p.add_argument("--tol", type=float, default=None,
                        help="override the main tolerance of the command")
-        if fn is cmd_bands:
-            p.add_argument("--jobs", type=int, default=1,
-                           help="worker threads for the energy scan")
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
     try:

@@ -228,15 +228,6 @@ def test_band_scan_rejects_bad_grid():
         band_scan(pot, [], GRID)
 
 
-def test_band_scan_parallel_identical():
-    pot, _ = kronig_penney()
-    energies = np.linspace(0.5, 20.0, 24)
-    a = band_scan(pot, energies, GRID, jobs=1)
-    b = band_scan(pot, energies, GRID, jobs=4)
-    for ra, rb in zip(a.records, b.records):
-        assert ra == rb
-
-
 def test_interior_extremum_nonlocal_only():
     pot, _ = separable_nonlocal()
     diagram = band_scan(pot, np.linspace(-13.5, 4.5, 110), GRID)
@@ -353,16 +344,17 @@ def test_local_cell_monodromy_stack_equals_scalar_calls(name, n_steps):
     assert np.array_equal(stack, np.array(single))
 
 
-@pytest.mark.parametrize("name", sorted(LOCAL_POTENTIALS))
-def test_local_band_scan_matches_per_energy_path(name):
-    # the swept scan, threaded or not, gives the records of one
-    # propagating_multipliers call per energy
-    pot = LOCAL_POTENTIALS[name]
-    energies = np.linspace(-3.0, 30.0, 15)
-    serial = band_scan(pot, energies, GRID, jobs=1)
-    assert serial.records == band_scan(pot, energies, GRID, jobs=2).records
-    for rec, energy in zip(serial.records, energies):
-        ps = propagating_multipliers(pot, energy, GRID)
+@pytest.mark.parametrize("name", sorted(LOCAL_POTENTIALS) + ["nonlocal_crystal"])
+def test_band_scan_matches_per_energy_path(name):
+    # the scan gives, bitwise, the records of one propagating_multipliers call
+    # per energy: the swept transfer matrices of a local potential, and a
+    # kernel's companion and trimmed pencils
+    pot, grid, count = ((_nonlocal_crystal(-5.0), PeriodicGrid(1.0, 32, 0.0), 4)
+                        if name == "nonlocal_crystal" else (LOCAL_POTENTIALS[name], GRID, 15))
+    energies = np.linspace(-3.0, 30.0, count)
+    diagram = band_scan(pot, energies, grid)
+    for rec, energy in zip(diagram.records, energies):
+        ps = propagating_multipliers(pot, energy, grid)
         assert not rec.failed and rec.p == ps.p
         assert rec.k_values == tuple(sorted(multiplier_phases_to_k(ps.propagating,
                                                                    pot.lattice_constant)))

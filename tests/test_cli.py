@@ -286,23 +286,12 @@ def test_bands_empty_range_rejected(tmp_path):
     assert main(["bands", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
-@pytest.mark.parametrize("command", ["analyze", "stability"])
-def test_jobs_flag_is_bands_only(tmp_path, command):
+@pytest.mark.parametrize("command", ["analyze", "stability", "bands"])
+def test_jobs_flag_is_refused_by_every_command(tmp_path, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out"),
               "--jobs", "2"])
     assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_bands_jobs_below_one_exits_2(tmp_path, jobs):
-    cfg = _write(tmp_path / "c.json", {
-        "potential": {"builtin": "kronig_penney"},
-        "energies": {"min": 1.0, "max": 2.0, "count": 4},
-    })
-    out = tmp_path / "out"
-    assert main(["bands", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
-    assert not out.exists()
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -445,6 +434,17 @@ _MEMORY_BASE = {"system": {"dimension": 1, "period": 1.0, "memory_depth": 0.5,
                  id="analyze-system.period-1e400-system.period"),
     pytest.param("analyze", "system.coefficient", [10 ** 400] * 4, "system.coefficient",
                  id="analyze-system.coefficient-1e400-system.coefficient"),
+    # each value of a builtin's params
+    pytest.param("bands", "potential.params", {"strength": True}, "potential.params.strength",
+                 id="bands-kronig_penney-strength-True"),
+    pytest.param("bands", "potential.params", {"strength": float("nan")},
+                 "potential.params.strength", id="bands-kronig_penney-strength-NaN"),
+    pytest.param("bands", "potential", {"builtin": "separable_nonlocal", "params": {"gamma": "-80"}},
+                 "potential.params.gamma", id="bands-separable_nonlocal-gamma-str"),
+    pytest.param("analyze", "system", {"builtin": "exp_kernel", "params": {"a": True}},
+                 "system.params.a", id="analyze-exp_kernel-a-True"),
+    pytest.param("stability", "system.params", {"mu": "1.0"}, "system.params.mu",
+                 id="stability-van_der_pol-mu-str"),
 ])
 def test_number_fields_take_json_numbers_only(tmp_path, capsys, vdp_cycle, command, path,
                                               value, name):
