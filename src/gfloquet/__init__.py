@@ -16,9 +16,8 @@ from .perturbation import (LimitCycle, NonlinearMemorySystem, StabilityReport,
 from .bloch import (BandDiagram, BandExtremum, BandRecord, NonlocalPotential1D,
                     PropagatingSet, band_scan, bloch_multipliers_collocation,
                     cell_collocation_matrices, detect_interior_extrema,
-                    fixed_k_energies, local_cell_monodromy,
-                    multiplier_phases_to_k, propagating_multipliers,
-                    validate_potential)
+                    local_cell_monodromy, multiplier_phases_to_k,
+                    propagating_multipliers, validate_potential)
 from . import builtins
 
 __version__ = "0.1.0"

@@ -91,15 +91,17 @@ def validate_potential(pot: NonlocalPotential1D):
     return PotentialReport(max(lres, kres, sres) <= VALIDATION_TOL, lres, kres, sres)
 
 
-def local_cell_monodromy(pot: NonlocalPotential1D, energy, n_steps: int) -> np.ndarray:
-    """2x2 transfer matrix across one cell for a local potential: fixed-step
-    RK4 between delta sites, exact jump [[1,0],[g,1]] at each site. A 1-D array
-    of energies is advanced in one sweep, sampling V once per stage time, into
-    an (E, 2, 2) stack; a scalar energy returns one (2, 2) matrix."""
+def local_cell_monodromy(pot: NonlocalPotential1D, energies, n_steps: int) -> np.ndarray:
+    """2x2 transfer matrices across one cell for a local potential: fixed-step
+    RK4 between delta sites, exact jump [[1,0],[g,1]] at each site. The 1-d
+    array of energies is advanced in one sweep, sampling V once per stage
+    time, into an (E, 2, 2) stack."""
     if pot.kernel is not None:
         raise InvalidSystemError("cell transfer matrix requires a local potential")
+    energies = np.asarray(energies, dtype=float)
+    if energies.ndim != 1:
+        raise ValueError(f"energies must be a 1-d array, got shape {energies.shape}")
     a = pot.lattice_constant
-    energies = np.atleast_1d(np.asarray(energy, dtype=float))
 
     def stage(c):  # [[0, 1], [c, 0]] @ mat row by row: its products are exact
         return lambda mat: np.stack((mat[:, 1], c[:, None] * mat[:, 0]), axis=1)
@@ -123,8 +125,7 @@ def local_cell_monodromy(pot: NonlocalPotential1D, energy, n_steps: int) -> np.n
         u = smooth_block(x_prev, x0) @ u
         u = np.array([[1.0, 0.0], [g, 1.0]]) @ u
         x_prev = x0
-    u = smooth_block(x_prev, a) @ u
-    return u if np.ndim(energy) else u[0]
+    return smooth_block(x_prev, a) @ u
 
 
 def cell_collocation_matrices(pot: NonlocalPotential1D, energy: float, n_nodes: int):
@@ -165,17 +166,23 @@ def cell_collocation_matrices(pot: NonlocalPotential1D, energy: float, n_nodes: 
     return block[:, :n], block[:, n:2 * n], block[:, 2 * n:]
 
 
+def _finite_multipliers(lhs, rhs):
+    """All finite eigenvalues mu of the pencil lhs z = mu rhs. The solve may
+    overwrite Fortran-ordered sides; C-ordered ones are copied either way."""
+    import scipy.linalg  # numpy has no generalized eig; other paths leave scipy unloaded
+
+    mus = scipy.linalg.eig(lhs, rhs, right=False, overwrite_a=True, overwrite_b=True)
+    return mus[np.isfinite(mus)]
+
+
 def bloch_multipliers_collocation(pot: NonlocalPotential1D, energy: float, n_nodes: int):
     """All finite multipliers of the quadratic pencil via companion
     linearization: [[B0, Bm], [I, 0]] z = mu [[-Bp, 0], [0, I]] z."""
-    import scipy.linalg  # numpy has no generalized eig; other paths leave scipy unloaded
-
     bm, b0, bp = cell_collocation_matrices(pot, energy, n_nodes)
     n = b0.shape[0]
     lhs = np.block([[b0, bm], [np.eye(n), np.zeros((n, n))]])
     rhs = np.block([[-bp, np.zeros((n, n))], [np.zeros((n, n)), np.eye(n)]])
-    mus = scipy.linalg.eig(lhs, rhs, right=False)
-    return mus[np.isfinite(mus)]
+    return _finite_multipliers(lhs, rhs)
 
 
 def _trimmed_pencil(bm, b0, bp):
@@ -200,26 +207,7 @@ def _trimmed_pencil(bm, b0, bp):
 def _trimmed_multipliers(pot: NonlocalPotential1D, energy: float, n_nodes: int):
     """All finite multipliers of the trimmed pencil; they agree with the
     companion pencil's to rounding, not bitwise."""
-    import scipy.linalg
-
-    lhs, rhs = _trimmed_pencil(*cell_collocation_matrices(pot, energy, n_nodes))
-    mus = scipy.linalg.eig(lhs, rhs, right=False, overwrite_a=True, overwrite_b=True)
-    return mus[np.isfinite(mus)]
-
-
-def fixed_k_energies(
-    pot: NonlocalPotential1D, k: float, n_nodes: int, n_bands: int = 8
-) -> np.ndarray:
-    """Band energies E_n(k) from the Hermitian fixed-quasimomentum operator
-    (energy enters the collocation problem linearly, so one eigh call per k)."""
-    bm, b0, bp = cell_collocation_matrices(pot, 0.0, n_nodes)
-    mu = np.exp(1j * k * pot.lattice_constant)
-    hk = b0 + bm / mu + bp * mu
-    herm = float(np.max(np.abs(hk - hk.conj().T)))
-    if herm > 1e-8 * max(1.0, float(np.max(np.abs(hk)))):
-        raise InvalidSystemError(f"fixed-k operator not Hermitian (residual {herm:.2e})")
-    evals = np.linalg.eigvalsh(0.5 * (hk + hk.conj().T))
-    return evals[:n_bands]
+    return _finite_multipliers(*_trimmed_pencil(*cell_collocation_matrices(pot, energy, n_nodes)))
 
 
 @dataclass
@@ -271,16 +259,15 @@ def propagating_multipliers(
 
 
 def _confirmed_set(energy, coarse, fine, unit_tol) -> PropagatingSet:
-    """Keep the coarse multipliers the fine grid confirms, none beyond
-    _UNRESOLVED_MAGNITUDE; the near-unit ones, deduplicated, symmetrized and
-    sorted, are the propagating set."""
-    fine = np.asarray(fine)
-    confirmed = []
-    for mu in coarse:
-        d = np.min(np.abs(fine - mu)) / max(1.0, abs(mu))
-        if d <= 10 * unit_tol and abs(mu) <= _UNRESOLVED_MAGNITUDE:
-            confirmed.append(mu)
-    confirmed = np.asarray(confirmed, dtype=complex)
+    """Keep, in coarse order, the coarse multipliers mu within 10 unit_tol
+    max(1, |mu|) of a fine one, none beyond _UNRESOLVED_MAGNITUDE; the
+    near-unit ones, deduplicated, symmetrized and sorted, are the propagating
+    set."""
+    coarse = np.asarray(coarse, dtype=complex)
+    dist = np.abs(np.asarray(fine)[None, :] - coarse[:, None]).min(axis=1, initial=np.inf)
+    keep = (dist / np.maximum(1.0, np.abs(coarse)) <= 10 * unit_tol) & (
+        np.abs(coarse) <= _UNRESOLVED_MAGNITUDE)
+    confirmed = coarse[keep]
     near_unit = confirmed[np.abs(np.abs(confirmed) - 1.0) <= unit_tol]
     # deduplicate (companion pencil can emit coincident roots)
     dedup = []

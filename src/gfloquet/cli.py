@@ -23,7 +23,7 @@ import numpy as np
 from .bloch import (NonlocalPotential1D, band_scan, detect_interior_extrema,
                     validate_potential)
 from .builtins import CATALOG
-from .grid import GridError, PeriodicGrid
+from .grid import GridError, PeriodicGrid, periodic_derivative
 from .monodromy import ConvergenceError, floquet_spectrum, verify_floquet_form
 from .perturbation import LimitCycle, NonlinearMemorySystem, linearize, stability_verdict
 from .system import (InvalidSystemError, LinearMemorySystem, DelayTap, array_form,
@@ -32,6 +32,8 @@ from .system import (InvalidSystemError, LinearMemorySystem, DelayTap, array_for
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
+# stability refuses a cycle whose residual exceeds this share of max(1, max|y'|)
+_CYCLE_TOL = 1e-3
 
 
 class ConfigError(ValueError):
@@ -292,6 +294,14 @@ def cmd_stability(args) -> int:
     if not isinstance(autonomous, bool):
         raise ConfigError(f"autonomous must be true or false, got {autonomous!r}")
     cycle = LimitCycle(period, samples, wrap_tol=_number(cfg.get("wrap_tol", 1e-6), "wrap_tol"))
+    residual = cycle.residual(nl, grid)
+    bound = _CYCLE_TOL * max(1.0, float(np.abs(
+        periodic_derivative(cycle.samples[:-1], period / (len(times) - 1))).max()))
+    if not residual <= bound:
+        raise ConfigError(
+            f"limit cycle residual {residual:.3e} exceeds {bound:.3e} ({_CYCLE_TOL:g} x "
+            "max(1, max|y'|)): supply a finer or more accurate cycle, or set the "
+            "system's params to those the cycle solves")
     linear = linearize(nl, cycle, fd_step=_number(cfg.get("fd_step", 1e-6), "fd_step"))
     dec = floquet_spectrum(linear, grid, modes=modes, convergence_tol=tol)
     report = stability_verdict(dec, autonomous=autonomous)

@@ -1,6 +1,8 @@
 """Exact reference results for the Bloch tests."""
 import numpy as np
 
+from gfloquet import cell_collocation_matrices
+
 
 def kronig_penney_reference(strength: float, a: float, energy: float) -> dict:
     """Analytic dispersion test for the delta-comb crystal:
@@ -12,3 +14,16 @@ def kronig_penney_reference(strength: float, a: float, energy: float) -> dict:
     allowed = bool(abs(d) <= 1.0)
     return {"allowed": allowed, "discriminant": float(d),
             "k": float(np.arccos(np.clip(d, -1.0, 1.0)) / a) if allowed else None}
+
+
+def fixed_k_energies(pot, k: float, n_nodes: int, n_bands: int = 8) -> np.ndarray:
+    """Band energies E_n(k) from the Hermitian fixed-quasimomentum operator
+    (energy enters the collocation problem linearly, so one eigh call per k)."""
+    bm, b0, bp = cell_collocation_matrices(pot, 0.0, n_nodes)
+    mu = np.exp(1j * k * pot.lattice_constant)
+    hk = b0 + bm / mu + bp * mu
+    herm = float(np.max(np.abs(hk - hk.conj().T)))
+    assert herm <= 1e-8 * max(1.0, float(np.max(np.abs(hk)))), (
+        f"fixed-k operator not Hermitian (residual {herm:.2e})")
+    evals = np.linalg.eigvalsh(0.5 * (hk + hk.conj().T))
+    return evals[:n_bands]

@@ -6,13 +6,14 @@ from scipy.optimize import brentq
 from gfloquet import (
     BandDiagram, BandRecord, InvalidSystemError, NonlocalPotential1D, PeriodicGrid, band_scan,
     bloch_multipliers_collocation, cell_collocation_matrices,
-    detect_interior_extrema, fixed_k_energies, local_cell_monodromy,
+    detect_interior_extrema, local_cell_monodromy,
     multiplier_phases_to_k, propagating_multipliers, validate_potential,
 )
-from gfloquet.bloch import _confirmed_set, _trimmed_multipliers, _trimmed_pencil
+from gfloquet.bloch import (_UNRESOLVED_MAGNITUDE, _confirmed_set, _trimmed_multipliers,
+                            _trimmed_pencil)
 from gfloquet.builtins import kronig_penney, separable_nonlocal
 
-from bloch_oracles import kronig_penney_reference
+from bloch_oracles import fixed_k_energies, kronig_penney_reference
 
 FREE = NonlocalPotential1D(1.0)
 GRID = PeriodicGrid(1.0, 64, 0.0)
@@ -165,6 +166,21 @@ def test_unresolved_multiplier_is_never_confirmed():
     assert ps.all_multipliers.tolist() == [1.0]
 
 
+@pytest.mark.parametrize("coarse, fine, unit_tol, kept", [
+    # |mu| of exactly _UNRESOLVED_MAGNITUDE is kept, the next float above it is not
+    ([_UNRESOLVED_MAGNITUDE, np.nextafter(_UNRESOLVED_MAGNITUDE, np.inf), 2.0],
+     [_UNRESOLVED_MAGNITUDE, np.nextafter(_UNRESOLVED_MAGNITUDE, np.inf), 2.0], 1e-3,
+     [_UNRESOLVED_MAGNITUDE, 2.0]),
+    # a distance of exactly 10 unit_tol max(1, |mu|) is kept, one ulp more is not
+    ([1.0, 4.0], [1.0 + 10 * 2.0 ** -10, np.nextafter(4.0 + 40 * 2.0 ** -10, np.inf)],
+     2.0 ** -10, [1.0]),
+    ([], [1.0, 2.0], 1e-3, []),
+], ids=["magnitude", "distance", "empty"])
+def test_confirmed_set_bounds_are_inclusive(coarse, fine, unit_tol, kept):
+    ps = _confirmed_set(0.0, coarse, fine, unit_tol)
+    assert ps.all_multipliers.tolist() == kept
+
+
 # bands_nonlocal seeds 11 (energy 0) and 13 (energy 21): with one BLAS thread
 # the trimmed pencil put a rounding pair near |mu| = 1e9 within the two-grid
 # threshold of the coarse one, where the full pencil did not
@@ -309,7 +325,7 @@ def test_crystal_quasimomentum_at_plane_wave_energy():
 
 def test_local_cell_monodromy_det_one():
     pot, _ = kronig_penney()
-    u = local_cell_monodromy(pot, 5.0, 128)
+    (u,) = local_cell_monodromy(pot, np.array([5.0]), 128)
     assert np.linalg.det(u) == pytest.approx(1.0, abs=1e-10)  # Wronskian
 
 
@@ -318,8 +334,8 @@ def test_local_cell_monodromy_order_is_four(energy):
     # the half-trace of the transfer matrix is the Kronig-Penney discriminant
     pot, _ = kronig_penney()
     exact = kronig_penney_reference(3.0, 1.0, energy)["discriminant"]
-    errs = np.array([abs(0.5 * np.trace(local_cell_monodromy(pot, energy, n)) - exact)
-                     for n in (32, 64, 128)])
+    errs = np.array([abs(0.5 * np.trace(local_cell_monodromy(pot, np.array([energy]), n)[0])
+                         - exact) for n in (32, 64, 128)])
     assert np.all(np.log2(errs[:-1] / errs[1:]) > 3.7)
 
 
@@ -339,9 +355,15 @@ def test_local_cell_monodromy_stack_equals_scalar_calls(name, n_steps):
     energies = np.linspace(-4.0, 45.0, 17)
     stack = local_cell_monodromy(pot, energies, n_steps)
     assert stack.shape == (17, 2, 2)
-    single = [local_cell_monodromy(pot, float(e), n_steps) for e in energies]
-    assert all(u.shape == (2, 2) for u in single)  # a scalar energy gives one matrix
-    assert np.array_equal(stack, np.array(single))
+    single = [local_cell_monodromy(pot, energies[i:i + 1], n_steps) for i in range(17)]
+    assert all(u.shape == (1, 2, 2) for u in single)
+    assert np.array_equal(stack, np.concatenate(single))
+
+
+@pytest.mark.parametrize("energy", [5.0, [[5.0]]])
+def test_local_cell_monodromy_takes_only_a_1d_array(energy):
+    with pytest.raises(ValueError, match="1-d array"):
+        local_cell_monodromy(kronig_penney()[0], energy, 16)
 
 
 @pytest.mark.parametrize("name", sorted(LOCAL_POTENTIALS) + ["nonlocal_crystal"])

@@ -185,6 +185,34 @@ def test_stability_van_der_pol(tmp_path, vdp_cycle):
     assert rep["decisive_magnitude"] < 1.0
 
 
+@pytest.mark.parametrize("mu", [1.01, 1.2])
+def test_stability_refuses_a_cycle_of_other_params(tmp_path, capsys, vdp_cycle, mu):
+    # the mu = 1 cycle leaves a residual 6x (mu = 1.01) to 128x (mu = 1.2) the bound
+    period, samples = vdp_cycle
+    _cycle_csv(tmp_path / "cycle.csv", period, samples)
+    cfg = _write(tmp_path / "c.json", {
+        "system": {"builtin": "van_der_pol", "params": {"mu": mu}},
+        "cycle_file": str(tmp_path / "cycle.csv"), "period": period, "autonomous": True})
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "limit cycle residual" in err and "finer or more accurate cycle" in err
+    assert not out.exists()
+
+
+def test_stability_accepts_an_exact_coarse_cycle(tmp_path, vdp_cycle):
+    # every other node of the mu = 1 cycle: its 128-node derivative error is
+    # the largest a legitimate cycle here brings, 4.6x below the bound
+    period, samples = vdp_cycle
+    _cycle_csv(tmp_path / "cycle.csv", period, samples[::2])
+    cfg = _write(tmp_path / "c.json", {
+        "system": {"builtin": "van_der_pol"}, "cycle_file": str(tmp_path / "cycle.csv"),
+        "period": period, "autonomous": True})
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+    assert _read_json(out, "stability.json")["verdict"] == "STABLE"
+
+
 @pytest.mark.parametrize("quadrature", ["gauss", "simpson"])
 def test_stability_quadrature_exits_2(tmp_path, capsys, vdp_cycle, quadrature):
     # any value is refused, a name analyze accepts too

@@ -7,10 +7,10 @@ Run from the repository root (about a minute):
 REV's src/ is unpacked with `git archive` into a temporary directory. Each side
 then runs, in its own interpreter with one BLAS thread, the CLI jobs of every
 benchmark workload at seeds 1 and 7 (inputs from perfbench/workloads.py) and
-the builtin and table-form analyze and bands configs below. Every artifact is
-printed as IDENTICAL when its bytes agree, or else with the max absolute and
-max relative difference over its numeric fields, per top-level JSON key or CSV
-column.
+the builtin and table-form analyze, stability and bands configs below. Every
+artifact is printed as IDENTICAL when its bytes agree, or else with the max
+absolute and max relative difference over its numeric fields, per top-level
+JSON key or CSV column.
 stability.json is compared without config_fingerprint: its config names the
 cycle file by path, and each side writes its inputs in its own directory.
 
@@ -28,6 +28,8 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -94,6 +96,11 @@ BUILTIN_CONFIGS = {
         "grid": {"samples_per_period": 32}, "modes": 2, "tolerance": 1e-2})
        for name, steps in (("1_step", 1), ("2_steps", 2), ("3_steps", 3),
                            ("offlattice", 2.5))},
+    # the 128-node mu = 1 van der Pol cycle, which write_jobs writes, is the
+    # legitimate cycle nearest the residual bound stability refuses above
+    "van_der_pol_128": ("stability", {"system": {"builtin": "van_der_pol"},
+                                      "grid": {"samples_per_period": 128}, "modes": 4,
+                                      "autonomous": True}),
     "kronig_penney": ("bands", {"potential": {"builtin": "kronig_penney"},
                                 "energies": {"min": 0.5, "max": 40.0, "count": 24}}),
     "separable_nonlocal": ("bands", {"potential": {"builtin": "separable_nonlocal"},
@@ -118,7 +125,12 @@ def write_jobs(work: str) -> dict:
             for job in workloads.generate(workload, seed, os.path.join(work, f"{workload}-{seed}")):
                 jobs[f"{workload}-{seed}/{job['name']}"] = (workloads.cli_argv(job), job["out"])
     os.makedirs(os.path.join(work, "builtin"))
+    times, samples, _ = workloads.van_der_pol_cycle(1.0, nodes=128)
+    cycle = os.path.join(work, "builtin", "vdp_cycle_128.csv")
+    np.savetxt(cycle, np.column_stack((times, samples)), fmt="%.17g", delimiter=",")
     for name, (command, config) in BUILTIN_CONFIGS.items():
+        if command == "stability":
+            config = dict(config, cycle_file=cycle)
         path = os.path.join(work, "builtin", f"{name}.json")
         with open(path, "w") as fh:
             json.dump(config, fh, indent=1, sort_keys=True)
