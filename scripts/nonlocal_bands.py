@@ -2,8 +2,8 @@
 
 Scans propagating modes over an energy window for the built-in separable
 kernel, reports interior band extrema (absent for every local potential),
-and writes the k(E) table to CSV. The energies are solved one after another:
-both eigensolvers hold the GIL, so worker threads would not overlap them.
+and writes the k(E) table to CSV. The energies are solved in forked worker
+processes, one per CPU the process may run on (see `band_scan`).
 """
 import argparse
 import csv

@@ -12,11 +12,14 @@ B(mu) = B_{-1}/mu + B_0 + mu B_{+1} (cell_collocation_matrices), whose
 quadratic eigenproblem in mu is linearized to a pencil. The reported
 multipliers come from the companion pencil on the N-node grid; the 2N-node
 solve that confirms them uses the trimmed pencil, which leaves out the
-structurally infinite eigenvalues of B_{+1}'s zero columns. Local
-potentials, delta combs included, use the 2x2 cell transfer matrix.
+structurally infinite eigenvalues of B_{+1}'s zero columns. A kernel's
+band scan solves its energies in forked worker processes, one per CPU the
+process may run on. Local potentials, delta combs included, use the 2x2 cell
+transfer matrix, swept over every energy at once.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -307,16 +310,69 @@ class BandDiagram:
         return tuple(r for r in self.records if not r.failed)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell or
+    cannot fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+_OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+_inherited_solve = None  # a forked pool worker's solve, set as the worker starts
+
+
+def _one_blas_thread():
+    """Run every OpenBLAS this process has loaded on one thread. A forked
+    worker keeps the parent's BLAS thread count, and each worker's BLAS
+    threads would spin on the CPUs the other workers solve on. OpenBLAS
+    threads a matrix product by blocks of rows and columns, so each entry is
+    summed in one order whatever the count. Other BLAS builds are left alone."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # the loaded library's handle, not a second copy
+        except OSError:
+            continue
+        for setter in filter(None, (getattr(lib, name, None) for name in _OPENBLAS_SETTERS)):
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+def _inherit_solve(solve):
+    global _inherited_solve
+    _inherited_solve = solve
+    _one_blas_thread()
+
+
+def _solve_inherited(i):
+    return _inherited_solve(i)
+
+
 def band_scan(
     pot: NonlocalPotential1D,
     energies,
     grid: PeriodicGrid,
     unit_tol: float = 1e-3,
 ) -> BandDiagram:
-    """Propagating quasimomenta over an ascending energy grid, one energy
-    after another; failures are recorded per energy. The scan is serial
-    because both eigensolvers hold the GIL through each solve, so threads
-    would never run two energies' solves at once."""
+    """Propagating quasimomenta over an ascending energy grid; failures are
+    recorded per energy.
+
+    A kernel's energies, when there are several, are solved in a pool of
+    forked worker processes, one per CPU the process may run on (at most one
+    per energy). Forked workers inherit the potential and its solve, whose
+    callables are often lambdas that could not be pickled. Each runs whole
+    energies through the same LAPACK calls, on one BLAS thread, so the
+    records are bitwise those of a serial scan; one CPU (a process pinned
+    with `taskset -c 0`, say) gives the serial scan. Every worker is joined
+    before the scan returns."""
     energies = np.asarray(energies, dtype=float)
     if energies.size == 0:
         raise ValueError("empty energy grid")
@@ -331,18 +387,35 @@ def band_scan(
         solve = _grid_solves(pot, energies, grid.samples_per_period)
     except Exception as exc:  # a local sweep is shared, so every energy fails with it
         return BandDiagram(a, tuple(failed(e, exc) for e in energies))
-    records = []
-    for i, energy in enumerate(energies):
-        try:
-            ps = _confirmed_set(energy, *solve(i), unit_tol)
-            ks = multiplier_phases_to_k(ps.propagating, a)
-            records.append(BandRecord(
-                float(energy), tuple(sorted(float(k) for k in ks)), ps.p,
-                tuple(np.sort(np.abs(ps.all_multipliers))[::-1][:12]),
-            ))
-        except Exception as exc:  # per-energy failure is data, not fatal
-            records.append(failed(energy, exc))
-    return BandDiagram(a, tuple(records))
+
+    def records(results):  # results[i]() returns solve(i) or raises what it raised
+        out = []
+        for energy, result in zip(energies, results):
+            try:
+                ps = _confirmed_set(energy, *result(), unit_tol)
+                ks = multiplier_phases_to_k(ps.propagating, a)
+                out.append(BandRecord(
+                    float(energy), tuple(sorted(float(k) for k in ks)), ps.p,
+                    tuple(np.sort(np.abs(ps.all_multipliers))[::-1][:12]),
+                ))
+            except Exception as exc:  # per-energy failure is data, not fatal
+                out.append(failed(energy, exc))
+        return BandDiagram(a, tuple(out))
+
+    indices = range(energies.size)
+    workers = min(_available_cpus(), energies.size) if pot.kernel is not None else 1
+    if workers == 1:
+        return records([lambda i=i: solve(i) for i in indices])
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    import scipy.linalg  # noqa: F401  the workers inherit it rather than each import it
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_inherit_solve, initargs=(solve,))
+    try:
+        return records([pool.submit(_solve_inherited, i).result for i in indices])
+    finally:
+        pool.shutdown(cancel_futures=True)  # joins every worker, also on an interrupt
 
 
 @dataclass

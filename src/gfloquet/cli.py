@@ -346,10 +346,12 @@ def cmd_bands(args) -> int:
             return EXIT_INVALID
     espec = _section(_require(cfg, "energies", "config"), "energies")
     count = _integer(_require(espec, "count", "energies"), "energies.count", 1)
-    energies = np.linspace(_number(_require(espec, "min", "energies"), "energies.min"),
-                           _number(_require(espec, "max", "energies"), "energies.max"), count)
-    if energies.size > 1 and energies[0] >= energies[-1]:
-        raise ConfigError("energy range must be ascending")
+    low = _number(_require(espec, "min", "energies"), "energies.min")
+    high = _number(_require(espec, "max", "energies"), "energies.max")
+    if low > high or (count > 1 and low == high):
+        raise ConfigError("energy range must be ascending: energies.min must be below "
+                          "energies.max, or equal to it with count 1")
+    energies = np.linspace(low, high, count)
     diagram = band_scan(pot, energies, grid, unit_tol=unit_tol)
     failures = sum(r.failed for r in diagram.records)
     ambiguity = []

@@ -1,3 +1,7 @@
+import functools
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,6 +13,7 @@ from gfloquet import (
     detect_interior_extrema, local_cell_monodromy,
     multiplier_phases_to_k, propagating_multipliers, validate_potential,
 )
+from gfloquet import bloch
 from gfloquet.bloch import (_UNRESOLVED_MAGNITUDE, _confirmed_set, _trimmed_multipliers,
                             _trimmed_pencil)
 from gfloquet.builtins import kronig_penney, separable_nonlocal
@@ -399,6 +404,40 @@ def test_local_band_scan_callback_failure_fails_every_record():
     diagram = band_scan(NonlocalPotential1D(1.0, local=boom), [1.0, 2.0, 3.0], GRID)
     assert all(r.failed and r.message == "boom" for r in diagram.records)
     assert len(diagram.records) == 3
+
+
+def test_pooled_band_scan_is_bitwise_the_serial_scan(monkeypatch, tmp_path):
+    # with 2 CPUs a kernel's energies are solved in forked workers, with 1 in
+    # the process itself; the records are the same bits, a failed energy's
+    # message included, and no worker outlives the scan
+    pot, grid = _nonlocal_crystal(-5.0), PeriodicGrid(1.0, 32, 0.0)
+    energies = np.linspace(-3.0, 30.0, 4)
+    trimmed = bloch._trimmed_multipliers
+    pids = tmp_path / "pids"
+
+    def logged(pot, energy, n_nodes, fail_at):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if energy == fail_at:
+            raise np.linalg.LinAlgError(f"no fine solve at E = {energy}")
+        return trimmed(pot, energy, n_nodes)
+
+    def scan(cpus, fail_at):
+        monkeypatch.setattr(bloch, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(bloch, "_trimmed_multipliers",
+                            functools.partial(logged, fail_at=fail_at))
+        pids.write_text("")
+        diagram = band_scan(pot, energies, grid)
+        assert multiprocessing.active_children() == []
+        solved_in = {int(pid) for pid in pids.read_text().split()}
+        assert (solved_in == {os.getpid()}) == (cpus == 1), solved_in
+        return diagram.records
+
+    for fail_at in (None, energies[1]):
+        pooled, serial = scan(2, fail_at), scan(1, fail_at)
+        assert [repr(r) for r in pooled] == [repr(r) for r in serial]
+        assert [r.failed for r in pooled] == [e == fail_at for e in energies]
+    assert pooled[1].message == f"no fine solve at E = {energies[1]}"
 
 
 def test_band_maximum_from_two_sheets_dying_together():

@@ -306,12 +306,17 @@ def test_bands_nonlocal_extrema(tmp_path):
     assert len(diag["records"]) == 70
 
 
-def test_bands_empty_range_rejected(tmp_path):
-    cfg = _write(tmp_path / "c.json", {
-        "potential": {"builtin": "kronig_penney"},
-        "energies": {"min": 1.0, "max": 2.0, "count": 0},
-    })
-    assert main(["bands", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+@pytest.mark.parametrize("energies", [
+    {"min": 1.0, "max": 2.0, "count": 0},
+    {"min": 5.0, "max": 1.0, "count": 1},
+    {"min": 2.0, "max": 1.0, "count": 4},
+], ids=["count_0", "descending_count_1", "descending_count_4"])
+def test_bands_empty_range_rejected(tmp_path, energies):
+    cfg = _write(tmp_path / "c.json", {"potential": {"builtin": "kronig_penney"},
+                                       "energies": energies})
+    out = tmp_path / "out"
+    assert main(["bands", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "stability", "bands"])
@@ -541,8 +546,9 @@ def _run_fresh(code, *args):
 
 
 def test_cli_import_leaves_unused_scipy_out():
-    assert _run_fresh("import sys, gfloquet.cli; "
-                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") == "[]"
+    # nor the process pool, which only a nonlocal band scan starts
+    assert _run_fresh("import sys, gfloquet.cli; print(sorted(m for m in sys.modules if "
+                      "m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))") == "[]"
 
 
 @pytest.mark.parametrize("command, cfg, loads_scipy", [
