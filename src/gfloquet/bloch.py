@@ -19,6 +19,7 @@ transfer matrix, swept over every energy at once.
 """
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -52,9 +53,13 @@ class NonlocalPotential1D:
     def __post_init__(self):
         if not self.lattice_constant > 0:
             raise InvalidSystemError("lattice constant must be positive")
-        if self.kernel is not None and not (0 < self.kernel_range):
-            raise InvalidSystemError("nonlocal kernel requires a positive range")
         object.__setattr__(self, "deltas", tuple(self.deltas))
+        # collocation, a kernel's one solve, needs 0 < r_W < a and takes no delta comb
+        if self.kernel is not None and not 0 < self.kernel_range < self.lattice_constant:
+            raise InvalidSystemError(f"kernel range {self.kernel_range} must be positive and "
+                                     f"below one lattice constant {self.lattice_constant}")
+        if self.kernel is not None and self.deltas:
+            raise InvalidSystemError("a nonlocal kernel cannot be combined with a delta comb")
 
     def eval_local(self, x):
         """V at a scalar x, or at a 1-d array of x (see `system.evaluate`)."""
@@ -147,10 +152,6 @@ def cell_collocation_matrices(pot: NonlocalPotential1D, energy: float, n_nodes: 
         raise InvalidSystemError(
             f"collocation needs at least 2 nodes per cell, got {n_nodes}")
     a = pot.lattice_constant
-    if pot.kernel is not None and pot.kernel_range >= a:
-        raise InvalidSystemError(
-            f"kernel range {pot.kernel_range} must be below one lattice constant {a}"
-        )
     n = n_nodes
     h = a / n
     xs = np.arange(n) * h
@@ -222,8 +223,9 @@ class PropagatingSet:
 
 
 def _symmetrize_unit(mus: np.ndarray, tol: float) -> np.ndarray:
-    """Close the near-unit set under conjugation and reflection mu -> 1/conj(mu);
-    partners that discretization split are averaged back onto the pairing."""
+    """Close the near-unit set under conjugation, then reflection mu -> 1/conj(mu),
+    by appending each partner not within tol max(1, |partner|) of a member;
+    nothing is averaged, so a partner within tol stays as it was computed."""
     out = list(mus)
     for op in (np.conj, lambda m: 1.0 / np.conj(m)):
         for m in list(out):
@@ -469,22 +471,15 @@ def detect_interior_extrema(
                 traces.append([(rec.energy, k)])
                 new_active.append(len(traces) - 1)
                 born.append(len(traces) - 1)
-        # two sheets appearing together at interior k: minimum of E(k)
-        for x in range(len(born)):
-            for y in range(x + 1, len(born)):
-                ka, kb = traces[born[x]][0][1], traces[born[y]][0][1]
+        # two sheets born together at interior k (a minimum of E(k)), read at their
+        # first point, or dying together (a maximum), last extended at prev_energy
+        mid = rec.energy if prev_energy is None else 0.5 * (rec.energy + prev_energy)
+        for group, end, e_star in ((born, 0, mid), (died, -1, prev_energy)):
+            for x, y in itertools.combinations(group, 2):
+                ka, kb = traces[x][end][1], traces[y][end][1]
                 k_star = 0.5 * (ka + kb)
                 if abs(ka - kb) <= jump and ktol < k_star < edge - ktol:
-                    e_star = rec.energy if prev_energy is None else 0.5 * (rec.energy + prev_energy)
-                    found.append(BandExtremum(min(born[x], born[y]), float(k_star), float(e_star)))
-        # two sheets vanishing together at interior k: maximum of E(k)
-        for x in range(len(died)):
-            for y in range(x + 1, len(died)):
-                ka, kb = traces[died[x]][-1][1], traces[died[y]][-1][1]
-                k_star = 0.5 * (ka + kb)
-                if abs(ka - kb) <= jump and ktol < k_star < edge - ktol:
-                    e_star = traces[died[x]][-1][0]
-                    found.append(BandExtremum(min(died[x], died[y]), float(k_star), float(e_star)))
+                    found.append(BandExtremum(min(x, y), float(k_star), float(e_star)))
         active = new_active
         prev_energy = rec.energy
     for bi, tr in enumerate(traces):

@@ -3,8 +3,10 @@
 Exit codes: 0 success, 2 invalid config or failed validation, 3 convergence
 or numerical (LinAlgError) failure, or too many per-energy failures in a band
 scan. All outputs are written atomically (temp file + rename) and carry the
-sha256 fingerprint of the config file they were produced from, so identical
-configs yield byte-identical artifacts.
+sha256 fingerprint of the config file they were produced from. The file sets
+every input of a run, and no flag overrides it, so a fingerprint determines
+its artifacts: identical configs yield byte-identical artifacts. Each config
+object takes only the keys its command reads; any other key exits 2.
 """
 from __future__ import annotations
 
@@ -32,15 +34,17 @@ from .system import (InvalidSystemError, LinearMemorySystem, DelayTap, array_for
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
-# stability refuses a cycle whose residual exceeds this share of max(1, max|y'|)
+# stability refuses a cycle whose residual exceeds this share of max(1, max|y'|),
+# and one whose last row differs from its first by more than this share of its scale
 _CYCLE_TOL = 1e-3
+_WRAP_TOL = 1e-6
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: str):
+def _load_config(path: str, command: str, keys: tuple):
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -52,7 +56,7 @@ def _load_config(path: str):
         raise ConfigError(f"malformed JSON in {path}: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config root must be an object, got {type(cfg).__name__}")
-    return cfg, hashlib.sha256(raw).hexdigest()
+    return _section(cfg, command, keys), hashlib.sha256(raw).hexdigest()
 
 
 def _require(cfg: dict, key: str, where: str):
@@ -98,27 +102,29 @@ def _table(spec: dict, key: str, where: str, shape: tuple, rows: int = 1) -> np.
     return table
 
 
-def _section(value, name: str, kind: type = dict):
-    """A config section: a JSON object, or a JSON array when kind is list."""
+def _section(value, name: str, keys: tuple = None, kind: type = dict):
+    """A config section: a JSON array when kind is list, else a JSON object
+    whose keys, when `keys` is given, are all among them."""
     if not isinstance(value, kind):
         raise ConfigError(f"{name} must be {'a list' if kind is list else 'an object'}, got {value!r}")
+    unknown = sorted(set(value) - set(keys)) if keys is not None else ()
+    if unknown:
+        raise ConfigError(f"{name} takes no {', '.join(map(repr, unknown))}; "
+                          f"it takes {', '.join(keys)}")
     return value
 
 
-def _grid_size(cfg: dict, args, default: int) -> int:
-    """--grid (PeriodicGrid rejects sizes below 8), else grid.samples_per_period."""
-    grid = _section(cfg.get("grid", {}), "grid")
-    if args.grid is not None:
-        return args.grid
+def _grid_size(cfg: dict, default: int) -> int:
+    grid = _section(cfg.get("grid", {}), "grid", ("samples_per_period",))
     return _integer(grid.get("samples_per_period", default), "grid.samples_per_period", 8)
 
 
-def _tolerance(cfg: dict, args, key: str, default: float) -> float:
-    """--tol, else the config's `key`; either must be positive and finite."""
-    name, tol = ("--tol", args.tol) if args.tol is not None else (key, cfg.get(key, default))
-    if not _number(tol, name) > 0:
-        raise ConfigError(f"{name} must be positive and finite, got {tol!r}")
-    return float(tol)
+def _tolerance(cfg: dict, key: str, default: float) -> float:
+    """The config's `key`, a positive finite number."""
+    tol = _number(cfg.get(key, default), key)
+    if not tol > 0:
+        raise ConfigError(f"{key} must be positive and finite, got {tol!r}")
+    return tol
 
 
 def _atomic_write(out_dir: str, name: str, text: str):
@@ -143,7 +149,7 @@ def _c2l(z):  # complex -> [re, im] for JSON, a non-finite part as null
 
 
 def _builtin(spec: dict, where: str, expect):
-    name = _require(spec, "builtin", where)
+    name = _require(_section(spec, where, ("builtin", "params")), "builtin", where)
     if name not in CATALOG:
         raise ConfigError(f"unknown builtin '{name}' in {where}; "
                           f"choose from {sorted(CATALOG)}")
@@ -163,10 +169,9 @@ def _system_from_config(cfg: dict):
     spec = _section(_require(cfg, "system", "config"), "system")
     if "builtin" in spec:
         system, meta = _builtin(spec, "system", LinearMemorySystem)
-        period = _number(spec.get("period", meta.get("period", 1.0)), "system.period")
-        depth = _number(spec.get("memory_depth", meta.get("memory_depth", 0.0)),
-                        "system.memory_depth")
-        return system, period, depth
+        return system, meta["period"], meta["memory_depth"]
+    _section(spec, "system", ("dimension", "period", "memory_depth", "coefficient",
+                              "delay_taps", "kernel"))
     dim = _integer(_require(spec, "dimension", "system"), "system.dimension", 1)
     period = _number(_require(spec, "period", "system"), "system.period")
     depth = _number(spec.get("memory_depth", 0.0), "system.memory_depth")
@@ -177,15 +182,16 @@ def _system_from_config(cfg: dict):
     table = _table(spec, "coefficient", "system", ("k", dim, dim))
     coefficient = tabulated_coefficient(table, period)
     taps = []
-    for i, tap in enumerate(_section(spec.get("delay_taps", []), "system.delay_taps", list)):
+    for i, tap in enumerate(_section(spec.get("delay_taps", []), "system.delay_taps",
+                                     kind=list)):
         where = f"system.delay_taps[{i}]"
-        tap = _section(tap, where)
+        tap = _section(tap, where, ("delay", "coefficient"))
         d = _number(_require(tap, "delay", where), f"{where}.delay")
         tt = _table(tap, "coefficient", where, ("k", dim, dim))
         taps.append(DelayTap(d, tabulated_coefficient(tt, period)))
     kernel = None
     if spec.get("kernel") is not None:
-        kspec = _section(spec["kernel"], "system.kernel")
+        kspec = _section(spec["kernel"], "system.kernel", ("type", "amplitude", "theta"))
         ktype = _require(kspec, "type", "system.kernel")
         if ktype != "exponential":
             raise ConfigError(f"unsupported kernel type '{ktype}' (only 'exponential')")
@@ -199,11 +205,11 @@ def _system_from_config(cfg: dict):
 
 
 def cmd_analyze(args) -> int:
-    cfg, fingerprint = _load_config(args.config)
+    cfg, fingerprint = _load_config(args.config, "analyze",
+                                    ("system", "grid", "modes", "tolerance", "quadrature"))
     system, period, depth = _system_from_config(cfg)
-    grid = PeriodicGrid(period, _grid_size(cfg, args, 256), depth,
-                        cfg.get("quadrature", "trapezoid"))
-    tol = _tolerance(cfg, args, "tolerance", 1e-4)
+    grid = PeriodicGrid(period, _grid_size(cfg, 256), depth, cfg.get("quadrature", "trapezoid"))
+    tol = _tolerance(cfg, "tolerance", 1e-4)
     modes = _integer(cfg.get("modes", 8), "modes", 0)
     report = validate_system(system, grid)
     if not report.passed:
@@ -272,28 +278,24 @@ def _read_cycle_csv(path: str, dim: int):
 
 
 def cmd_stability(args) -> int:
-    cfg, fingerprint = _load_config(args.config)
-    if "quadrature" in cfg:
-        raise ConfigError("stability takes no 'quadrature'; its grid uses the trapezoid rule")
+    cfg, fingerprint = _load_config(args.config, "stability", (
+        "system", "cycle_file", "autonomous", "grid", "modes", "tolerance"))
     spec = _section(_require(cfg, "system", "config"), "system")
     nl, meta = _builtin(spec, "system", object)
     if not isinstance(nl, NonlinearMemorySystem):
         raise ConfigError("stability requires a nonlinear builtin (e.g. van_der_pol)")
     times, samples = _read_cycle_csv(_require(cfg, "cycle_file", "config"), nl.dimension)
-    span = times[-1] - times[0]
-    uniform = times[0] + np.arange(len(times)) * (span / max(len(times) - 1, 1))
-    if not (span > 0 and np.all(np.abs(times - uniform) <= 1e-6 * span)):
+    period = float(times[-1] - times[0])
+    uniform = times[0] + np.arange(len(times)) * (period / max(len(times) - 1, 1))
+    if not (period > 0 and np.all(np.abs(times - uniform) <= 1e-6 * period)):
         raise ConfigError("cycle times must be uniform and increasing")
-    period = _number(cfg.get("period", span), "period")
-    if not abs(period - span) <= 1e-6 * span:
-        raise ConfigError(f"period {period} differs from the cycle's time span {span}")
-    grid = PeriodicGrid(period, _grid_size(cfg, args, 256), nl.memory_depth)
-    tol = _tolerance(cfg, args, "tolerance", 1e-4)
+    grid = PeriodicGrid(period, _grid_size(cfg, 256), nl.memory_depth)
+    tol = _tolerance(cfg, "tolerance", 1e-4)
     modes = _integer(cfg.get("modes", 4), "modes", 0)
     autonomous = cfg.get("autonomous", meta.get("autonomous", False))
     if not isinstance(autonomous, bool):
         raise ConfigError(f"autonomous must be true or false, got {autonomous!r}")
-    cycle = LimitCycle(period, samples, wrap_tol=_number(cfg.get("wrap_tol", 1e-6), "wrap_tol"))
+    cycle = LimitCycle(period, samples, wrap_tol=_WRAP_TOL)
     residual = cycle.residual(nl, grid)
     bound = _CYCLE_TOL * max(1.0, float(np.abs(
         periodic_derivative(cycle.samples[:-1], period / (len(times) - 1))).max()))
@@ -302,7 +304,7 @@ def cmd_stability(args) -> int:
             f"limit cycle residual {residual:.3e} exceeds {bound:.3e} ({_CYCLE_TOL:g} x "
             "max(1, max|y'|)): supply a finer or more accurate cycle, or set the "
             "system's params to those the cycle solves")
-    linear = linearize(nl, cycle, fd_step=_number(cfg.get("fd_step", 1e-6), "fd_step"))
+    linear = linearize(nl, cycle)
     dec = floquet_spectrum(linear, grid, modes=modes, convergence_tol=tol)
     report = stability_verdict(dec, autonomous=autonomous)
     _write_json(args.out, "stability.json", {
@@ -324,6 +326,7 @@ def _potential_from_config(cfg: dict) -> NonlocalPotential1D:
     if "builtin" in spec:
         pot, _ = _builtin(spec, "potential", NonlocalPotential1D)
         return pot
+    _section(spec, "potential", ("lattice_constant", "local_table"))
     a = _number(_require(spec, "lattice_constant", "potential"), "potential.lattice_constant")
     local = None
     if "local_table" in spec:
@@ -333,10 +336,11 @@ def _potential_from_config(cfg: dict) -> NonlocalPotential1D:
 
 
 def cmd_bands(args) -> int:
-    cfg, fingerprint = _load_config(args.config)
+    cfg, fingerprint = _load_config(args.config, "bands",
+                                    ("potential", "energies", "grid", "unit_tol"))
     pot = _potential_from_config(cfg)
-    grid = PeriodicGrid(pot.lattice_constant, _grid_size(cfg, args, 64), 0.0)
-    unit_tol = _tolerance(cfg, args, "unit_tol", 1e-3)
+    grid = PeriodicGrid(pot.lattice_constant, _grid_size(cfg, 64), 0.0)
+    unit_tol = _tolerance(cfg, "unit_tol", 1e-3)
     if pot.kernel is not None or pot.local is not None:
         rep = validate_potential(pot)
         if not rep.passed:
@@ -344,7 +348,7 @@ def cmd_bands(args) -> int:
                   f"kernel {rep.kernel_residual:.2e}, symmetry {rep.symmetry_residual:.2e}",
                   file=sys.stderr)
             return EXIT_INVALID
-    espec = _section(_require(cfg, "energies", "config"), "energies")
+    espec = _section(_require(cfg, "energies", "config"), "energies", ("min", "max", "count"))
     count = _integer(_require(espec, "count", "energies"), "energies.count", 1)
     low = _number(_require(espec, "min", "energies"), "energies.min")
     high = _number(_require(espec, "max", "energies"), "energies.max")
@@ -396,10 +400,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--grid", type=int, default=None,
-                       help="override samples per period")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the main tolerance of the command")
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
     try:

@@ -112,7 +112,8 @@ class ValidationReport:
 
 def validate_system(system: LinearMemorySystem, grid: PeriodicGrid) -> ValidationReport:
     """Check Sigma-periodicity of A and B_i, bi-periodicity of K, and the
-    boundedness of the kernel integral, on the grid nodes of [-r, Sigma]."""
+    boundedness of the kernel integral, on the grid nodes of [-r, Sigma]. A
+    kernel on a grid with no history node fails: its integral would be dropped."""
     sig = grid.period
     nodes = np.concatenate([grid.segment_nodes[:-1], grid.period_nodes])
     msgs = []
@@ -151,6 +152,9 @@ def validate_system(system: LinearMemorySystem, grid: PeriodicGrid) -> Validatio
         msgs.append(f"coefficient periodicity residual {coeff_res:.3e}")
     if kern_res > VALIDATION_TOL:
         msgs.append(f"kernel bi-periodicity residual {kern_res:.3e}")
+    if system.kernel is not None and grid.history_points == 0:
+        passed = False
+        msgs.append("kernel window empty at memory_depth 0: set it to the kernel's reach")
     return ValidationReport(passed, coeff_res, tap_res, kern_res, bound, tuple(msgs))
 
 

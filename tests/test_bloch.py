@@ -202,10 +202,16 @@ def test_trimmed_confirmation_matches_the_full_pencil(gamma, energy):
 
 
 def test_collocation_rejects_wide_kernel():
-    pot = NonlocalPotential1D(1.0, kernel=lambda x, xp: 0.0 * np.asarray(xp),
-                              kernel_range=1.2)
+    # no solve takes r_W >= a, so the potential itself refuses it
     with pytest.raises(InvalidSystemError):
-        cell_collocation_matrices(pot, 1.0, 32)
+        NonlocalPotential1D(1.0, kernel=lambda x, xp: 0.0 * np.asarray(xp), kernel_range=1.2)
+
+
+def test_kernel_with_delta_comb_is_refused():
+    # collocation refuses the comb and the transfer matrix the kernel
+    with pytest.raises(InvalidSystemError, match="delta comb"):
+        NonlocalPotential1D(1.0, kernel=lambda x, xp: 0.0 * np.asarray(xp), kernel_range=0.3,
+                            deltas=((0.0, 1.0),))
 
 
 def test_fixed_k_free_bands():

@@ -143,7 +143,7 @@ def test_stability_cycle_file_must_be_a_string(tmp_path, capsys, value):
     # open() takes an integer or a bool as a file descriptor: 0 would read
     # stdin, True would read fd 1 and close it
     cfg = _write(tmp_path / "c.json", {
-        "system": {"builtin": "van_der_pol"}, "cycle_file": value, "period": 6.0})
+        "system": {"builtin": "van_der_pol"}, "cycle_file": value})
     assert main(["stability", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "cycle_file must be a path string" in capsys.readouterr().err
     os.fstat(1)
@@ -173,8 +173,7 @@ def test_stability_van_der_pol(tmp_path, vdp_cycle):
     _cycle_csv(tmp_path / "cycle.csv", period, samples)
     cfg = _write(tmp_path / "c.json", {
         "system": {"builtin": "van_der_pol"},
-        "cycle_file": str(tmp_path / "cycle.csv"),
-        "period": period, "autonomous": True,
+        "cycle_file": str(tmp_path / "cycle.csv"), "autonomous": True,
         "grid": {"samples_per_period": 192},
     })
     out = tmp_path / "out"
@@ -192,7 +191,7 @@ def test_stability_refuses_a_cycle_of_other_params(tmp_path, capsys, vdp_cycle, 
     _cycle_csv(tmp_path / "cycle.csv", period, samples)
     cfg = _write(tmp_path / "c.json", {
         "system": {"builtin": "van_der_pol", "params": {"mu": mu}},
-        "cycle_file": str(tmp_path / "cycle.csv"), "period": period, "autonomous": True})
+        "cycle_file": str(tmp_path / "cycle.csv"), "autonomous": True})
     out = tmp_path / "out"
     assert main(["stability", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -207,7 +206,7 @@ def test_stability_accepts_an_exact_coarse_cycle(tmp_path, vdp_cycle):
     _cycle_csv(tmp_path / "cycle.csv", period, samples[::2])
     cfg = _write(tmp_path / "c.json", {
         "system": {"builtin": "van_der_pol"}, "cycle_file": str(tmp_path / "cycle.csv"),
-        "period": period, "autonomous": True})
+        "autonomous": True})
     out = tmp_path / "out"
     assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
     assert _read_json(out, "stability.json")["verdict"] == "STABLE"
@@ -220,7 +219,7 @@ def test_stability_quadrature_exits_2(tmp_path, capsys, vdp_cycle, quadrature):
     _cycle_csv(tmp_path / "cycle.csv", period, samples)
     cfg = _write(tmp_path / "c.json", {
         "system": {"builtin": "van_der_pol"}, "cycle_file": str(tmp_path / "cycle.csv"),
-        "period": period, "grid": {"samples_per_period": 192}, "quadrature": quadrature})
+        "grid": {"samples_per_period": 192}, "quadrature": quadrature})
     out = tmp_path / "out"
     assert main(["stability", "--config", cfg, "--out", str(out)]) == 2
     assert "stability takes no 'quadrature'" in capsys.readouterr().err
@@ -232,7 +231,7 @@ def test_stability_dimension_mismatch(tmp_path, vdp_cycle):
     _cycle_csv(tmp_path / "cycle.csv", period, samples[:, :1])  # drop a column
     cfg = _write(tmp_path / "c.json", {
         "system": {"builtin": "van_der_pol"},
-        "cycle_file": str(tmp_path / "cycle.csv"), "period": period,
+        "cycle_file": str(tmp_path / "cycle.csv"),
     })
     assert main(["stability", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
@@ -244,34 +243,40 @@ def test_stability_broken_cycle(tmp_path, vdp_cycle):
     _cycle_csv(tmp_path / "cycle.csv", period, broken)
     cfg = _write(tmp_path / "c.json", {
         "system": {"builtin": "van_der_pol"},
-        "cycle_file": str(tmp_path / "cycle.csv"), "period": period,
+        "cycle_file": str(tmp_path / "cycle.csv"),
     })
     assert main(["stability", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
-def _stability_rejects(tmp_path, capsys, times, samples, period, reason):
+def _stability_rejects(tmp_path, capsys, times, samples, reason, **extra):
     with open(tmp_path / "cycle.csv", "w", newline="") as fh:
         csv.writer(fh).writerows([f"{t:.17g}"] + [f"{v:.17g}" for v in row]
                                  for t, row in zip(times, samples))
     cfg = _write(tmp_path / "c.json", {
         "system": {"builtin": "van_der_pol"},
-        "cycle_file": str(tmp_path / "cycle.csv"), "period": period,
+        "cycle_file": str(tmp_path / "cycle.csv"), **extra,
     })
-    assert main(["stability", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 2
     assert reason in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stability_rejects_nonuniform_cycle_times(tmp_path, capsys, vdp_cycle):
     period, samples = vdp_cycle
     times = np.linspace(0.0, period, len(samples))
     times[100] += 2e-6 * period  # just outside the 1e-6 relative rule
-    _stability_rejects(tmp_path, capsys, times, samples, period, "uniform")
+    _stability_rejects(tmp_path, capsys, times, samples, "uniform")
 
 
 def test_stability_rejects_period_other_than_time_span(tmp_path, capsys, vdp_cycle):
+    # the period is the cycle's time span, so a config cannot restate it,
+    # whether it differs from the span or equals it
     period, samples = vdp_cycle
     times = np.linspace(0.0, period, len(samples))
-    _stability_rejects(tmp_path, capsys, times, samples, period * (1 + 2e-6), "time span")
+    for value in (period * (1 + 2e-6), period):
+        _stability_rejects(tmp_path, capsys, times, samples, "stability takes no 'period'",
+                           period=value)
 
 
 def test_bands_free_particle(tmp_path):
@@ -340,57 +345,48 @@ def test_determinism_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_grid_and_tol_overrides(tmp_path):
-    cfg = _write(tmp_path / "c.json", {
-        "system": {"builtin": "scalar_cosine"}, "modes": 1,
-    })
-    out = tmp_path / "out"
-    assert main(["analyze", "--config", cfg, "--out", str(out),
-                 "--grid", "64", "--tol", "1e-3"]) == 0
-    assert _read_json(out, "spectrum.json")["grid"]["samples_per_period"] == 64
-
-
-_OVERRIDE_CONFIGS = {
-    "analyze": {"system": {"builtin": "scalar_cosine"}, "modes": 1},
+_FIELD_BASES = {
+    "analyze": {"system": {"dimension": 1, "period": 1.0, "coefficient": [0.1] * 4},
+                "grid": {"samples_per_period": 32}, "modes": 1},
     "bands": {"potential": {"builtin": "kronig_penney"},
               "energies": {"min": 1.0, "max": 2.0, "count": 4}},
+    "stability": {"system": {"builtin": "van_der_pol"}, "grid": {"samples_per_period": 192}},
 }
+
+
+def _run_with(tmp_path, vdp_cycle, command, base, path, value, *flags):
+    """Exit code of `command` on a copy of base with the dotted path (list
+    indices as numbers, missing objects made) set to value; a stability run
+    reads the mu = 1 cycle."""
+    cfg = json.loads(json.dumps(base))
+    if command == "stability":
+        _cycle_csv(tmp_path / "cycle.csv", *vdp_cycle)
+        cfg["cycle_file"] = str(tmp_path / "cycle.csv")
+    *parents, key = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node[int(part)] if isinstance(node, list) else node.setdefault(part, {})
+    node[key] = value
+    return main([command, "--config", _write(tmp_path / "c.json", cfg),
+                 "--out", str(tmp_path / "out"), *flags])
 
 
 @pytest.mark.parametrize("command", ["analyze", "bands"])
 def test_zero_grid_is_rejected_not_ignored(tmp_path, capsys, command):
-    cfg = _write(tmp_path / "c.json", _OVERRIDE_CONFIGS[command])
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out), "--grid", "0"]) == 2
+    assert _run_with(tmp_path, None, command, _FIELD_BASES[command],
+                     "grid.samples_per_period", 0) == 2
     assert "samples_per_period" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["analyze", "bands"])
-def test_grid_section_is_checked_under_the_grid_flag(tmp_path, capsys, command):
-    cfg = _write(tmp_path / "c.json", dict(_OVERRIDE_CONFIGS[command], grid=[64]))
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out), "--grid", "32"]) == 2
-    assert "grid must be an object" in capsys.readouterr().err
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "bands"])
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_tol_must_be_positive_and_finite(tmp_path, capsys, command, tol):
-    cfg = _write(tmp_path / "c.json", _OVERRIDE_CONFIGS[command])
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out), "--tol", tol]) == 2
-    assert "--tol" in capsys.readouterr().err
-    assert not out.exists()
-
-
-_FIELD_BASES = {
-    "analyze": {"system": {"dimension": 1, "period": 1.0, "coefficient": [0.1] * 4},
-                "grid": {"samples_per_period": 32}, "modes": 1},
-    "bands": _OVERRIDE_CONFIGS["bands"],
-    "stability": {"system": {"builtin": "van_der_pol"}, "grid": {"samples_per_period": 192}},
-}
+    # the config writes the last two as NaN and Infinity, which Python's json reads
+    key = "tolerance" if command == "analyze" else "unit_tol"
+    assert _run_with(tmp_path, None, command, _FIELD_BASES[command], key, float(tol)) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, path, value", [
@@ -416,19 +412,9 @@ _FIELD_BASES = {
 def test_malformed_field_exits_2_and_names_it(tmp_path, capsys, vdp_cycle, command, path,
                                                value):
     # a value of the wrong type or sign is rejected, never truncated or coerced
-    cfg = json.loads(json.dumps(_FIELD_BASES[command]))
-    if command == "stability":
-        _cycle_csv(tmp_path / "cycle.csv", *vdp_cycle)
-        cfg["cycle_file"] = str(tmp_path / "cycle.csv")
-    *parents, key = path.split(".")
-    node = cfg
-    for name in parents:
-        node = node[name]
-    node[key] = value
-    out = tmp_path / "out"
-    assert main([command, "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)]) == 2
+    assert _run_with(tmp_path, vdp_cycle, command, _FIELD_BASES[command], path, value) == 2
     assert path in capsys.readouterr().err
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 _MEMORY_BASE = {"system": {"dimension": 1, "period": 1.0, "memory_depth": 0.5,
@@ -449,9 +435,9 @@ _MEMORY_BASE = {"system": {"dimension": 1, "period": 1.0, "memory_depth": 0.5,
     ("bands", "energies.min", "1.0", "energies.min"),
     ("bands", "energies.max", True, "energies.max"),
     ("bands", "grid", 64, "grid"),
-    ("stability", "period", True, "period"),
-    ("stability", "wrap_tol", "1e-6", "wrap_tol"),
-    ("stability", "fd_step", True, "fd_step"),
+    ("stability", "tolerance", True, "tolerance"),
+    ("stability", "tolerance", "1e-4", "tolerance"),
+    ("bands", "unit_tol", "1e-3", "unit_tol"),
     ("stability", "grid", [192], "grid"),
     # a table: a non-empty list of finite numbers, in its documented shape
     ("analyze", "system.coefficient", [], "system.coefficient"),
@@ -478,23 +464,96 @@ _MEMORY_BASE = {"system": {"dimension": 1, "period": 1.0, "memory_depth": 0.5,
                  "system.params.a", id="analyze-exp_kernel-a-True"),
     pytest.param("stability", "system.params", {"mu": "1.0"}, "system.params.mu",
                  id="stability-van_der_pol-mu-str"),
+    # stability takes no period at all: it is the cycle's time span
+    pytest.param("stability", "period", True, "stability takes no 'period'",
+                 id="stability-period-True-period"),
 ])
 def test_number_fields_take_json_numbers_only(tmp_path, capsys, vdp_cycle, command, path,
                                               value, name):
     # a bool or a string is not read as a number, a table is not reshaped, and
     # a grid that is not an object is an invalid config, not a crash
-    cfg = json.loads(json.dumps(_MEMORY_BASE if command == "analyze" else _FIELD_BASES[command]))
-    if command == "stability":
-        _cycle_csv(tmp_path / "cycle.csv", *vdp_cycle)
-        cfg["cycle_file"] = str(tmp_path / "cycle.csv")
-    *parents, key = path.split(".")
-    node = cfg
-    for part in parents:
-        node = node[int(part)] if isinstance(node, list) else node[part]
-    node[key] = value
-    out = tmp_path / "out"
-    assert main([command, "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)]) == 2
+    base = _MEMORY_BASE if command == "analyze" else _FIELD_BASES[command]
+    assert _run_with(tmp_path, vdp_cycle, command, base, path, value) == 2
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_MISSPELLED = [  # (command, path set, its value, the key refused)
+    ("analyze", "tolerence", 1e-4, "tolerence"),
+    ("analyze", "mode", 2, "mode"),
+    ("stability", "mode", 4, "mode"),
+    ("bands", "unit_toll", 1e-3, "unit_toll"),
+    ("analyze", "grid.sample_per_period", 64, "sample_per_period"),
+    ("analyze", "system.memory_dept", 0.5, "memory_dept"),
+    ("analyze", "system", {"builtin": "scalar_cosine", "param": {"alpha": 0.3}}, "param"),
+    ("stability", "system.parms", {"mu": 1.0}, "parms"),
+    ("analyze", "system.delay_taps.0.dealy", 0.5, "dealy"),
+    ("analyze", "system.kernel.tehta", 0.1, "tehta"),
+    ("bands", "potential.param", {"strength": 3.0}, "param"),
+    ("bands", "potential", {"lattice_constant": 1.0, "local_tabel": [0.0] * 4}, "local_tabel"),
+    ("bands", "energies.cnt", 4, "cnt"),
+]
+
+
+@pytest.mark.parametrize("command, path, value, key", _MISSPELLED,
+                         ids=[f"{case[0]}-{case[1]}-{case[3]}" for case in _MISSPELLED])
+def test_misspelled_key_exits_2_and_names_it(tmp_path, capsys, vdp_cycle, command, path, value,
+                                             key):
+    # a key the object does not take is refused, never ignored in favour of a default
+    base = _MEMORY_BASE if command == "analyze" else _FIELD_BASES[command]
+    assert _run_with(tmp_path, vdp_cycle, command, base, path, value) == 2
+    assert f"takes no '{key}'; it takes " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, path, value, flags, name", [
+    *[(command, "grid.samples_per_period", 64, flag, flag[0])
+      for command in ("analyze", "stability", "bands")
+      for flag in (("--grid", "64"), ("--tol", "1e-1"))],
+    ("stability", "wrap_tol", 1e-6, (), "'wrap_tol'"),
+    ("stability", "fd_step", 1e-6, (), "'fd_step'"),
+    ("analyze", "system", {"builtin": "delay_pi_over_2", "period": 1.0}, (), "'period'"),
+    ("analyze", "system", {"builtin": "exp_kernel", "memory_depth": 2.0}, (), "'memory_depth'"),
+], ids=["analyze--grid", "analyze--tol", "stability--grid", "stability--tol", "bands--grid",
+        "bands--tol", "stability-wrap_tol", "stability-fd_step", "builtin-period",
+        "builtin-memory_depth"])
+def test_removed_input_exits_2(tmp_path, capsys, vdp_cycle, command, path, value, flags, name):
+    # each input is set once, in the config: no flag overrides a key, stability
+    # takes its period from the cycle and its wrap tolerance and difference
+    # step as fixed, and a builtin's params set its period and memory depth
+    base = _MEMORY_BASE if command == "analyze" else _FIELD_BASES[command]
+    if flags:
+        with pytest.raises(SystemExit) as exc:
+            _run_with(tmp_path, vdp_cycle, command, base, path, value, *flags)
+        assert exc.value.code == 2
+    else:
+        assert _run_with(tmp_path, vdp_cycle, command, base, path, value) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("system", [
+    {"dimension": 1, "period": 1.0, "coefficient": [0.1] * 4,
+     "kernel": {"type": "exponential", "theta": 0.1, "amplitude": -0.5}},
+    {"builtin": "exp_kernel", "params": {"depth": 0}},
+], ids=["table_without_memory_depth", "exp_kernel_depth_0"])
+def test_kernel_without_memory_window_exits_2(tmp_path, capsys, system):
+    # over a zero-width window the kernel's integral would be dropped
+    cfg = _write(tmp_path / "c.json", {"system": system, "grid": {"samples_per_period": 32}})
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    assert "memory_depth" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bands_kernel_wider_than_a_cell_exits_2(tmp_path, capsys):
+    # no solve takes it, so the scan does not start
+    cfg = _write(tmp_path / "c.json", {
+        "potential": {"builtin": "separable_nonlocal", "params": {"range_fraction": 1.2}},
+        "energies": {"min": 1.0, "max": 2.0, "count": 4}})
+    out = tmp_path / "out"
+    assert main(["bands", "--config", cfg, "--out", str(out)]) == 2
+    assert "kernel range 1.2" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -103,6 +103,14 @@ BUILTIN_CONFIGS = {
                                       "autonomous": True}),
     "kronig_penney": ("bands", {"potential": {"builtin": "kronig_penney"},
                                 "energies": {"min": 0.5, "max": 40.0, "count": 24}}),
+    # the two tolerances no other config sets: a key a command reads but
+    # refuses shows as an exit-code difference
+    "van_der_pol_128_tolerance": ("stability", {"system": {"builtin": "van_der_pol"},
+                                                "grid": {"samples_per_period": 128},
+                                                "modes": 4, "tolerance": 1e-3}),
+    "kronig_penney_unit_tol": ("bands", {"potential": {"builtin": "kronig_penney"},
+                                         "energies": {"min": 0.5, "max": 40.0, "count": 24},
+                                         "unit_tol": 1e-2}),
     "separable_nonlocal": ("bands", {"potential": {"builtin": "separable_nonlocal"},
                                      "energies": {"min": -13.0, "max": 2.0, "count": 24}}),
 }
