@@ -29,7 +29,7 @@ import numpy as np
 from .grid import PeriodicGrid
 from .integrate import rk4_step
 from .monodromy import sort_multipliers
-from .system import VALIDATION_TOL, InvalidSystemError, evaluate
+from .system import VALIDATION_TOL, InvalidSystemError, array_form, evaluate
 
 _D2_STENCIL = (-1.0, 16.0, -30.0, 16.0, -1.0)  # 4th-order second derivative / 12h^2
 _VALIDATION_NODES = 64  # probe points per cell in validate_potential
@@ -42,11 +42,12 @@ _UNRESOLVED_MAGNITUDE = np.finfo(float).eps ** -0.5
 @dataclass(frozen=True)
 class NonlocalPotential1D:
     """Lattice-periodic potential: local part V(x), optional delta comb, and a
-    symmetric bi-periodic nonlocal kernel W(x, x') cut off at |x - x'| > r_W."""
+    symmetric bi-periodic nonlocal kernel W(x, x') cut off at |x - x'| > r_W.
+    W is declared `system.array_form`: W(x, x') maps arrays of one shape to that shape."""
 
     lattice_constant: float
     local: Optional[Callable] = None  # V(x), a-periodic; may declare system.array_form
-    kernel: Optional[Callable] = None  # W(x, xp_array) -> array over xp
+    kernel: Optional[Callable] = None  # W(x, xp) over arrays of one shape
     kernel_range: float = 0.0
     deltas: tuple = ()  # (position in [0, a), strength) pairs; V += strength*delta(x-x0)
 
@@ -60,6 +61,8 @@ class NonlocalPotential1D:
                                      f"below one lattice constant {self.lattice_constant}")
         if self.kernel is not None and self.deltas:
             raise InvalidSystemError("a nonlocal kernel cannot be combined with a delta comb")
+        if self.kernel is not None:  # it takes arrays of x and x', so it is declared so
+            object.__setattr__(self, "kernel", array_form(self.kernel))
 
     def eval_local(self, x):
         """V at a scalar x, or at a 1-d array of x (see `system.evaluate`)."""
@@ -67,9 +70,10 @@ class NonlocalPotential1D:
             return np.zeros_like(np.asarray(x, dtype=float))
         return evaluate(self.local, x, (), "V")
 
-    def eval_kernel(self, x: float, xp) -> np.ndarray:
-        xp = np.atleast_1d(np.asarray(xp, dtype=float))
-        vals = np.asarray(self.kernel(x, xp), dtype=float).reshape(len(xp))
+    def eval_kernel(self, x, xp) -> np.ndarray:
+        """W over x broadcast against x' (at least 1-d), zero beyond the range."""
+        x, xp = np.broadcast_arrays(np.asarray(x, dtype=float), np.atleast_1d(xp).astype(float))
+        vals = evaluate(self.kernel, (x, xp), (), "W")
         return np.where(np.abs(xp - x) <= self.kernel_range, vals, 0.0)
 
 
@@ -86,16 +90,13 @@ def validate_potential(pot: NonlocalPotential1D):
     a = pot.lattice_constant
     xs = np.linspace(0.0, a, _VALIDATION_NODES, endpoint=False)
     lres = float(np.max(np.abs(pot.eval_local(xs + a) - pot.eval_local(xs))))
-    kres = 0.0
-    sres = 0.0
+    kres = sres = 0.0
     if pot.kernel is not None:
-        for x in xs[:: _VALIDATION_NODES // 16]:
-            xp = x + np.linspace(-pot.kernel_range, pot.kernel_range, 33)
-            k0 = pot.eval_kernel(x, xp)
-            k1 = pot.eval_kernel(x + a, xp + a)
-            kres = max(kres, float(np.max(np.abs(k1 - k0))))
-            krev = np.array([pot.eval_kernel(xq, np.array([x]))[0] for xq in xp])
-            sres = max(sres, float(np.max(np.abs(k0 - krev))))
+        x = xs[:: _VALIDATION_NODES // 16, None]
+        xp = x + np.linspace(-pot.kernel_range, pot.kernel_range, 33)
+        k0 = pot.eval_kernel(x, xp)
+        kres = float(np.max(np.abs(pot.eval_kernel(x + a, xp + a) - k0)))
+        sres = float(np.max(np.abs(pot.eval_kernel(xp, x) - k0)))
     return PotentialReport(max(lres, kres, sres) <= VALIDATION_TOL, lres, kres, sres)
 
 
@@ -165,8 +166,7 @@ def cell_collocation_matrices(pot: NonlocalPotential1D, energy: float, n_nodes: 
         offs = np.arange(-m_max, m_max + 1)
         w = np.full(len(offs), h)
         w[0] = w[-1] = h / 2.0
-        kv = np.array([pot.eval_kernel(x, x + offs * h) for x in xs])
-        block[j, n + j + offs] += w * kv
+        block[j, n + j + offs] += w * pot.eval_kernel(xs[:, None], xs[:, None] + offs * h)
     return block[:, :n], block[:, n:2 * n], block[:, 2 * n:]
 
 

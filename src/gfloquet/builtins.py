@@ -9,7 +9,7 @@ import numpy as np
 
 from .bloch import NonlocalPotential1D
 from .perturbation import NonlinearMemorySystem
-from .system import DelayTap, LinearMemorySystem, difference_kernel
+from .system import DelayTap, LinearMemorySystem, array_form, difference_kernel
 
 # Tuning of the nonlocal example kernel, frozen after a parameter search:
 # gamma = -80 with a cos(2 pi u) difference profile windowed to range 0.9
@@ -73,8 +73,9 @@ def exp_kernel(a: float = 2.0, b: float = -9.0, theta: float = 0.3,
 def van_der_pol(mu: float = 1.0):
     """y1' = y2, y2' = mu (1 - y1^2) y2 - y1 (autonomous, memoryless)."""
 
-    def f(y, t):
-        return np.array([y[1], mu * (1.0 - y[0] ** 2) * y[1] - y[0]])
+    @array_form
+    def f(y, t):  # y1 * y1: y1 ** 2 is x * x over an array but libm pow at a numpy scalar
+        return np.stack([y[:, 1], mu * (1.0 - y[:, 0] * y[:, 0]) * y[:, 1] - y[:, 0]], axis=1)
 
     return NonlinearMemorySystem(2, f), {"autonomous": True}
 

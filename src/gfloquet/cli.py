@@ -28,8 +28,8 @@ from .builtins import CATALOG
 from .grid import GridError, PeriodicGrid, periodic_derivative
 from .monodromy import ConvergenceError, floquet_spectrum, verify_floquet_form
 from .perturbation import LimitCycle, NonlinearMemorySystem, linearize, stability_verdict
-from .system import (InvalidSystemError, LinearMemorySystem, DelayTap, array_form,
-                     difference_kernel, tabulated_coefficient, validate_system)
+from .system import (InvalidSystemError, LinearMemorySystem, DelayTap, difference_kernel,
+                     tabulated_coefficient, validate_system)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -330,8 +330,7 @@ def _potential_from_config(cfg: dict) -> NonlocalPotential1D:
     a = _number(_require(spec, "lattice_constant", "potential"), "potential.lattice_constant")
     local = None
     if "local_table" in spec:
-        ev = tabulated_coefficient(_table(spec, "local_table", "potential", ("k",), 4), a)
-        local = array_form(lambda x: ev(x)[..., 0, 0])
+        local = tabulated_coefficient(_table(spec, "local_table", "potential", ("k",), 4), a)
     return NonlocalPotential1D(a, local=local)
 
 

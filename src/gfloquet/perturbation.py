@@ -17,7 +17,8 @@ _UNIT_TOL = 1e-3  # a decisive |mu| within this of 1 is MARGINAL
 @dataclass(frozen=True)
 class NonlinearMemorySystem:
     """dy/dt = f(y, t) + L'{g(y, t), t} with L' built from delay taps and/or a
-    bi-periodic convolution kernel acting on g."""
+    bi-periodic convolution kernel acting on g. f and g may declare
+    `system.array_form`: f(Y, T) maps states (P, n) and times (P,) to (P, n)."""
 
     dimension: int
     vector_field: Callable  # f(y, t) -> n-vector, T-periodic in t
@@ -43,7 +44,10 @@ class LimitCycle:
     wrap_tol: float = 1e-8
 
     def __post_init__(self):
-        samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
+        samples = np.asarray(self.samples, dtype=float)
+        if not (samples.ndim == 2 and len(samples) >= 2 and np.isfinite(samples).all()):
+            raise InvalidSystemError("limit cycle samples must be finite and shaped "
+                                     f"(nodes >= 2, dimension), got {samples.shape}")
         scale = max(float(np.abs(samples).max()), 1.0)
         wrap = float(np.max(np.abs(samples[-1] - samples[0])))
         if wrap > self.wrap_tol * scale:
@@ -66,29 +70,12 @@ class LimitCycle:
         h = self.period / y.shape[0]
         dy = periodic_derivative(y, h)
         # only the memory part of this system is ever applied
-        memory = LinearMemorySystem(self.dimension, None, nl.delay_taps, nl.kernel)
-
-        def g_at(taus):
-            return np.array([nl.memory_field(yt, tau) for yt, tau in zip(self.at(taus), taus)])
-
+        n = self.dimension
+        memory = LinearMemorySystem(n, None, nl.delay_taps, nl.kernel)
+        g_at = lambda taus: evaluate(nl.memory_field, (self.at(taus), taus), (n,), "g")
         t = np.arange(y.shape[0]) * h
-        rhs = np.array([nl.vector_field(yk, tk) for yk, tk in zip(y, t)], dtype=float)
-        rhs = apply_memory(memory, grid, t, g_at, rhs)
+        rhs = apply_memory(memory, grid, t, g_at, evaluate(nl.vector_field, (y, t), (n,), "f"))
         return float(np.max(np.abs(dy - rhs)))
-
-
-def _fd_jacobian(func, y, t, fd_step):
-    n = len(y)
-    jac = np.empty((n, n))
-    for j in range(n):
-        step = fd_step * (1.0 + abs(y[j]))
-        yp = y.copy(); yp[j] += step
-        ym = y.copy(); ym[j] -= step
-        with np.errstate(invalid="ignore"):
-            jac[:, j] = (np.asarray(func(yp, t)) - np.asarray(func(ym, t))) / (2 * step)
-    if not np.all(np.isfinite(jac)):
-        raise InvalidSystemError(f"non-finite Jacobian entries at t={t}")
-    return jac
 
 
 def linearize(
@@ -105,16 +92,27 @@ def linearize(
         raise ValueError(f"fd_step {fd_step} outside (0, 1e-2*|y|]")
     n = cycle.dimension
 
-    def jacobians(func, t):  # (len(t), n, n), or (n, n) at a scalar t
-        ts = np.atleast_1d(t)
-        jacs = np.array([_fd_jacobian(func, y, s, fd_step) for y, s in zip(cycle.at(ts), ts)])
+    def jacobians(func, name, t):  # (len(t), n, n), or (n, n) at a scalar t
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        ys = cycle.at(ts)
+        steps = fd_step * (1.0 + np.abs(ys))
+        jacs = np.empty((len(ts), n, n))
+        for j in range(n):  # one central difference in y_j at every point
+            yp = ys.copy(); yp[:, j] += steps[:, j]
+            ym = ys.copy(); ym[:, j] -= steps[:, j]
+            with np.errstate(invalid="ignore"):
+                jacs[:, :, j] = (evaluate(func, (yp, ts), (n,), name)
+                                 - evaluate(func, (ym, ts), (n,), name)) / (2 * steps[:, j, None])
+        finite = np.isfinite(jacs).reshape(len(ts), -1).all(axis=1)
+        if not finite.all():
+            raise InvalidSystemError(f"non-finite Jacobian entries at t={ts[np.argmin(finite)]}")
         return jacs if np.ndim(t) else jacs[0]
 
-    coefficient = array_form(lambda t: jacobians(nl.vector_field, t))
+    coefficient = array_form(lambda t: jacobians(nl.vector_field, "f", t))
     taps = tuple(
         DelayTap(tap.delay, array_form(
             lambda t, tap=tap: evaluate(tap.coefficient, t, (n, n), "B")
-            @ jacobians(nl.memory_field, t - tap.delay)))
+            @ jacobians(nl.memory_field, "g", t - tap.delay)))
         for tap in nl.delay_taps
     )
     kernel = None
@@ -124,7 +122,7 @@ def linearize(
         def kernel(t, taus):
             taus = np.atleast_1d(taus)
             return np.einsum("tij,tjk->tik", evaluate(nl.kernel, taus, (n, n), "K", t),
-                             jacobians(nl.memory_field, taus))
+                             jacobians(nl.memory_field, "g", taus))
 
     return LinearMemorySystem(n, coefficient, delay_taps=taps, kernel=kernel)
 

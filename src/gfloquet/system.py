@@ -78,15 +78,19 @@ def array_form(fn: Callable) -> Callable:
 
 def evaluate(fn: Callable, points, shape: tuple, name: str, *lead) -> np.ndarray:
     """fn(*lead, p) as a `shape` float array at a scalar point, or stacked as
-    (len,) + shape over a 1-d array of points: in one call when fn declares
-    `array_form`, else in one call per point. A value of the wrong shape
-    raises InvalidSystemError naming `name`."""
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    points.shape + shape over an array of points (or a tuple of arrays, one
+    argument each, led by the last one's shape: a field's states (P, n) and
+    times (P,)): in one call when fn declares `array_form`, else in one call
+    per point. A value of the wrong shape raises InvalidSystemError naming it."""
+    args = [np.atleast_1d(np.asarray(p, dtype=float))
+            for p in (points if isinstance(points, tuple) else (points,))]
+    pts = args[-1].shape
     if getattr(fn, "array_form", False):
-        out = _fit(fn(*lead, pts), pts.shape + shape, shape, name, None)
+        out = _fit(fn(*lead, *args), pts + shape, shape, name, None)
     else:
-        out = np.array([_fit(fn(*lead, p), shape, shape, name, (*lead, p)) for p in pts])
-    return out.reshape(pts.shape + shape) if np.ndim(points) else out[0]
+        rows = zip(*(a.reshape((-1,) + a.shape[len(pts):]) for a in args))
+        out = np.array([_fit(fn(*lead, *row), shape, shape, name, (*lead, *row)) for row in rows])
+    return out.reshape(pts + shape) if isinstance(points, tuple) or np.ndim(points) else out[0]
 
 
 def _fit(value, want: tuple, shape: tuple, name: str, args) -> np.ndarray:
@@ -96,7 +100,8 @@ def _fit(value, want: tuple, shape: tuple, name: str, args) -> np.ndarray:
     # reshaped where it cannot be misread: one number per point, or a leading 1
     if value.shape == (1,) + want or (math.prod(shape) == 1 and value.size == math.prod(want)):
         return value.reshape(want)
-    at = f" over {want[0]} points" if args is None else f"({', '.join(map(str, args))})"
+    at = (f" over {math.prod(want[:len(want) - len(shape)])} points" if args is None
+          else f"({', '.join(map(str, args))})")
     raise InvalidSystemError(f"{name}{at} has shape {value.shape}, expected {want}")
 
 
@@ -211,11 +216,9 @@ def shift_commutation_residual(
 
 
 def tabulated_coefficient(samples: np.ndarray, period: float) -> Callable:
-    """Adapter turning uniform samples of a Sigma-periodic matrix over [0, Sigma)
-    into an evaluator (cubic periodic interpolation)."""
+    """Adapter turning uniform samples of a Sigma-periodic matrix (or number)
+    over [0, Sigma) into an evaluator (cubic periodic interpolation)."""
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples.reshape(-1, 1, 1)
 
     @array_form
     def evaluator(sigma):
@@ -233,9 +236,6 @@ def difference_kernel(profile: Callable, scale=None) -> Callable:
     def kernel(sigma, taus):
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         vals = np.asarray(profile(sigma - taus), dtype=float)
-        if scale is None:
-            return vals.reshape(len(taus), 1, 1)
-        c = np.asarray(scale, dtype=float)
-        return vals[:, None, None] * c[None, :, :]
+        return vals[:, None, None] * (1.0 if scale is None else np.asarray(scale, dtype=float))
 
     return kernel

@@ -18,7 +18,7 @@ from gfloquet.bloch import (_UNRESOLVED_MAGNITUDE, _confirmed_set, _trimmed_mult
                             _trimmed_pencil)
 from gfloquet.builtins import kronig_penney, separable_nonlocal
 
-from bloch_oracles import fixed_k_energies, kronig_penney_reference
+from bloch_oracles import fixed_k_energies, kronig_penney_reference, per_node_collocation
 
 FREE = NonlocalPotential1D(1.0)
 GRID = PeriodicGrid(1.0, 64, 0.0)
@@ -146,6 +146,31 @@ def test_collocation_matches_entrywise_assembly():
             got = cell_collocation_matrices(pot, 2.5, n)
             for block, ref in zip(got, _reference_collocation(pot, 2.5, n)):
                 assert np.array_equal(block, ref)
+
+
+@pytest.mark.parametrize("n", [2, 9, 64, 128])
+def test_one_kernel_call_assembly_equals_per_node_oracle(n):
+    calls = []
+    narrow, _ = separable_nonlocal(gamma=-30.0, range_fraction=0.3)
+
+    def kernel(x, xp):
+        calls.append(np.shape(xp))
+        return narrow.kernel(x, xp)
+
+    for pot in (separable_nonlocal()[0], _nonlocal_crystal(-5.0),
+                NonlocalPotential1D(1.0, kernel=kernel, kernel_range=narrow.kernel_range)):
+        got = cell_collocation_matrices(pot, -3.5, n)
+        for block, ref in zip(got, per_node_collocation(pot, -3.5, n)):
+            assert np.array_equal(block, ref)
+    assert calls[0] == (n, 2 * int(np.floor(0.3 * n + 1e-12)) + 1)  # the one assembly call
+
+
+def test_wrong_shaped_kernel_is_named():
+    pot = NonlocalPotential1D(1.0, kernel=lambda x, xp: np.zeros(3), kernel_range=0.3)
+    with pytest.raises(InvalidSystemError, match=r"^W over \d+ points has shape \(3,\)"):
+        cell_collocation_matrices(pot, 1.0, 16)
+    with pytest.raises(InvalidSystemError, match=r"^W over"):
+        validate_potential(pot)
 
 
 @pytest.mark.parametrize("n", [64, 128])

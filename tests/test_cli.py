@@ -269,6 +269,15 @@ def test_stability_rejects_nonuniform_cycle_times(tmp_path, capsys, vdp_cycle):
     _stability_rejects(tmp_path, capsys, times, samples, "uniform")
 
 
+def test_stability_rejects_a_cycle_with_a_nan_sample(tmp_path, capsys, vdp_cycle):
+    # refused as malformed input, not as a cycle whose residual is too large
+    period, samples = vdp_cycle
+    samples = samples.copy()
+    samples[100, 1] = np.nan
+    _stability_rejects(tmp_path, capsys, np.linspace(0.0, period, len(samples)), samples,
+                       "limit cycle samples must be finite")
+
+
 def test_stability_rejects_period_other_than_time_span(tmp_path, capsys, vdp_cycle):
     # the period is the cycle's time span, so a config cannot restate it,
     # whether it differs from the span or equals it

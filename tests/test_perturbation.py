@@ -8,6 +8,7 @@ from gfloquet import (
     forced_response, linearize, stability_verdict, step_integrate,
 )
 from gfloquet.integrate import Trajectory
+from gfloquet.system import array_form
 
 
 def variation_of_constants_response(
@@ -168,9 +169,20 @@ def _memory_linearization():
     return nl, cycle, linearize(nl, cycle, fd_step=1e-6)
 
 
+def _fd_jacobian(func, y, t, fd_step):
+    """Central-difference Jacobian of func(y, t) at one point, column by column."""
+    n = len(y)
+    jac = np.empty((n, n))
+    for j in range(n):
+        step = fd_step * (1.0 + abs(y[j]))
+        yp = y.copy(); yp[j] += step
+        ym = y.copy(); ym[j] -= step
+        jac[:, j] = (np.asarray(func(yp, t)) - np.asarray(func(ym, t))) / (2 * step)
+    return jac
+
+
 @pytest.mark.parametrize("callback", ["A", "B", "K"])
 def test_linearize_coefficient_array_form_equals_per_point_jacobians(callback):
-    from gfloquet.perturbation import _fd_jacobian
     from gfloquet.system import evaluate
 
     nl, cycle, lin = _memory_linearization()
@@ -216,6 +228,38 @@ def test_linearized_callbacks_look_the_cycle_up_once_per_call(monkeypatch):
     assert counts["eval"] > 2 and counts["at"] == counts["eval"]
 
 
+def test_array_form_field_is_called_twice_per_column_per_jacobians_call():
+    ts = np.linspace(0.0, 1.0, 65)
+    cycle = LimitCycle(1.0, np.stack([np.cos(2 * np.pi * ts), np.sin(2 * np.pi * ts)], 1))
+    calls = []
+
+    @array_form
+    def f(y, t):
+        calls.append(np.shape(t))
+        return np.stack([y[..., 1], -y[..., 0] - 0.1 * y[..., 1] ** 3], axis=-1)
+
+    lin = linearize(NonlinearMemorySystem(2, f), cycle)
+    sigmas = np.arange(40) / 40
+    assert lin.eval_coefficient(sigmas).shape == (40, 2, 2)
+    assert calls == [(40,)] * 4  # 2n calls, each over every point
+
+
+def test_undeclared_van_der_pol_field_linearizes_to_the_same_bits():
+    from gfloquet.builtins import van_der_pol
+
+    nl, _ = van_der_pol(1.3)
+    per_point = NonlinearMemorySystem(
+        2, lambda y, t: np.array([y[1], 1.3 * (1.0 - y[0] * y[0]) * y[1] - y[0]]))
+    ts = np.linspace(0.0, 1.0, 97)
+    cycle = LimitCycle(1.0, np.stack([2.0 * np.cos(2 * np.pi * ts), -np.sin(2 * np.pi * ts)], 1))
+    sigmas = np.random.default_rng(5).uniform(0.0, 1.0, 300)
+    want = linearize(nl, cycle).eval_coefficient(sigmas)
+    assert np.array_equal(linearize(per_point, cycle).eval_coefficient(sigmas), want)
+    assert np.array_equal(want[7], linearize(per_point, cycle).eval_coefficient(sigmas[7]))
+    grid = PeriodicGrid(1.0, 96, 0.0)
+    assert cycle.residual(nl, grid) == cycle.residual(per_point, grid)
+
+
 def test_linearize_rejects_bad_fd_step():
     cycle = _cubic_cycle()
     nl = NonlinearMemorySystem(1, lambda y, t: np.array([-y[0]]))
@@ -229,6 +273,29 @@ def test_linearize_nonfinite_jacobian():
     lin = linearize(nl, cycle, fd_step=1e-6)
     with pytest.raises(InvalidSystemError):
         lin.eval_coefficient(0.0)
+
+
+@pytest.mark.parametrize("declare", [False, True])
+def test_nonfinite_jacobian_names_the_first_time(declare):
+    def f(y, t):
+        return np.where(np.asarray(t)[..., None] >= 0.5, np.log(y - 0.6), -y)
+
+    cycle = _cubic_cycle()  # y = 0.5 + 0.3 cos 2 pi t falls below 0.6 from t = 0.33
+    lin = linearize(NonlinearMemorySystem(1, array_form(f) if declare else f), cycle)
+    assert np.all(np.isfinite(lin.eval_coefficient(np.linspace(0.0, 0.45, 10))))
+    with pytest.raises(InvalidSystemError, match=r"non-finite Jacobian entries at t=0\.5$"):
+        with np.errstate(invalid="ignore"):
+            lin.eval_coefficient(np.linspace(0.0, 1.0, 9)[1:])
+
+
+@pytest.mark.parametrize("samples", [
+    np.cos(2 * np.pi * np.linspace(0.0, 1.0, 9)),  # 1-d: not read as one 9-dimensional node
+    np.ones((1, 2)),
+    np.array([[1.0], [np.nan], [1.0]]),
+])
+def test_limit_cycle_refuses_malformed_samples(samples):
+    with pytest.raises(InvalidSystemError, match="limit cycle samples"):
+        LimitCycle(1.0, samples)
 
 
 def _dec_from_multipliers(mus, period=1.0):

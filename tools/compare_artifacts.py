@@ -113,6 +113,11 @@ BUILTIN_CONFIGS = {
                                          "unit_tol": 1e-2}),
     "separable_nonlocal": ("bands", {"potential": {"builtin": "separable_nonlocal"},
                                      "energies": {"min": -13.0, "max": 2.0, "count": 24}}),
+    # a kernel window 0.3 wide, against the default 0.9: the collocation
+    # kernel call covers a second node-offset array width
+    "separable_nonlocal_range_0_3": ("bands", {
+        "potential": {"builtin": "separable_nonlocal", "params": {"range_fraction": 0.3}},
+        "energies": {"min": -13.0, "max": 2.0, "count": 24}}),
 }
 RUNNER = """
 import json, sys
