@@ -43,11 +43,11 @@ _UNRESOLVED_MAGNITUDE = np.finfo(float).eps ** -0.5
 class NonlocalPotential1D:
     """Lattice-periodic potential: local part V(x), optional delta comb, and a
     symmetric bi-periodic nonlocal kernel W(x, x') cut off at |x - x'| > r_W.
-    W is declared `system.array_form`: W(x, x') maps arrays of one shape to that shape."""
+    W is declared `system.array_form`: W(x, x') maps 1-d arrays of point pairs to values."""
 
     lattice_constant: float
     local: Optional[Callable] = None  # V(x), a-periodic; may declare system.array_form
-    kernel: Optional[Callable] = None  # W(x, xp) over arrays of one shape
+    kernel: Optional[Callable] = None  # W(x, xp) over 1-d arrays of point pairs
     kernel_range: float = 0.0
     deltas: tuple = ()  # (position in [0, a), strength) pairs; V += strength*delta(x-x0)
 
@@ -61,7 +61,7 @@ class NonlocalPotential1D:
                                      f"below one lattice constant {self.lattice_constant}")
         if self.kernel is not None and self.deltas:
             raise InvalidSystemError("a nonlocal kernel cannot be combined with a delta comb")
-        if self.kernel is not None:  # it takes arrays of x and x', so it is declared so
+        if self.kernel is not None:  # it takes arrays of (x, x') pairs, so it is declared so
             object.__setattr__(self, "kernel", array_form(self.kernel))
 
     def eval_local(self, x):
@@ -72,7 +72,7 @@ class NonlocalPotential1D:
 
     def eval_kernel(self, x, xp) -> np.ndarray:
         """W over x broadcast against x' (at least 1-d), zero beyond the range."""
-        x, xp = np.broadcast_arrays(np.asarray(x, dtype=float), np.atleast_1d(xp).astype(float))
+        x, xp = np.broadcast_arrays(x, np.atleast_1d(xp))
         vals = evaluate(self.kernel, (x, xp), (), "W")
         return np.where(np.abs(xp - x) <= self.kernel_range, vals, 0.0)
 

@@ -31,8 +31,9 @@ class PeriodicGrid:
     def __post_init__(self):
         if not (self.period > 0 and np.isfinite(self.period)):
             raise GridError(f"period must be positive and finite, got {self.period}")
-        if self.samples_per_period < 8:
-            raise GridError(f"samples_per_period must be >= 8, got {self.samples_per_period}")
+        n = self.samples_per_period
+        if not (isinstance(n, (int, np.integer)) and n >= 8):
+            raise GridError(f"samples_per_period must be an integer >= 8, got {n!r}")
         if not (self.memory_depth >= 0 and np.isfinite(self.memory_depth)):
             raise GridError(f"memory_depth must be non-negative, got {self.memory_depth}")
         if self.quadrature not in ("trapezoid", "simpson"):

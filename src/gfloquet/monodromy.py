@@ -289,35 +289,33 @@ def truncate_infinite_kernel(
     integrates below eps."""
     if system.kernel is None:
         raise ValueError("the system has no kernel to truncate")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     amp = float(reference_amplitude)
+    if not 0 <= amp < math.inf:
+        raise ValueError(f"reference_amplitude must be non-negative and finite, got {amp}")
     h = grid.step
     sigmas = grid.period_nodes[:: max(1, grid.samples_per_period // 16)]
 
     def tail(r: float) -> float:
-        worst = 0.0
-        for sigma in sigmas:
-            upper = sigma - r
-            total = 0.0
-            width = max(grid.period, r, 1.0)
-            converged = False
-            for _ in range(_MAX_DOUBLINGS):
-                xs = np.linspace(upper - width, upper, 129)
-                g = np.linalg.norm(system.eval_kernel(sigma, xs), axis=(1, 2)) * amp
-                block = float(np.sum((xs[1:] - xs[:-1]) * (g[1:] + g[:-1]) / 2.0))
-                total += block
-                if block < eps * 1e-3:
-                    converged = True
-                    break
-                upper -= width
-                width *= 2.0
-            if not converged:
-                raise NonTruncatableError(
-                    "kernel tail integral failed to decay; the memory cannot be truncated"
-                )
-            worst = max(worst, total)
-        return worst
+        # every probe sigma at once; each adds blocks of doubling width further
+        # back until its own block is negligible
+        upper = sigmas - r
+        total = np.zeros(len(sigmas))
+        adding = np.ones(len(sigmas), dtype=bool)
+        width = max(grid.period, r, 1.0)
+        for _ in range(_MAX_DOUBLINGS):
+            xs = np.linspace(upper - width, upper, 129, axis=1)
+            g = np.linalg.norm(system.eval_kernel(sigmas[:, None], xs), axis=(2, 3)) * amp
+            block = np.sum((xs[:, 1:] - xs[:, :-1]) * (g[:, 1:] + g[:, :-1]) / 2.0, axis=1)
+            total[adding] += block[adding]
+            adding &= ~(block < eps * 1e-3)
+            if not adding.any():
+                return float(total.max())
+            upper -= width
+            width *= 2.0
+        raise NonTruncatableError("kernel tail integral failed to decay; "
+                                  "the memory cannot be truncated")
 
     if tail(0.0) < eps:
         return 0.0

@@ -24,12 +24,12 @@ class NonlinearMemorySystem:
     vector_field: Callable  # f(y, t) -> n-vector, T-periodic in t
     memory_field: Optional[Callable] = None  # g(y, t) -> n-vector
     delay_taps: tuple = ()  # DelayTap entries applied to g
-    kernel: Optional[Callable] = None  # K(t, tau_array) applied to g
+    kernel: Optional[Callable] = None  # K(t, tau) applied to g, over pairs (P,), (P,)
     memory_depth: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "delay_taps", tuple(self.delay_taps))
-        if self.kernel is not None:  # it takes arrays of tau, so it is declared so
+        if self.kernel is not None:  # it takes arrays of (t, tau) pairs, so it is declared so
             object.__setattr__(self, "kernel", array_form(self.kernel))
         if (self.delay_taps or self.kernel is not None) and self.memory_field is None:
             raise InvalidSystemError("memory operator given but no memory field g")
@@ -121,7 +121,7 @@ def linearize(
         @array_form
         def kernel(t, taus):
             taus = np.atleast_1d(taus)
-            return np.einsum("tij,tjk->tik", evaluate(nl.kernel, taus, (n, n), "K", t),
+            return np.einsum("tij,tjk->tik", evaluate(nl.kernel, (t, taus), (n, n), "K"),
                              jacobians(nl.memory_field, "g", taus))
 
     return LinearMemorySystem(n, coefficient, delay_taps=taps, kernel=kernel)

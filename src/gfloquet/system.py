@@ -35,13 +35,14 @@ class DelayTap:
 class LinearMemorySystem:
     """dz/dsigma = A(s) z(s) + sum_i B_i(s) z(s - d_i) + int_{s-r}^{s} K(s,t) z(t) dt + b(s).
 
-    All evaluators are callbacks of one scalar: A and B_i take sigma and return
-    an (n, n) array (a scalar when n = 1), the kernel takes (sigma, tau) and
-    returns K(sigma, tau) the same way, the forcing takes sigma and returns an
-    n-vector. Each may declare `array_form`: it is then handed a 1-d array of
-    sigma (of tau, for the kernel) instead and returns its values stacked on a
-    leading axis, (len,) when each is a single number, bitwise those of its
-    per-point form, which a wrapper that drops the declaration gets.
+    All evaluators are callbacks of one point: A and B_i take a scalar sigma
+    and return an (n, n) array (a scalar when n = 1), the kernel takes one
+    pair (sigma, tau) and returns K(sigma, tau) the same way, the forcing
+    takes sigma and returns an n-vector. Each may declare `array_form`: it is
+    then handed a 1-d array of sigma (two of one length, sigma and tau, for
+    the kernel) instead and returns its values stacked on a leading axis,
+    (len,) when each is a single number, bitwise those of its per-point form,
+    which a wrapper that drops the declaration gets.
     """
 
     dimension: int
@@ -61,36 +62,40 @@ class LinearMemorySystem:
     def eval_tap(self, tap: DelayTap, sigma) -> np.ndarray:
         return evaluate(tap.coefficient, sigma, (self.dimension,) * 2, "B")
 
-    def eval_kernel(self, sigma: float, taus: np.ndarray) -> np.ndarray:
-        return evaluate(self.kernel, taus, (self.dimension,) * 2, "K", sigma)
+    def eval_kernel(self, sigma, taus) -> np.ndarray:  # sigma broadcast against taus, >= 1-d
+        sigma, taus = np.broadcast_arrays(sigma, np.atleast_1d(taus))
+        return evaluate(self.kernel, (sigma, taus), (self.dimension,) * 2, "K")
 
     def eval_forcing(self, sigma: float) -> np.ndarray:
         return evaluate(self.forcing, sigma, (self.dimension,), "b")
 
 
 def array_form(fn: Callable) -> Callable:
-    """fn, declared to take a 1-d array of points last and return its values
-    there stacked on a leading axis."""
+    """fn, declared to take 1-d arrays of points (one per argument, of one
+    length) and return its values there stacked on a leading axis; a callable
+    already declared is returned as it is."""
+    if getattr(fn, "array_form", False):
+        return fn
     declared = functools.wraps(fn)(lambda *args: fn(*args))
     declared.array_form = True
     return declared
 
 
-def evaluate(fn: Callable, points, shape: tuple, name: str, *lead) -> np.ndarray:
-    """fn(*lead, p) as a `shape` float array at a scalar point, or stacked as
-    points.shape + shape over an array of points (or a tuple of arrays, one
+def evaluate(fn: Callable, points, shape: tuple, name: str) -> np.ndarray:
+    """fn over points as points.shape + shape (a tuple of arrays passes one
     argument each, led by the last one's shape: a field's states (P, n) and
-    times (P,)): in one call when fn declares `array_form`, else in one call
-    per point. A value of the wrong shape raises InvalidSystemError naming it."""
-    args = [np.atleast_1d(np.asarray(p, dtype=float))
+    times (P,), a kernel's sigma and tau). The point axes are flattened once:
+    a callback declaring `array_form` gets every point in one call, any other
+    one point (one scalar pair) per call. A wrong shape raises InvalidSystemError."""
+    args = [np.asarray(p, dtype=float)
             for p in (points if isinstance(points, tuple) else (points,))]
     pts = args[-1].shape
+    flat = [a.reshape((-1,) + a.shape[len(pts):]) for a in args]
     if getattr(fn, "array_form", False):
-        out = _fit(fn(*lead, *args), pts + shape, shape, name, None)
+        out = _fit(fn(*flat), flat[-1].shape[:1] + shape, shape, name, None)
     else:
-        rows = zip(*(a.reshape((-1,) + a.shape[len(pts):]) for a in args))
-        out = np.array([_fit(fn(*lead, *row), shape, shape, name, (*lead, *row)) for row in rows])
-    return out.reshape(pts + shape) if isinstance(points, tuple) or np.ndim(points) else out[0]
+        out = np.array([_fit(fn(*row), shape, shape, name, row) for row in zip(*flat)])
+    return out.reshape(pts + shape)
 
 
 def _fit(value, want: tuple, shape: tuple, name: str, args) -> np.ndarray:
@@ -123,31 +128,25 @@ def validate_system(system: LinearMemorySystem, grid: PeriodicGrid) -> Validatio
     nodes = np.concatenate([grid.segment_nodes[:-1], grid.period_nodes])
     msgs = []
 
-    def residual_of(evaluator, name):
-        m0 = evaluator(nodes)
-        m1 = evaluator(nodes + sig)
-        finite = (np.isfinite(m0) & np.isfinite(m1)).reshape(len(nodes), -1).all(axis=1)
+    def residual_of(evaluator, name, at=nodes):  # and the values at `at`
+        m0 = evaluator(at)
+        m1 = evaluator(at + sig)
+        finite = (np.isfinite(m0) & np.isfinite(m1)).reshape(len(at), -1).all(axis=1)
         if not finite.all():
-            raise InvalidSystemError(f"non-finite {name} at node sigma={nodes[np.argmin(finite)]}")
-        return float(np.max(np.abs(m1 - m0)))
+            raise InvalidSystemError(f"non-finite {name} at node sigma={at[np.argmin(finite)]}")
+        return float(np.max(np.abs(m1 - m0))), m0
 
-    coeff_res = residual_of(system.eval_coefficient, "A")
+    coeff_res = residual_of(system.eval_coefficient, "A")[0]
     tap_res = tuple(
-        residual_of(lambda s, t=tap: system.eval_tap(t, s), "B") for tap in system.delay_taps
+        residual_of(lambda s, t=tap: system.eval_tap(t, s), "B")[0] for tap in system.delay_taps
     )
     kern_res = 0.0
     bound = 0.0
-    if system.kernel is not None:
+    if system.kernel is not None:  # every period node against its whole window
         taus0, w, _ = quadrature_window(grid)
-        for s in grid.period_nodes:
-            taus = s + taus0
-            k0 = system.eval_kernel(s, taus)
-            k1 = system.eval_kernel(s + sig, taus + sig)
-            if not (np.all(np.isfinite(k0)) and np.all(np.isfinite(k1))):
-                raise InvalidSystemError(f"non-finite kernel at node sigma={s}")
-            kern_res = max(kern_res, float(np.max(np.abs(k1 - k0))))
-            norms = np.linalg.norm(k0, axis=(1, 2))
-            bound = max(bound, float(np.dot(w, norms)))
+        window = lambda s: system.eval_kernel(s[:, None], s[:, None] + taus0)
+        kern_res, k0 = residual_of(window, "kernel", grid.period_nodes)
+        bound = float(np.max(np.linalg.norm(k0, axis=(2, 3)) @ w))
     passed = coeff_res <= VALIDATION_TOL and kern_res <= VALIDATION_TOL and np.isfinite(bound)
     for i, tr in enumerate(tap_res):
         if tr > VALIDATION_TOL:
@@ -180,7 +179,7 @@ def apply_memory(system: LinearMemorySystem, grid: PeriodicGrid, sigmas: np.ndar
         terms = []
         for part in np.split(sigmas, range(step, len(sigmas), step)):
             taus = part[:, None] + taus0
-            kmat = np.array([system.eval_kernel(s, t) for s, t in zip(part, taus)])
+            kmat = system.eval_kernel(part[:, None], taus)
             zs = z_at(taus.ravel()).reshape(taus.shape + (-1,))
             terms.append(np.einsum("t,stij,stj->si", w, kmat, zs))
         out = out + np.concatenate(terms)
@@ -229,13 +228,13 @@ def tabulated_coefficient(samples: np.ndarray, period: float) -> Callable:
 
 
 def difference_kernel(profile: Callable, scale=None) -> Callable:
-    """Kernel K(sigma, tau) = C * profile(sigma - tau); constant-coefficient
-    difference kernels are automatically bi-periodic."""
+    """Kernel K(sigma, tau) = C * profile(sigma - tau), declared `array_form`
+    over (sigma, tau) pairs; constant-coefficient difference kernels are
+    automatically bi-periodic."""
 
     @array_form
     def kernel(sigma, taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        vals = np.asarray(profile(sigma - taus), dtype=float)
-        return vals[:, None, None] * (1.0 if scale is None else np.asarray(scale, dtype=float))
+        vals = np.asarray(profile(np.asarray(sigma, dtype=float) - taus), dtype=float)
+        return vals[..., None, None] * (1.0 if scale is None else np.asarray(scale, dtype=float))
 
     return kernel

@@ -33,9 +33,9 @@ def fixed_k_energies(pot, k: float, n_nodes: int, n_bands: int = 8) -> np.ndarra
 
 def per_node_collocation(pot, energy: float, n_nodes: int) -> tuple:
     """B_{-1}, B_0, B_{+1} with the kernel term added one node at a time:
-    W is called on each node x and its offsets x' alone, masked to the kernel
-    range, and each entry goes to the block of its cell (oracle for the one
-    kernel call of cell_collocation_matrices)."""
+    W is called on the pairs of each node x and its offsets x' alone, masked
+    to the kernel range, and each entry goes to the block of its cell (oracle
+    for the one kernel call of cell_collocation_matrices)."""
     local = dataclasses.replace(pot, kernel=None, kernel_range=0.0)
     blocks = [b.copy() for b in cell_collocation_matrices(local, energy, n_nodes)]
     h = pot.lattice_constant / n_nodes
@@ -45,7 +45,7 @@ def per_node_collocation(pot, energy: float, n_nodes: int) -> tuple:
     w[0] = w[-1] = h / 2.0
     for j, x in enumerate(np.arange(n_nodes) * h):
         xp = x + offs * h
-        vals = np.asarray(pot.kernel(x, xp), dtype=float).reshape(len(xp))
+        vals = np.asarray(pot.kernel(np.full(len(xp), x), xp), dtype=float).reshape(len(xp))
         vals = np.where(np.abs(xp - x) <= pot.kernel_range, vals, 0.0)
         for m, val in zip(offs, w * vals):
             cell, col = divmod(int(j + m), n_nodes)

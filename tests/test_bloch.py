@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import multiprocessing
 import os
@@ -154,7 +155,7 @@ def test_one_kernel_call_assembly_equals_per_node_oracle(n):
     narrow, _ = separable_nonlocal(gamma=-30.0, range_fraction=0.3)
 
     def kernel(x, xp):
-        calls.append(np.shape(xp))
+        calls.append((np.shape(x), np.shape(xp)))
         return narrow.kernel(x, xp)
 
     for pot in (separable_nonlocal()[0], _nonlocal_crystal(-5.0),
@@ -162,7 +163,15 @@ def test_one_kernel_call_assembly_equals_per_node_oracle(n):
         got = cell_collocation_matrices(pot, -3.5, n)
         for block, ref in zip(got, per_node_collocation(pot, -3.5, n)):
             assert np.array_equal(block, ref)
-    assert calls[0] == (n, 2 * int(np.floor(0.3 * n + 1e-12)) + 1)  # the one assembly call
+    pairs = n * (2 * int(np.floor(0.3 * n + 1e-12)) + 1)
+    assert calls[0] == ((pairs,), (pairs,))  # the one assembly call, over every (x, x') pair
+
+
+def test_rebuilt_potential_keeps_one_declaration_wrapper():
+    pot, _ = separable_nonlocal()
+    for _ in range(3):
+        pot = dataclasses.replace(pot, kernel_range=pot.kernel_range)
+    assert pot.kernel.array_form and not hasattr(pot.kernel.__wrapped__, "__wrapped__")
 
 
 def test_wrong_shaped_kernel_is_named():

@@ -8,7 +8,8 @@ from gfloquet import (
 )
 from gfloquet.grid import interp_uniform, periodic_interp, quadrature_window
 from gfloquet.integrate import propagate_history
-from gfloquet.system import apply_memory, array_form, evaluate
+from gfloquet.system import _LOOKUPS, apply_memory, array_form, evaluate
+from gfloquet.builtins import exp_kernel
 
 
 def test_grid_basic_fields():
@@ -32,6 +33,13 @@ def test_grid_rejects_bad_parameters():
         PeriodicGrid(1.0, 7, 0.0)  # N >= 8
     with pytest.raises(GridError):
         PeriodicGrid(1.0, 64, -0.1)
+
+
+@pytest.mark.parametrize("n", [64.0, 64.5, "64", None])
+def test_grid_refuses_a_non_integer_sample_count(n):
+    with pytest.raises(GridError, match=r"^samples_per_period must be an integer >= 8, got "):
+        PeriodicGrid(1.0, n, 1.0)
+    assert PeriodicGrid(1.0, np.int64(64), 1.0).history_points == 64
 
 
 def test_grid_refined():
@@ -105,6 +113,32 @@ def test_validate_constant_kernel_passes():
     assert rep.passed
     assert rep.kernel_residual <= 1e-10
     assert np.isfinite(rep.kernel_integral_bound)
+
+
+def _spy_kernel(kernel, calls):
+    # kernel, declared, recording the shape of the tau array of each call
+    @array_form
+    def spy(sigma, taus):
+        calls.append(np.shape(taus))
+        return kernel(sigma, taus)
+    return spy
+
+
+def test_validate_checks_the_kernel_in_two_calls():
+    # one call per shifted grid, over every period node and window node pair
+    system, meta = exp_kernel()
+    grid = PeriodicGrid(1.0, 64, meta["memory_depth"])
+    calls = []
+    spied = LinearMemorySystem(1, system.coefficient, kernel=_spy_kernel(system.kernel, calls))
+    rep = validate_system(spied, grid)
+    assert rep.passed
+    taus0, w, _ = quadrature_window(grid)
+    pairs = len(grid.period_nodes) * len(taus0)
+    assert calls == [(pairs,), (pairs,)]
+    # the bound is the largest window integral of |K| over the period nodes
+    bound = max(np.dot(w, np.abs(system.eval_kernel(s, s + taus0)[:, 0, 0]))
+                for s in grid.period_nodes)
+    assert rep.kernel_integral_bound == pytest.approx(bound, rel=1e-14)
 
 
 def test_validate_linear_ramp_fails():
@@ -465,6 +499,24 @@ def test_apply_memory_equals_per_node_reference_bitwise(quadrature, dtype, big_n
     assert np.array_equal(got, _reference_apply_memory(system, g, g.period_nodes, z_at, out))
 
 
+@pytest.mark.parametrize("big_n", [32, 256])
+def test_apply_memory_calls_the_kernel_once_per_chunk(big_n):
+    g = PeriodicGrid(1.0, big_n, 0.37)
+    system = _deep_tap_kernel_system()
+    calls = []
+    spied = LinearMemorySystem(2, system.coefficient, system.delay_taps,
+                               _spy_kernel(system.kernel, calls))
+    samples = np.random.default_rng(5).standard_normal((big_n, 2))
+    z_at = lambda times: periodic_interp(samples, g.period, times)
+    got = apply_memory(spied, g, g.period_nodes, z_at, np.zeros((big_n + 1, 2)))
+    assert np.array_equal(got, apply_memory(system, g, g.period_nodes, z_at,
+                                            np.zeros((big_n + 1, 2))))
+    window = len(quadrature_window(g)[0])
+    step = max(1, _LOOKUPS // window)
+    assert len(calls) == -(-(big_n + 1) // step)
+    assert sum(c[0] for c in calls) == (big_n + 1) * window
+
+
 def _stage_times(n_steps):
     # the stage times step*h + frac*h that propagate_history evaluates at
     h = 1.0 / n_steps
@@ -485,9 +537,9 @@ def test_array_form_equals_per_point_bitwise(table_shape, n_steps):
     assert np.array_equal(declared, per_point)
     assert np.array_equal(declared, np.array([ev(s) for s in sigmas]))
     kernel = difference_kernel(lambda u: np.exp(-np.asarray(u) / 0.3), scale=table[0])
-    taus = 0.5 - sigmas
-    assert np.array_equal(evaluate(kernel, taus, (n, n), "K", 0.5),
-                          evaluate(lambda s, t: kernel(s, t), taus, (n, n), "K", 0.5))
+    pairs = (np.full_like(sigmas, 0.5), 0.5 - sigmas)
+    assert np.array_equal(evaluate(kernel, pairs, (n, n), "K"),
+                          evaluate(lambda s, t: kernel(s, t), pairs, (n, n), "K"))
 
 
 def test_undeclared_callbacks_only_see_scalars():
@@ -533,6 +585,10 @@ def test_validate_names_the_first_non_finite_node(declare):
     system = LinearMemorySystem(1, lambda s: 0.0, delay_taps=(tap,))
     with pytest.raises(InvalidSystemError, match=r"non-finite B at node sigma=-0\.5$"):
         validate_system(system, PeriodicGrid(1.0, 32, 0.5))
+    kernel = lambda s, t: coefficient(s) + 0.0 * np.asarray(t)
+    system = LinearMemorySystem(1, lambda s: 0.0, kernel=array_form(kernel) if declare else kernel)
+    with pytest.raises(InvalidSystemError, match=r"non-finite kernel at node sigma=0\.40625$"):
+        validate_system(system, PeriodicGrid(1.0, 32, 0.25))
 
 
 def _diagonal_kernel(s, t):

@@ -266,6 +266,15 @@ def test_truncate_needs_a_kernel():
         truncate_infinite_kernel(_kernel_system(None), 1.0, 1e-8, PeriodicGrid(1.0, 64, 1.0))
 
 
+@pytest.mark.parametrize("amplitude, eps", [(-1.0, 1e-8), (np.inf, 1e-8), (np.nan, 1e-8),
+                                            (1.0, np.nan), (1.0, np.inf), (1.0, 0.0)])
+def test_truncate_refuses_a_bad_amplitude_or_eps(amplitude, eps):
+    system, _ = exp_kernel()
+    name = "eps" if amplitude == 1.0 else "reference_amplitude"
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        truncate_infinite_kernel(system, amplitude, eps, PeriodicGrid(1.0, 64, 1.0))
+
+
 def test_truncate_harmonic_tail_raises():
     grid = PeriodicGrid(1.0, 64, 1.0)
     kernel = difference_kernel(lambda u: 1.0 / (np.asarray(u) + 1.0))

@@ -189,7 +189,6 @@ def test_linearize_coefficient_array_form_equals_per_point_jacobians(callback):
     tap = nl.delay_taps[0]
     jac = lambda func, t: _fd_jacobian(func, cycle.at(t)[0], t, 1e-6)
     ts = np.arange(160) / 128  # the half steps of a 64-node grid, past one period
-    lead = ()
     if callback == "A":
         fn = lin.coefficient
         want = np.array([jac(nl.vector_field, t) for t in ts])
@@ -197,15 +196,17 @@ def test_linearize_coefficient_array_form_equals_per_point_jacobians(callback):
         fn = lin.delay_taps[0].coefficient
         want = np.array([tap.coefficient(t) @ jac(nl.memory_field, t - tap.delay) for t in ts])
     else:
-        fn, lead, ts = lin.kernel, (0.3,), 0.3 - np.linspace(0.0, 0.7, 23)
-        want = np.array([np.einsum("ij,jk->ik", nl.kernel(0.3, np.array([tau]))[0],
+        fn, ts = lin.kernel, 0.3 - np.linspace(0.0, 0.7, 23)
+        want = np.array([np.einsum("ij,jk->ik", nl.kernel(np.array([0.3]), np.array([tau]))[0],
                                    jac(nl.memory_field, tau)) for tau in ts])
+    # K takes (t, tau) pairs, here at t = 0.3
+    at = (lambda t: (np.full_like(t, 0.3), t)) if callback == "K" else (lambda t: t)
     assert fn.array_form
-    assert np.array_equal(evaluate(fn, ts, (2, 2), callback, *lead), want)
-    assert np.array_equal(evaluate(fn, ts[5], (2, 2), callback, *lead), want[5])
+    assert np.array_equal(evaluate(fn, at(ts), (2, 2), callback), want)
+    assert np.array_equal(evaluate(fn, at(ts[5]), (2, 2), callback), want[5])
     # a wrapper that drops the declaration calls it one point at a time
     per_point = lambda *args: fn(*args)
-    assert np.array_equal(evaluate(per_point, ts, (2, 2), callback, *lead), want)
+    assert np.array_equal(evaluate(per_point, at(ts), (2, 2), callback), want)
 
 
 def test_linearized_callbacks_look_the_cycle_up_once_per_call(monkeypatch):
