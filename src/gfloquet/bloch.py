@@ -13,9 +13,10 @@ quadratic eigenproblem in mu is linearized to a pencil. The reported
 multipliers come from the companion pencil on the N-node grid; the 2N-node
 solve that confirms them uses the trimmed pencil, which leaves out the
 structurally infinite eigenvalues of B_{+1}'s zero columns. A kernel's
-band scan solves its energies in forked worker processes, one per CPU the
-process may run on. Local potentials, delta combs included, use the 2x2 cell
-transfer matrix, swept over every energy at once.
+band scan evaluates W once per grid, then solves its energies, which add only
+V - E, in forked worker processes, one per CPU the process may run on. Local
+potentials, delta combs included, use the 2x2 cell transfer matrix, swept
+over every energy at once.
 """
 from __future__ import annotations
 
@@ -146,7 +147,14 @@ def cell_collocation_matrices(pot: NonlocalPotential1D, energy: float, n_nodes: 
     cutoff, so the grid-aligned window is accurate). The rows are built as one
     block row [B_{-1} | B_0 | B_{+1}] in which node j + m sits in column
     n + j + m, so references past the cell edges pick up mu^{+-1} by layout.
+    W is evaluated in one call over every node and offset.
     """
+    return _collocation(pot, n_nodes)(energy)
+
+
+def _collocation(pot: NonlocalPotential1D, n_nodes: int):
+    """energy -> cell_collocation_matrices(pot, energy, n_nodes); V and the
+    weighted W window, which do not depend on the energy, are evaluated here."""
     if pot.deltas:
         raise InvalidSystemError("collocation path does not support delta combs")
     if n_nodes < 2:
@@ -157,17 +165,23 @@ def cell_collocation_matrices(pot: NonlocalPotential1D, energy: float, n_nodes: 
     h = a / n
     xs = np.arange(n) * h
     j = np.arange(n)[:, None]
-    block = np.zeros((n, 3 * n))
-    scale = 1.0 / (12.0 * h * h)
-    block[j, n + j + np.arange(-2, 3)] = -np.asarray(_D2_STENCIL) * scale  # -psi''
-    block[j, n + j] += (pot.eval_local(xs) - energy)[:, None]
+    local = pot.eval_local(xs)
     if pot.kernel is not None:
         m_max = int(np.floor(pot.kernel_range / h + 1e-12))  # <= n as r_W < a
         offs = np.arange(-m_max, m_max + 1)
         w = np.full(len(offs), h)
         w[0] = w[-1] = h / 2.0
-        block[j, n + j + offs] += w * pot.eval_kernel(xs[:, None], xs[:, None] + offs * h)
-    return block[:, :n], block[:, n:2 * n], block[:, 2 * n:]
+        weighted = w * pot.eval_kernel(xs[:, None], xs[:, None] + offs * h)
+
+    def blocks(energy):
+        block = np.zeros((n, 3 * n))
+        scale = 1.0 / (12.0 * h * h)
+        block[j, n + j + np.arange(-2, 3)] = -np.asarray(_D2_STENCIL) * scale  # -psi''
+        block[j, n + j] += (local - energy)[:, None]
+        if pot.kernel is not None:
+            block[j, n + j + offs] += weighted
+        return block[:, :n], block[:, n:2 * n], block[:, 2 * n:]
+    return blocks
 
 
 def _finite_multipliers(lhs, rhs):
@@ -182,11 +196,14 @@ def _finite_multipliers(lhs, rhs):
 def bloch_multipliers_collocation(pot: NonlocalPotential1D, energy: float, n_nodes: int):
     """All finite multipliers of the quadratic pencil via companion
     linearization: [[B0, Bm], [I, 0]] z = mu [[-Bp, 0], [0, I]] z."""
-    bm, b0, bp = cell_collocation_matrices(pot, energy, n_nodes)
+    blocks = cell_collocation_matrices(pot, energy, n_nodes)
+    return _finite_multipliers(*_companion_pencil(*blocks))
+
+
+def _companion_pencil(bm, b0, bp):
     n = b0.shape[0]
-    lhs = np.block([[b0, bm], [np.eye(n), np.zeros((n, n))]])
-    rhs = np.block([[-bp, np.zeros((n, n))], [np.zeros((n, n)), np.eye(n)]])
-    return _finite_multipliers(lhs, rhs)
+    return (np.block([[b0, bm], [np.eye(n), np.zeros((n, n))]]),
+            np.block([[-bp, np.zeros((n, n))], [np.zeros((n, n)), np.eye(n)]]))
 
 
 def _trimmed_pencil(bm, b0, bp):
@@ -195,7 +212,8 @@ def _trimmed_pencil(bm, b0, bp):
     [[B_{-1}, 0], [0, I]] z = mu [[-B_0, -B_{+1}[:, C]], [E_C^T, 0]] z has
     n + |C| rows and none of the companion pencil's n - |C| structurally
     infinite eigenvalues (Byers, Mehrmann & Xu, LAA 429, 2008). Both sides
-    are Fortran-ordered, so the solve can overwrite them without a copy."""
+    are Fortran-ordered, so the solve can overwrite them without a copy. Its
+    multipliers agree with the companion pencil's to rounding, not bitwise."""
     cols = np.flatnonzero(np.any(bp != 0.0, axis=0))
     n, c = b0.shape[0], cols.size
     lhs = np.zeros((n + c, n + c), order="F")
@@ -206,12 +224,6 @@ def _trimmed_pencil(bm, b0, bp):
     rhs[:n, n:] = -bp[:, cols]
     rhs[n + np.arange(c), cols] = 1.0
     return lhs, rhs
-
-
-def _trimmed_multipliers(pot: NonlocalPotential1D, energy: float, n_nodes: int):
-    """All finite multipliers of the trimmed pencil; they agree with the
-    companion pencil's to rounding, not bitwise."""
-    return _finite_multipliers(*_trimmed_pencil(*cell_collocation_matrices(pot, energy, n_nodes)))
 
 
 @dataclass
@@ -238,14 +250,15 @@ def _symmetrize_unit(mus: np.ndarray, tol: float) -> np.ndarray:
 def _grid_solves(pot: NonlocalPotential1D, energies: np.ndarray, n: int):
     """solve(i) -> (coarse, fine): the multipliers at energies[i] on the N-
     and the 2N-node grid. A local potential's transfer matrices come from one
-    sweep per grid over all energies (a failed sweep raises here), a kernel's
-    multipliers from the companion pencil on N nodes and the trimmed pencil
-    on 2N."""
+    sweep per grid over all energies, a kernel's V and weighted W from one
+    _collocation per grid (a failure of either raises here); its multipliers
+    from the companion pencil on N nodes and the trimmed pencil on 2N."""
     if pot.kernel is None:
         cells = [local_cell_monodromy(pot, energies, m) for m in (n, 2 * n)]
         return lambda i: tuple(np.linalg.eigvals(c[i]) for c in cells)
-    return lambda i: (bloch_multipliers_collocation(pot, energies[i], n),
-                      _trimmed_multipliers(pot, energies[i], 2 * n))
+    coarse, fine = _collocation(pot, n), _collocation(pot, 2 * n)
+    return lambda i: (_finite_multipliers(*_companion_pencil(*coarse(energies[i]))),
+                      _finite_multipliers(*_trimmed_pencil(*fine(energies[i]))))
 
 
 def propagating_multipliers(
@@ -387,7 +400,7 @@ def band_scan(
 
     try:
         solve = _grid_solves(pot, energies, grid.samples_per_period)
-    except Exception as exc:  # a local sweep is shared, so every energy fails with it
+    except Exception as exc:  # a sweep or assembly is shared, so every energy fails with it
         return BandDiagram(a, tuple(failed(e, exc) for e in energies))
 
     def records(results):  # results[i]() returns solve(i) or raises what it raised

@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import (PeriodicGrid, StateSegment, _cubic_weights, _gather, interp_uniform,
                    quadrature_window)
-from .system import LinearMemorySystem
+from .system import LinearMemorySystem, kernel_windows
 
 _BLOCK = 48  # delayed stage times interpolated in the initial history at once
 
@@ -92,7 +92,7 @@ def propagate_history(
     t0 = -nh * h
 
     # every stage time step*h + frac*h, frac = 0, 1/2, 1; A, each B_i and the
-    # forcing are evaluated there once per propagation
+    # forcing are evaluated there once per propagation, K in kernel_windows' blocks
     steps = np.arange(start, start + n_steps)
     fracs = np.array([0.0, 0.5, 1.0])
     sigmas = ((steps * h)[:, None] + fracs * h).ravel()
@@ -115,22 +115,23 @@ def propagate_history(
         aligned = [_cubic_weights(ref + frac - offsets[: n_uni - 1], ref + 1) for frac in fracs]
         aligned = [(k0 - ref, c) for k0, c in aligned]
         short = 3 * max(0, 3 - nh - start)  # stages with fewer than 4 rows stored
+        windows = (k for _, ks in kernel_windows(system, grid, sigmas) for k in ks)
         knowns = np.repeat(nh + steps, 3)[short:, None]
         end_k0, end_c = _cubic_weights(knowns + np.tile(fracs, n_steps)[short:, None]
                                        - offsets[n_uni - 1 :], knowns + 1)
         slots = {}
 
     def stage(i, known, frac):
-        # the right-hand side at stage time i, frac steps past stored row `known`,
-        # as a function of the stage value; the terms without it are set up here
-        sigma = sigmas[i]
+        # the right-hand side at stage time i (called once per i, in order: it takes
+        # the next kernel window), frac steps past stored row `known`, as a function
+        # of the stage value; the terms without it are set up here
         a = a_all[i]
         tap_terms = []
         for (_, b, stencils), early in zip(taps, block):
             zd = early[i % _BLOCK] if stencils[i] is None else _gather(hist, *stencils[i])[0]
             tap_terms.append(b[i] @ zd)
         if use_kernel:
-            wk = w[:, None, None] * system.eval_kernel(sigma, sigma + taus0)
+            wk = w[:, None, None] * next(windows)
             # the nodes' cubic interpolation weights fold into w_j K_j, so the rest of
             # the integral is one weight row times a contiguous block of stored rows
             if i < short:  # the full-degree stencil through every stored row

@@ -12,8 +12,8 @@ from .grid import (PeriodicGrid, StateSegment, interp_uniform, periodic_interp,
                    quadrature_window)
 
 VALIDATION_TOL = 1e-10
-# apply_memory takes the kernel windows of about this many lookups at a time:
-# all nodes at once, their stencils raised the peak RSS of repeated analyze jobs
+# kernel_windows takes about this many (sigma, tau) pairs per kernel call: every
+# node at once made memory grow with N, one node per call costs a call per node
 _LOOKUPS = 4096
 
 
@@ -128,25 +128,26 @@ def validate_system(system: LinearMemorySystem, grid: PeriodicGrid) -> Validatio
     nodes = np.concatenate([grid.segment_nodes[:-1], grid.period_nodes])
     msgs = []
 
-    def residual_of(evaluator, name, at=nodes):  # and the values at `at`
-        m0 = evaluator(at)
-        m1 = evaluator(at + sig)
+    def residual_of(m0, m1, name, at):  # m0 at the nodes `at`, m1 one period later
         finite = (np.isfinite(m0) & np.isfinite(m1)).reshape(len(at), -1).all(axis=1)
         if not finite.all():
             raise InvalidSystemError(f"non-finite {name} at node sigma={at[np.argmin(finite)]}")
-        return float(np.max(np.abs(m1 - m0))), m0
+        return float(np.max(np.abs(m1 - m0)))
 
-    coeff_res = residual_of(system.eval_coefficient, "A")[0]
-    tap_res = tuple(
-        residual_of(lambda s, t=tap: system.eval_tap(t, s), "B")[0] for tap in system.delay_taps
-    )
+    coeff_res = residual_of(system.eval_coefficient(nodes), system.eval_coefficient(nodes + sig),
+                            "A", nodes)
+    tap_res = tuple(residual_of(system.eval_tap(tap, nodes), system.eval_tap(tap, nodes + sig),
+                                "B", nodes) for tap in system.delay_taps)
     kern_res = 0.0
     bound = 0.0
-    if system.kernel is not None:  # every period node against its whole window
-        taus0, w, _ = quadrature_window(grid)
-        window = lambda s: system.eval_kernel(s[:, None], s[:, None] + taus0)
-        kern_res, k0 = residual_of(window, "kernel", grid.period_nodes)
-        bound = float(np.max(np.linalg.norm(k0, axis=(2, 3)) @ w))
+    if system.kernel is not None:  # each period node against its window, block by block
+        w = quadrature_window(grid)[1]
+        at = grid.period_nodes
+        blocks = [(residual_of(k0, k1, "kernel", taus[:, 0]),  # a window's node 0 is sigma
+                   np.max(np.linalg.norm(k0, axis=(2, 3)) @ w))
+                  for (taus, k0), (_, k1) in zip(kernel_windows(system, grid, at),
+                                                 kernel_windows(system, grid, at + sig))]
+        kern_res, bound = (float(v) for v in np.max(blocks, axis=0))
     passed = coeff_res <= VALIDATION_TOL and kern_res <= VALIDATION_TOL and np.isfinite(bound)
     for i, tr in enumerate(tap_res):
         if tr > VALIDATION_TOL:
@@ -162,11 +163,23 @@ def validate_system(system: LinearMemorySystem, grid: PeriodicGrid) -> Validatio
     return ValidationReport(passed, coeff_res, tap_res, kern_res, bound, tuple(msgs))
 
 
+def kernel_windows(system: LinearMemorySystem, grid: PeriodicGrid, sigmas: np.ndarray):
+    """Yield, per block of max(1, _LOOKUPS // window) consecutive sigmas (1-d),
+    the quadrature window nodes taus = sigma + quadrature_window(grid)[0],
+    (block, window), and K there, (block, window, n, n), from one kernel call."""
+    taus0 = quadrature_window(grid)[0]
+    step = max(1, _LOOKUPS // len(taus0))
+    for lo in range(0, len(sigmas), step):
+        part = sigmas[lo : lo + step, None]
+        taus = part + taus0
+        yield taus, system.eval_kernel(part, taus)
+
+
 def apply_memory(system: LinearMemorySystem, grid: PeriodicGrid, sigmas: np.ndarray,
                  z_at: Callable, out: np.ndarray) -> np.ndarray:
     """Return out plus the memory part of L{z} at each of sigmas, one row per
     sigma: the delay taps, then the kernel integral over the grid's quadrature
-    window.
+    window, taken from kernel_windows block by block.
 
     sigmas is a 1-d array of times; z_at maps a 1-d array of times to the
     values of z there, one row per time.
@@ -174,15 +187,10 @@ def apply_memory(system: LinearMemorySystem, grid: PeriodicGrid, sigmas: np.ndar
     for tap in system.delay_taps:
         out = out + (system.eval_tap(tap, sigmas) @ z_at(sigmas - tap.delay)[:, :, None])[:, :, 0]
     if system.kernel is not None:
-        taus0, w, _ = quadrature_window(grid)
-        step = max(1, _LOOKUPS // len(taus0))
-        terms = []
-        for part in np.split(sigmas, range(step, len(sigmas), step)):
-            taus = part[:, None] + taus0
-            kmat = system.eval_kernel(part[:, None], taus)
-            zs = z_at(taus.ravel()).reshape(taus.shape + (-1,))
-            terms.append(np.einsum("t,stij,stj->si", w, kmat, zs))
-        out = out + np.concatenate(terms)
+        w = quadrature_window(grid)[1]
+        out = out + np.concatenate([
+            np.einsum("t,stij,stj->si", w, kmat, z_at(taus.ravel()).reshape(taus.shape + (-1,)))
+            for taus, kmat in kernel_windows(system, grid, sigmas)])
     return out
 
 

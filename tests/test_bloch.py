@@ -15,8 +15,9 @@ from gfloquet import (
     multiplier_phases_to_k, propagating_multipliers, validate_potential,
 )
 from gfloquet import bloch
-from gfloquet.bloch import (_UNRESOLVED_MAGNITUDE, _confirmed_set, _trimmed_multipliers,
+from gfloquet.bloch import (_UNRESOLVED_MAGNITUDE, _confirmed_set, _finite_multipliers,
                             _trimmed_pencil)
+from gfloquet.system import array_form
 from gfloquet.builtins import kronig_penney, separable_nonlocal
 
 from bloch_oracles import fixed_k_energies, kronig_penney_reference, per_node_collocation
@@ -192,7 +193,7 @@ def test_trimmed_pencil_keeps_the_resolved_spectrum(n):
         lhs, rhs = _trimmed_pencil(*blocks)
         assert lhs.shape == rhs.shape == (n + cols.size, n + cols.size)
         full = bloch_multipliers_collocation(pot, energy, n)
-        trimmed = _trimmed_multipliers(pot, energy, n)
+        trimmed = _finite_multipliers(lhs, rhs)
         for ours, theirs in ((full, trimmed), (trimmed, full)):
             for mu in ours[np.abs(ours) <= 1e3]:
                 assert np.min(np.abs(theirs - mu)) <= 1e-8 * max(1.0, abs(mu))
@@ -452,20 +453,23 @@ def test_pooled_band_scan_is_bitwise_the_serial_scan(monkeypatch, tmp_path):
     # message included, and no worker outlives the scan
     pot, grid = _nonlocal_crystal(-5.0), PeriodicGrid(1.0, 32, 0.0)
     energies = np.linspace(-3.0, 30.0, 4)
-    trimmed = bloch._trimmed_multipliers
+    collocation = bloch._collocation
     pids = tmp_path / "pids"
 
-    def logged(pot, energy, n_nodes, fail_at):
-        with open(pids, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        if energy == fail_at:
-            raise np.linalg.LinAlgError(f"no fine solve at E = {energy}")
-        return trimmed(pot, energy, n_nodes)
+    def logged(pot, n_nodes, fail_at):  # each energy's assembly logs where it ran
+        blocks = collocation(pot, n_nodes)
+
+        def at(energy):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if energy == fail_at and n_nodes == 2 * grid.samples_per_period:
+                raise np.linalg.LinAlgError(f"no fine solve at E = {energy}")
+            return blocks(energy)
+        return at
 
     def scan(cpus, fail_at):
         monkeypatch.setattr(bloch, "_available_cpus", lambda: cpus)
-        monkeypatch.setattr(bloch, "_trimmed_multipliers",
-                            functools.partial(logged, fail_at=fail_at))
+        monkeypatch.setattr(bloch, "_collocation", functools.partial(logged, fail_at=fail_at))
         pids.write_text("")
         diagram = band_scan(pot, energies, grid)
         assert multiprocessing.active_children() == []
@@ -478,6 +482,35 @@ def test_pooled_band_scan_is_bitwise_the_serial_scan(monkeypatch, tmp_path):
         assert [repr(r) for r in pooled] == [repr(r) for r in serial]
         assert [r.failed for r in pooled] == [e == fail_at for e in energies]
     assert pooled[1].message == f"no fine solve at E = {energies[1]}"
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_nonlocal_band_scan_evaluates_w_once_per_grid(monkeypatch, cpus):
+    # W does not depend on the energy: the scan evaluates it once on the N- and
+    # once on the 2N-node grid, before it forks (so every call is seen here),
+    # and its records are bitwise those of a scan that assembles each energy's
+    # cell operators through cell_collocation_matrices
+    base, grid = _nonlocal_crystal(-5.0), PeriodicGrid(1.0, 32, 0.0)
+    calls = []
+
+    @array_form
+    def kernel(x, xp):
+        calls.append(len(x))
+        return base.kernel(x, xp)
+
+    energies = np.linspace(-3.0, 30.0, 4)
+    monkeypatch.setattr(bloch, "_available_cpus", lambda: cpus)
+    diagram = band_scan(dataclasses.replace(base, kernel=kernel), energies, grid)
+    assert len(calls) == 2
+    n = grid.samples_per_period
+    for rec, energy in zip(diagram.records, energies):
+        blocks = cell_collocation_matrices(base, energy, 2 * n)
+        ps = _confirmed_set(energy, bloch_multipliers_collocation(base, energy, n),
+                            _finite_multipliers(*_trimmed_pencil(*blocks)), 1e-3)
+        assert not rec.failed and rec.p == ps.p
+        assert rec.k_values == tuple(sorted(float(k) for k in multiplier_phases_to_k(
+            ps.propagating, base.lattice_constant)))
+        assert rec.multiplier_magnitudes == tuple(np.sort(np.abs(ps.all_multipliers))[::-1][:12])
 
 
 def test_band_maximum_from_two_sheets_dying_together():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from gfloquet import (
     step_integrate, tabulated_coefficient, validate_system,
 )
 from gfloquet.grid import interp_uniform, periodic_interp, quadrature_window
+from gfloquet import system as system_module
 from gfloquet.integrate import propagate_history
 from gfloquet.system import _LOOKUPS, apply_memory, array_form, evaluate
 from gfloquet.builtins import exp_kernel
@@ -116,16 +119,18 @@ def test_validate_constant_kernel_passes():
 
 
 def _spy_kernel(kernel, calls):
-    # kernel, declared, recording the shape of the tau array of each call
+    # kernel, declared, recording the (sigma, tau) pairs of each call
     @array_form
     def spy(sigma, taus):
-        calls.append(np.shape(taus))
+        calls.append((np.array(sigma), np.array(taus)))
         return kernel(sigma, taus)
     return spy
 
 
-def test_validate_checks_the_kernel_in_two_calls():
-    # one call per shifted grid, over every period node and window node pair
+def test_validate_checks_the_kernel_in_bounded_blocks():
+    # each call takes the windows of at most _LOOKUPS // window period nodes, and
+    # the calls of each shifted grid together take every period node x window
+    # node pair once
     system, meta = exp_kernel()
     grid = PeriodicGrid(1.0, 64, meta["memory_depth"])
     calls = []
@@ -133,12 +138,32 @@ def test_validate_checks_the_kernel_in_two_calls():
     rep = validate_system(spied, grid)
     assert rep.passed
     taus0, w, _ = quadrature_window(grid)
-    pairs = len(grid.period_nodes) * len(taus0)
-    assert calls == [(pairs,), (pairs,)]
+    step = _LOOKUPS // len(taus0)
+    assert 1 < step < len(grid.period_nodes)  # several blocks of several nodes
+    assert all(len(np.unique(sigma)) <= step for sigma, _ in calls)
+    nodes = grid.period_nodes
+    want = [(s, s + t) for shift in (0.0, grid.period) for s in nodes + shift for t in taus0]
+    got = [pair for sigma, taus in calls for pair in zip(sigma, taus)]
+    assert sorted(got) == sorted(want)
+    assert len(calls) == 2 * -(-len(nodes) // step)
     # the bound is the largest window integral of |K| over the period nodes
     bound = max(np.dot(w, np.abs(system.eval_kernel(s, s + taus0)[:, 0, 0]))
                 for s in grid.period_nodes)
     assert rep.kernel_integral_bound == pytest.approx(bound, rel=1e-14)
+
+
+def test_validate_memory_does_not_grow_with_the_grid():
+    # exp_kernel's default depth 8.59 gives 8,797-node windows at N = 1024; every
+    # node at once held about 433 MB of kernel values and norms
+    system, meta = exp_kernel()
+    grid = PeriodicGrid(1.0, 1024, meta["memory_depth"])
+    tracemalloc.start()
+    try:
+        assert validate_system(system, grid).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_validate_linear_ramp_fails():
@@ -460,6 +485,37 @@ def test_resume_rejects_a_history_of_other_columns():
         propagate_history(system, g, np.ones((g.history_points + 1, 1, 2)), 8, resume=first)
 
 
+def _per_stage_propagate(monkeypatch, *args, **kwargs):
+    """propagate_history with one kernel call per stage time, each over its
+    own window (oracle for the stage windows drawn from blocks)."""
+    with monkeypatch.context() as m:
+        m.setattr(system_module, "_LOOKUPS", 1)
+        return propagate_history(*args, **kwargs)
+
+
+@pytest.mark.parametrize("depth, lookups", [(2.2, _LOOKUPS), (2 / 32, _LOOKUPS), (1 / 32, 8)])
+def test_propagation_evaluates_the_kernel_in_blocks_of_stages(monkeypatch, depth, lookups):
+    # depth 2.2: 72-node windows, 56 stage times per call, so blocks end
+    # mid-step; depths 2/32 and 1/32: the first stages have fewer than 4 rows
+    # stored, and blocks of 4 stage times (lookups 8) cross the steps there
+    monkeypatch.setattr(system_module, "_LOOKUPS", lookups)
+    g = PeriodicGrid(1.0, 32, depth)
+    deep = _deep_tap_kernel_system()
+    system = LinearMemorySystem(2, deep.coefficient, kernel=deep.kernel)
+    calls = []
+    spied = LinearMemorySystem(2, deep.coefficient, kernel=_spy_kernel(deep.kernel, calls))
+    step = max(1, lookups // len(quadrature_window(g)[0]))
+    first = propagate_history(spied, g, None, 40)
+    assert len(calls) == -(-3 * 40 // step)
+    del calls[:]
+    resumed = propagate_history(spied, g, None, 24, resume=first)
+    assert len(calls) == -(-3 * 24 // step)
+    reference = _per_stage_propagate(monkeypatch, system, g, None, 40)
+    assert np.array_equal(first, reference)
+    assert np.array_equal(resumed, _per_stage_propagate(monkeypatch, system, g, None, 24,
+                                                        resume=reference))
+
+
 def _reference_apply_memory(system, grid, sigmas, z_at, out):
     """apply_memory one sigma at a time: B_i(sigma) z(sigma - d_i) for each tap,
     then the kernel sum over the quadrature window [sigma - r, sigma]."""
@@ -514,7 +570,7 @@ def test_apply_memory_calls_the_kernel_once_per_chunk(big_n):
     window = len(quadrature_window(g)[0])
     step = max(1, _LOOKUPS // window)
     assert len(calls) == -(-(big_n + 1) // step)
-    assert sum(c[0] for c in calls) == (big_n + 1) * window
+    assert sum(len(taus) for _, taus in calls) == (big_n + 1) * window
 
 
 def _stage_times(n_steps):
@@ -587,8 +643,11 @@ def test_validate_names_the_first_non_finite_node(declare):
         validate_system(system, PeriodicGrid(1.0, 32, 0.5))
     kernel = lambda s, t: coefficient(s) + 0.0 * np.asarray(t)
     system = LinearMemorySystem(1, lambda s: 0.0, kernel=array_form(kernel) if declare else kernel)
-    with pytest.raises(InvalidSystemError, match=r"non-finite kernel at node sigma=0\.40625$"):
-        validate_system(system, PeriodicGrid(1.0, 32, 0.25))
+    # depth 0.25: one block of every node; depth 20: blocks of 6 nodes (641-node
+    # windows), the first non-finite one in the third
+    for depth in (0.25, 20.0):
+        with pytest.raises(InvalidSystemError, match=r"non-finite kernel at node sigma=0\.40625$"):
+            validate_system(system, PeriodicGrid(1.0, 32, depth))
 
 
 def _diagonal_kernel(s, t):
