@@ -60,6 +60,7 @@ def propagate_history(
 
     hist0=None is the unit basis, m = (nh+1)*n: column j starts from the j-th
     canonical unit segment, and the kernel window multiplies computed rows only.
+    No separate identity is made: the basis is written into the returned array.
     resume is a history an earlier call returned for the same system, grid,
     hist0 and include_forcing; the call then takes n_steps further steps after
     its last row and returns its rows followed by the new ones, bitwise equal
@@ -69,13 +70,14 @@ def propagate_history(
     nh = grid.history_points
     h = grid.step
     unit = hist0 is None
-    hist0 = np.eye(grid.state_size(n)).reshape(nh + 1, n, -1) if unit else np.asarray(hist0)
-    if hist0.ndim != 3 or hist0.shape[:2] != (nh + 1, n):
+    hist0 = None if unit else np.asarray(hist0)
+    if not unit and (hist0.ndim != 3 or hist0.shape[:2] != (nh + 1, n)):
         raise ValueError(f"initial history has shape {hist0.shape}, expected ({nh + 1}, {n}, m)")
+    m = grid.state_size(n) if unit else hist0.shape[2]
     done = hist0 if resume is None else np.asarray(resume)
-    if done.shape[1:] != hist0.shape[1:] or len(done) < nh + 1:
+    if done is not None and (done.shape[1:] != (n, m) or len(done) < nh + 1):
         raise ValueError(f"resumed history has shape {done.shape}, expected "
-                         f"(k, {n}, {hist0.shape[2]}) with k >= {nh + 1}")
+                         f"(k, {n}, {m}) with k >= {nh + 1}")
     for tap in system.delay_taps:
         if tap.delay < h * (1 - 1e-9):
             raise ResolutionError(
@@ -83,10 +85,13 @@ def propagate_history(
             )
         if tap.delay > grid.memory_depth * (1 + 1e-9):
             raise ResolutionError(f"delay {tap.delay} exceeds memory depth {grid.memory_depth}")
-    start = len(done) - nh - 1  # steps taken before this call
-    dtype = np.result_type(done.dtype, float)
-    hist = np.zeros((len(done) + n_steps, n, hist0.shape[2]), dtype=dtype)
-    hist[: len(done)] = done
+    if done is None:  # the unit basis, written in place
+        hist = np.zeros((nh + 1 + n_steps, n, m))
+        hist[: nh + 1].reshape(m, m)[np.diag_indices(m)] = 1.0
+    else:
+        hist = np.zeros((len(done) + n_steps, n, m), dtype=np.result_type(done.dtype, float))
+        hist[: len(done)] = done
+    start = len(hist) - n_steps - nh - 1  # steps taken before this call
     use_kernel = system.kernel is not None and nh > 0
     forcing = include_forcing and system.forcing is not None
     t0 = -nh * h

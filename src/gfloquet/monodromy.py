@@ -157,10 +157,11 @@ def floquet_spectrum(
     converged the multipliers that persist under grid refinement. Spurious
     discretization eigenvalues drift under refinement and stay unflagged."""
     operator = build_monodromy(system, grid)
+    # the refined operator is built, solved and dropped before the coarse
+    # eigenvectors exist, so only the coarse propagation is alive beside it
+    mus_f = _eig_leading(build_monodromy(system, grid.refined()), k=max(4 * modes, 32))
     # numpy returns a real spectrum as float64; the cast to complex is exact
     mus, vecs = (a.astype(complex, copy=False) for a in np.linalg.eig(operator.matrix))
-    op_f = build_monodromy(system, grid.refined())
-    mus_f = _eig_leading(op_f, k=max(4 * modes, 32))
 
     order = sort_multipliers(mus)
     mus = mus[order]

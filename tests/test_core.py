@@ -483,6 +483,10 @@ def test_resume_rejects_a_history_of_other_columns():
     first = propagate_history(system, g, None, 8)
     with pytest.raises(ValueError, match="resumed history"):
         propagate_history(system, g, np.ones((g.history_points + 1, 1, 2)), 8, resume=first)
+    # the unit basis is checked against its (n, m), which no identity shows
+    for wrong in (first[:, :, 1:], first[: g.history_points], first[:, 0]):
+        with pytest.raises(ValueError, match="resumed history"):
+            propagate_history(system, g, None, 8, resume=wrong)
 
 
 def _per_stage_propagate(monkeypatch, *args, **kwargs):

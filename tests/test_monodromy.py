@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +7,7 @@ import scipy.sparse.linalg
 
 from gfloquet import (
     ConvergenceError, DelayTap, LinearMemorySystem, NonTruncatableError,
-    PeriodicGrid, StateSegment, build_monodromy, difference_kernel,
+    PeriodicGrid, ResolutionError, StateSegment, build_monodromy, difference_kernel,
     extract_mode, floquet_spectrum, principal_exponents, sort_multipliers,
     step_integrate, truncate_infinite_kernel, verify_floquet_form,
 )
@@ -89,6 +91,14 @@ def test_spectrum_no_convergence_raises():
     with pytest.raises(ConvergenceError):
         floquet_spectrum(system, PeriodicGrid(1.0, 8, 1.0), modes=2,
                          convergence_tol=1e-12)
+
+
+def test_spectrum_names_the_requested_step_for_an_unresolved_delay():
+    # a delay below half the step is resolved by neither grid; the requested
+    # grid is built first, so the error names the step to refine
+    grid = PeriodicGrid(1.0, 8, 1.0)
+    with pytest.raises(ResolutionError, match=f"not resolved by step {grid.step};"):
+        floquet_spectrum(_tap_system(0.05), grid, modes=2)
 
 
 def test_sorting_total_order():
@@ -424,3 +434,44 @@ def test_modes_match_reintegrated_eigenvectors(system, grid):
         assert mode.samples.shape == want.shape
         np.testing.assert_allclose(mode.samples, want, rtol=0, atol=1e-12)
         assert abs(mode.periodicity_residual - residual) <= 1e-12
+
+
+# exp_kernel about as deep as the floquet_kernel benchmark's: m = 462 at N = 64
+# (dense eig) and 923 at the refined N = 128 (ARPACK), so the unit-basis
+# histories dominate every other array
+_DEEP_KERNEL = exp_kernel(depth=7.2)[0]
+_DEEP_GRID = PeriodicGrid(1.0, 64, 7.2)
+
+
+def _history_bytes(grid):
+    """Bytes of the scalar system's unit-basis propagation over one period."""
+    return (grid.history_points + 1 + grid.samples_per_period) * grid.state_size(1) * 8
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# a build holds its history and temporaries of at most a few tenths of it
+# (the finiteness check's bool array is an eighth); a separate m x m identity
+# would add about 0.88 of the history's bytes here
+_BUILD_PEAK = 1.3
+
+
+def test_build_holds_no_identity_beside_the_history():
+    # the unit basis is written into the propagation's own array
+    op, peak = _traced_peak(build_monodromy, _DEEP_KERNEL, _DEEP_GRID.refined())
+    assert op.history.nbytes == _history_bytes(_DEEP_GRID.refined())
+    assert peak <= _BUILD_PEAK * op.history.nbytes
+
+
+def test_spectrum_holds_one_propagation_at_a_time():
+    # the refined operator is built, solved and dropped before the coarse
+    # eigenvectors exist: only the coarse history is alive beside its build
+    dec, peak = _traced_peak(floquet_spectrum, _DEEP_KERNEL, _DEEP_GRID, modes=2)
+    assert dec.operator.history.nbytes == _history_bytes(_DEEP_GRID)
+    assert peak <= _BUILD_PEAK * _history_bytes(_DEEP_GRID.refined()) + _history_bytes(_DEEP_GRID)

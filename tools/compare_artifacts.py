@@ -234,15 +234,20 @@ def _artifacts(out: str) -> dict:
     return found
 
 
+def unpack_src(rev: str, dest: str) -> None:
+    """Write revision rev's src/ under dest with `git archive`."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev, "src"],
+                             cwd=ROOT, capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="compare-artifacts-") as tmp:
-        archive = subprocess.run(["git", "archive", "--format=tar", args.parent, "src"],
-                                 cwd=ROOT, capture_output=True, check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(os.path.join(tmp, "parent"), filter="data")
+        unpack_src(args.parent, os.path.join(tmp, "parent"))
         sides = {}
         for side, src in (("parent", os.path.join(tmp, "parent", "src")),
                           ("change", os.path.join(ROOT, "src"))):
