@@ -59,8 +59,8 @@ def propagate_history(
     """Advance the initial history hist0, (nh+1, n, m), n_steps; returns (nh+1+n_steps, n, m).
 
     hist0=None is the unit basis, m = (nh+1)*n: column j starts from the j-th
-    canonical unit segment, and the kernel window multiplies computed rows only.
-    No separate identity is made: the basis is written into the returned array.
+    canonical unit segment, and the result, (1+n_steps, n, m), holds its row at
+    time 0 and the computed rows; the memory terms take the others in closed form.
     resume is a history an earlier call returned for the same system, grid,
     hist0 and include_forcing; the call then takes n_steps further steps after
     its last row and returns its rows followed by the new ones, bitwise equal
@@ -74,10 +74,11 @@ def propagate_history(
     if not unit and (hist0.ndim != 3 or hist0.shape[:2] != (nh + 1, n)):
         raise ValueError(f"initial history has shape {hist0.shape}, expected ({nh + 1}, {n}, m)")
     m = grid.state_size(n) if unit else hist0.shape[2]
+    base = nh if unit else 0  # history row k is stored at k - base
     done = hist0 if resume is None else np.asarray(resume)
-    if done is not None and (done.shape[1:] != (n, m) or len(done) < nh + 1):
+    if done is not None and (done.shape[1:] != (n, m) or len(done) < nh + 1 - base):
         raise ValueError(f"resumed history has shape {done.shape}, expected "
-                         f"(k, {n}, {m}) with k >= {nh + 1}")
+                         f"(k, {n}, {m}) with k >= {nh + 1 - base}")
     for tap in system.delay_taps:
         if tap.delay < h * (1 - 1e-9):
             raise ResolutionError(
@@ -85,16 +86,15 @@ def propagate_history(
             )
         if tap.delay > grid.memory_depth * (1 + 1e-9):
             raise ResolutionError(f"delay {tap.delay} exceeds memory depth {grid.memory_depth}")
-    if done is None:  # the unit basis, written in place
-        hist = np.zeros((nh + 1 + n_steps, n, m))
-        hist[: nh + 1].reshape(m, m)[np.diag_indices(m)] = 1.0
+    if done is None:  # the unit basis: its row at time 0 only
+        hist = np.zeros((1 + n_steps, n, m))
+        hist[0, :, nh * n :] = np.eye(n)
     else:
         hist = np.zeros((len(done) + n_steps, n, m), dtype=np.result_type(done.dtype, float))
         hist[: len(done)] = done
-    start = len(hist) - n_steps - nh - 1  # steps taken before this call
+    start = len(hist) - n_steps - nh - 1 + base  # steps taken before this call
     use_kernel = system.kernel is not None and nh > 0
     forcing = include_forcing and system.forcing is not None
-    t0 = -nh * h
 
     # every stage time step*h + frac*h, frac = 0, 1/2, 1; A, each B_i and the
     # forcing are evaluated there once per propagation, K in kernel_windows' blocks
@@ -104,7 +104,7 @@ def propagate_history(
     a_all = system.eval_coefficient(sigmas)
     f_all = system.eval_forcing(sigmas)[:, :, None] if forcing else None
     taps = [(tap.delay, system.eval_tap(tap, sigmas),
-             _tap_stencils(sigmas - tap.delay, nh, h, start)) for tap in system.delay_taps]
+             _tap_stencils(sigmas - tap.delay, nh - base, h, start)) for tap in system.delay_taps]
     if use_kernel:
         # window nodes sigma - j*h, then the exact lower endpoint sigma - r when it
         # is off the lattice; node j > 0 lies offsets[j-1] steps back
@@ -131,10 +131,10 @@ def propagate_history(
         # the next kernel window), frac steps past stored row `known`, as a function
         # of the stage value; the terms without it are set up here
         a = a_all[i]
-        tap_terms = []
-        for (_, b, stencils), early in zip(taps, block):
+        tap_terms = []  # (first column, term)
+        for (_, b, stencils), (col, early) in zip(taps, block):
             zd = early[i % _BLOCK] if stencils[i] is None else _gather(hist, *stencils[i])[0]
-            tap_terms.append(b[i] @ zd)
+            tap_terms.append((col if stencils[i] is None else 0, b[i] @ zd))
         if use_kernel:
             wk = w[:, None, None] * next(windows)
             # the nodes' cubic interpolation weights fold into w_j K_j, so the rest of
@@ -156,13 +156,13 @@ def propagate_history(
                             (known + 1 - lo) * n * n).reshape(-1, n, n).transpose(1, 0, 2)
             # unit initial rows: row j's weight goes to columns j*n .. j*n+n-1
             cut = max(lo, nh + 1) if unit else lo
-            mem = g[:, cut - lo :].reshape(n, -1) @ hist[cut : known + 1].reshape(-1, hist.shape[2])
+            mem = g[:, cut - lo :].reshape(n, -1) @ hist[cut - base : known + 1 - base].reshape(-1, m)
             mem[:, lo * n : cut * n] += g[:, : cut - lo].reshape(n, -1)
 
         def rhs(Z):
             d = a @ Z
-            for zd in tap_terms:
-                d = d + zd
+            for col, zd in tap_terms:
+                d[:, col : col + zd.shape[1]] += zd
             if use_kernel:
                 d = d + wk[0] @ Z  # the node tau = sigma carries the stage value
                 d = d + mem
@@ -174,32 +174,38 @@ def propagate_history(
     for step in range(n_steps):
         known = nh + start + step
         if step % (_BLOCK // 3) == 0:
-            # the solution has a derivative kink where the initial history ends, so
-            # a lookup before it reads the initial history only; the next _BLOCK
-            # stage times' are made in one interpolation, blocked (from this call's
-            # first step on) so that its temporaries do not grow with the propagation
-            block = [interp_uniform(hist[: nh + 1], t0, h, sigmas[3 * step : 3 * step + _BLOCK] - d)
-                     for d, _, _ in taps]
-        hist[known + 1] = rk4_step(lambda frac: stage(3 * step + int(2 * frac), known, frac),
-                                   hist[known], h)
+            # the solution has a derivative kink where the initial history ends, so a
+            # lookup before it reads the initial rows only. The next _BLOCK stage times'
+            # are one interpolation among the rows lo..hi-1 they read (in node units),
+            # blocked from this call's first step on; the unit basis stores none of
+            # these rows, which are the identity in their own columns from lo*n on
+            block = []
+            for d, _, _ in taps:
+                s = (sigmas[3 * step : 3 * step + _BLOCK] - d + nh * h) / h
+                lo, top = _cubic_weights(np.minimum(s[[0, -1]], nh), nh + 1)[0]
+                hi = min(top + 4, nh + 1)
+                rows = np.eye((hi - lo) * n).reshape(hi - lo, n, -1) if unit else hist[lo:hi]
+                block.append((lo * n if unit else 0, interp_uniform(rows, lo, 1.0, s)))
+        hist[known + 1 - base] = rk4_step(
+            lambda frac: stage(3 * step + int(2 * frac), known, frac), hist[known - base], h)
     return hist
 
 
-def _tap_stencils(taus: np.ndarray, nh: int, h: float, start: int) -> list:
+def _tap_stencils(taus: np.ndarray, row0: int, h: float, start: int) -> list:
     """Per delayed stage time tau (three per step, from step `start` on): None
-    when tau <= 0, else the hist rows and cubic weights, shaped for one `_gather`,
-    of its lookup among the rows computed by then (the full-degree fallback
-    while fewer than 4)."""
+    when tau <= 0, else the rows of the history (its row at time 0 is row0) and
+    the cubic weights, shaped for one `_gather`, of its lookup among the rows
+    computed by then (the full-degree fallback while fewer than 4)."""
     out = [None] * len(taus)
     late = np.flatnonzero(~(taus <= 0.0))
     rows = start + late // 3 + 1  # computed rows from the one at tau = 0 on
     few = rows < 4
     for i, r in zip(late[few], rows[few]):
         k0, c = _cubic_weights(taus[i : i + 1] / h, int(r))
-        out[i] = ((nh + k0 + np.arange(r))[None], c)
+        out[i] = ((row0 + k0 + np.arange(r))[None], c)
     k0, c = _cubic_weights(taus[late[~few]] / h, rows[~few])
     for i, k, ci in zip(late[~few], k0, c):
-        out[i] = ((nh + k + np.arange(4))[None], ci[None])
+        out[i] = ((row0 + k + np.arange(4))[None], ci[None])
     return out
 
 

@@ -14,6 +14,7 @@ DEFAULT_CONVERGENCE_TOL = 1e-4
 DEFAULT_MODES = 8
 _DENSE_EIG_LIMIT = 900
 _TIE_RTOL = 1e-12  # relative magnitude gap below which multipliers tie
+_REPEAT_RTOL = 1e-8  # relative distance below which multipliers are one repeated
 _MAX_DOUBLINGS = 60  # of the kernel tail's blocks, and of the truncation depth
 
 
@@ -30,8 +31,8 @@ class MonodromyOperator:
     """The period-shift map on discretized history segments, kept with the
     propagation it is read from.
 
-    history is the (nh+1+N, n, m) propagation of the m canonical unit segments
-    over one period; its last nh+1 rows, flattened, are the matrix.
+    history is the (1+N, n, m) unit-basis propagation over one period; the matrix,
+    built on demand, shifts by s = min(N*n, m) rows and ends in its last s rows, X.
     """
 
     history: np.ndarray = field(repr=False)
@@ -46,8 +47,17 @@ class MonodromyOperator:
         return self.history.shape[2]
 
     @property
+    def _computed(self) -> np.ndarray:
+        """X, the matrix's last s = min(N*n, m) rows (a view of the history)."""
+        rows = min(self.grid.samples_per_period, self.grid.history_points + 1)
+        return self.history[-rows:].reshape(-1, self.size)
+
+    @property
     def matrix(self) -> np.ndarray:
-        return self.history[-(self.grid.history_points + 1):].reshape(self.size, self.size)
+        x = self._computed
+        mat = np.eye(self.size, k=len(x), dtype=x.dtype)  # row i < m - s is unit row i + s
+        mat[self.size - len(x) :] = x
+        return mat
 
 
 @dataclass(frozen=True)
@@ -124,18 +134,17 @@ def build_monodromy(
 
 def _eig_leading(operator: MonodromyOperator, k: int) -> np.ndarray:
     """Leading-magnitude eigenvalues of the operator's matrix; dense for small
-    operators, ARPACK otherwise. Over N steps of n components the first m - s
-    rows, s = min(N*n, m), only shift the history, eye(m)[s:], so ARPACK sees
-    them as a shift plus X = matrix[m - s:]. When ARPACK does not converge, the
-    full dense spectrum is returned."""
-    matrix, m = operator.matrix, operator.size
+    operators, ARPACK otherwise. ARPACK multiplies by the shift by s rows plus
+    the computed rows X read off the history, so no dense matrix is made. When
+    ARPACK does not converge, the full dense spectrum is returned."""
+    m = operator.size
     if m <= _DENSE_EIG_LIMIT or k >= m - 2:
-        return np.linalg.eigvals(matrix).astype(complex, copy=False)
+        return np.linalg.eigvals(operator.matrix).astype(complex, copy=False)
     from scipy.sparse import linalg as sla  # scipy is loaded only for operators this large
 
-    s = min(operator.grid.samples_per_period * operator.history.shape[1], m)
-    op = sla.LinearOperator(matrix.shape, dtype=matrix.dtype,
-                            matvec=lambda x: np.concatenate([x[s:], matrix[m - s:] @ x]))
+    x_rows = operator._computed
+    op = sla.LinearOperator((m, m), dtype=x_rows.dtype,
+                            matvec=lambda x: np.concatenate([x[len(x_rows):], x_rows @ x]))
     try:
         # a fixed start vector: ARPACK's own is drawn from a process-global state
         return sla.eigs(
@@ -144,7 +153,31 @@ def _eig_leading(operator: MonodromyOperator, k: int) -> np.ndarray:
         )
     except sla.ArpackNoConvergence:
         # a partial set would leave leading multipliers without a partner
-        return np.linalg.eigvals(matrix).astype(complex, copy=False)
+        return np.linalg.eigvals(operator.matrix).astype(complex, copy=False)
+
+
+def _eigenvectors(operator: MonodromyOperator, mus: np.ndarray):
+    """Eigenvectors for the eigenvalues mus != 0, one at a time. The matrix shifts by
+    s rows: v = Phi w, Phi[i, i mod s] = mu**(i // s) scaled from the end block that
+    keeps the powers <= 1, w the null vector of the s x s X Phi - mu Phi[m-s:] by inverse
+    iteration (shifted by a rounding unit of the 1-norm), orthogonal to an equal mu's."""
+    x_rows, m = operator._computed, operator.size
+    s = len(x_rows)
+    p, col = np.arange(m) // s, np.arange(m) % s
+    found = []
+    for mu in mus:
+        pw = mu ** (p - (p[-1] if abs(mu) > 1.0 else 0))
+        a = np.pad(x_rows * pw, ((0, 0), (0, s * p[-1] + s - m))).reshape(s, -1, s).sum(axis=1)
+        a[np.arange(s), col[m - s :]] -= mu * pw[m - s :]
+        a[np.diag_indices(s)] += np.finfo(float).eps * (np.abs(a).sum(axis=0).max() or 1.0)
+        near = np.reshape([u for nu, u in found if abs(nu - mu) <= _REPEAT_RTOL * abs(mu)], (-1, s))
+        w = np.exp(1j * len(near) * np.arange(s))  # ones but for a repeat
+        for _ in range(2):
+            w = np.linalg.solve(a, w)
+            w -= near.T @ (near.conj() @ w)
+            w /= np.linalg.norm(w)
+        found.append((mu, w))
+        yield pw * w[col]
 
 
 def floquet_spectrum(
@@ -158,14 +191,11 @@ def floquet_spectrum(
     discretization eigenvalues drift under refinement and stay unflagged."""
     operator = build_monodromy(system, grid)
     # the refined operator is built, solved and dropped before the coarse
-    # eigenvectors exist, so only the coarse propagation is alive beside it
+    # dense matrix exists, so only the coarse propagation is alive beside it
     mus_f = _eig_leading(build_monodromy(system, grid.refined()), k=max(4 * modes, 32))
     # numpy returns a real spectrum as float64; the cast to complex is exact
-    mus, vecs = (a.astype(complex, copy=False) for a in np.linalg.eig(operator.matrix))
-
-    order = sort_multipliers(mus)
-    mus = mus[order]
-    vecs = vecs[:, order]
+    mus = np.linalg.eigvals(operator.matrix).astype(complex, copy=False)
+    mus = mus[sort_multipliers(mus)]
     scale = np.maximum.outer(np.abs(mus), np.abs(mus_f))
     dist = np.abs(mus[:, None] - mus_f[None, :]) / np.maximum(scale, 1e-300)
     converged = np.any(dist <= convergence_tol, axis=1)
@@ -176,11 +206,9 @@ def floquet_spectrum(
             f"(N={grid.samples_per_period}) or relax convergence_tol"
         )
     exponents = principal_exponents(mus, grid.period)
-    mode_list = []
-    for j in np.nonzero(converged)[0][:modes]:
-        if abs(mus[j]) < 1e-12:
-            continue
-        mode_list.append(extract_mode(operator, mus[j], vecs[:, j]))
+    kept = [j for j in np.nonzero(converged)[0][:modes] if abs(mus[j]) >= 1e-12]
+    mode_list = [extract_mode(operator, mus[j], v)
+                 for j, v in zip(kept, _eigenvectors(operator, mus[kept]))]
     return FloquetDecomposition(
         multipliers=mus,
         exponents=exponents,
@@ -199,7 +227,7 @@ def extract_mode(operator: MonodromyOperator, mu: complex,
     growth, leaving the periodic part r(sigma)."""
     grid = operator.grid
     lam = complex(principal_exponents(np.array([mu]), grid.period)[0])
-    z = operator.history[grid.history_points:] @ eigenvector
+    z = operator.history @ eigenvector
     t = np.arange(grid.samples_per_period + 1) * grid.step
     r = z * np.exp(-lam * t)[:, None]
     node_mag = np.linalg.norm(r, axis=1)
@@ -257,22 +285,18 @@ def verify_floquet_form(
     if operator is None:
         raise ValueError("the decomposition keeps no monodromy operator to continue")
     grid = decomposition.grid
-    n = system.dimension
     nh = grid.history_points
-    m = grid.state_size(n)
     big_n = grid.samples_per_period
     hist = propagate_history(system, grid, None, big_n, resume=operator.history)
-    u = hist[big_n : big_n + nh + 1].reshape(m, m)
+    u = operator.matrix
     u_norm = max(float(np.linalg.norm(u)), 1e-300)
-    # the segments s_k = hist[k : k+nh+1] overlap, so every s_k @ u is a block
-    # of one product, whose unit initial rows give u itself; the residual of
-    # window k sums the squared row norms of its nh+1 rows
-    pred = np.vstack([u, hist[nh + 1 : big_n + nh + 1].reshape(-1, m) @ u])
-    diff = hist[big_n:].reshape(-1, m) - pred
-    row_sq = np.sum(diff.reshape(big_n + nh + 1, -1) ** 2, axis=1)
+    # the overlapping segments s_k (rows k .. k+nh) make every s_k @ u a block of one
+    # product; its unit rows give u exactly, so only rows 1..N are predicted
+    diff = hist[big_n + 1 :].reshape(-1, len(u)) - hist[1 : big_n + 1].reshape(-1, len(u)) @ u
+    row_sq = np.concatenate([np.zeros(nh + 1), np.sum(diff.reshape(big_n, -1) ** 2, axis=1)])
     window_sq = np.convolve(row_sq, np.ones(nh + 1), mode="valid")
     shift_res = float(np.sqrt(window_sq.max())) / u_norm
-    del hist, u, pred, diff  # about 6 MB at m = 463, N = 64; the mode residuals need none
+    del hist, u, diff  # the mode residuals need none
     mode_res = tuple(mode.periodicity_residual for mode in decomposition.modes)
     op_res = tuple(_mode_operator_residual(system, grid, mode) for mode in decomposition.modes)
     all_res = (shift_res,) + mode_res + op_res

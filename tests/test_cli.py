@@ -117,10 +117,10 @@ def test_zero_multiplier_exponents_are_strict_json(tmp_path):
 
 
 def test_analyze_numerical_failure_exits_3(tmp_path, monkeypatch):
-    def failing_eig(*args, **kwargs):
+    def failing_eigvals(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalue iteration did not converge")
 
-    monkeypatch.setattr(np.linalg, "eig", failing_eig)
+    monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
     cfg = _write(tmp_path / "c.json", {
         "system": {"builtin": "scalar_cosine"}, "grid": {"samples_per_period": 32}})
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 3

@@ -1,0 +1,64 @@
+"""tools/compare_artifacts.py's per-group differences, on synthetic artifacts only."""
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def compare(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts perfbench/ on it
+    spec = importlib.util.spec_from_file_location("compare_artifacts",
+                                                  ROOT / "tools" / "compare_artifacts.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.compare
+
+
+def _spectrum(mus, converged):
+    return json.dumps({"multipliers": [[m, 0.0] for m in mus],
+                       "exponents": [[m - 1.0, 0.0] for m in mus],
+                       "converged": converged, "p_retained": sum(converged)}).encode()
+
+
+def test_spectrum_multipliers_are_grouped_by_their_converged_flag(compare):
+    # a converged multiplier moved by 1e-15 and a roundoff-level spurious one by half
+    old = _spectrum([2.0, 1e-13], [True, False])
+    new = _spectrum([2.0 + 2e-15, 1.5e-13], [True, False])
+    identical, mismatches, diffs = compare("spectrum.json", old, new)
+    assert not identical and mismatches == []
+    assert diffs["multipliers (converged)"][1] < 1e-14
+    assert diffs["multipliers (unconverged)"][1] == pytest.approx(1 / 3)
+    assert diffs["p_retained"] == (0.0, 0.0)
+
+
+def test_a_multiplier_moves_relative_to_its_modulus(compare):
+    # the real part of 1e-3 + 2i moves by 1e-14: 1e-11 of that part, 5e-15 of |mu|
+    old = json.dumps({"multipliers": [[1e-3, 2.0]], "exponents": [[0.0, 0.0]],
+                      "converged": [True]}).encode()
+    new = json.dumps({"multipliers": [[1e-3 + 1e-14, 2.0]], "exponents": [[0.0, 0.0]],
+                      "converged": [True]}).encode()
+    _, _, diffs = compare("spectrum.json", old, new)
+    assert diffs["multipliers (converged)"][1] == pytest.approx(1e-14 / abs(1e-3 + 2j), rel=1e-3)
+
+
+def test_a_changed_converged_flag_is_a_mismatch(compare):
+    _, mismatches, _ = compare("spectrum.json", _spectrum([2.0, 0.5], [True, False]),
+                               _spectrum([2.0, 0.5], [True, True]))
+    assert ("converged", ".converged[1]") in mismatches
+
+
+def test_stability_multipliers_are_the_converged_ones(compare):
+    doc = {"config_fingerprint": "a", "verdict": "STABLE", "trivial_multiplier": [1.0, 0.0],
+           "exponent_classes": [[{"exponent": [-0.1, 0.0], "multiplier": [0.9, 0.0]}]]}
+    moved = dict(doc, config_fingerprint="b", exponent_classes=[
+        [{"exponent": [-0.1, 0.0], "multiplier": [0.9 + 1e-15, 0.0]}]])
+    identical, mismatches, diffs = compare("stability.json", json.dumps(doc).encode(),
+                                           json.dumps(moved).encode())
+    assert not identical and mismatches == []
+    assert set(diffs) == {"trivial_multiplier (converged)", "exponent_classes (converged)"}
+    assert diffs["trivial_multiplier (converged)"] == (0.0, 0.0)

@@ -398,7 +398,7 @@ def test_unit_basis_start_matches_explicit_identity(quadrature, depth):
     m = g.state_size(1)
     system = _scalar_kernel_system()
     got = propagate_history(system, g, None, 40)
-    ref = propagate_history(system, g, np.eye(m).reshape(m, 1, m), 40)
+    ref = propagate_history(system, g, np.eye(m).reshape(m, 1, m), 40)[g.history_points :]
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -416,7 +416,7 @@ def test_unit_basis_start_matrix_kernel_with_tap(quadrature, depth):
     g = PeriodicGrid(1.0, 32, depth, quadrature)
     m = g.state_size(2)
     got = propagate_history(system, g, None, 40)
-    ref = propagate_history(system, g, np.eye(m).reshape(-1, 2, m), 40)
+    ref = propagate_history(system, g, np.eye(m).reshape(-1, 2, m), 40)[g.history_points :]
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -438,7 +438,7 @@ def test_delay_taps_match_reference_stepper(delay, unit):
     else:
         hist0 = np.random.default_rng(3).standard_normal((g.history_points + 1, 2, 3))
     got = propagate_history(system, g, None if unit else hist0, 32)
-    ref = _reference_propagate(system, g, hist0, 32)
+    ref = _reference_propagate(system, g, hist0, 32)[g.history_points if unit else 0 :]
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -458,7 +458,7 @@ def _deep_tap_kernel_system():
 @pytest.mark.parametrize("n_steps", [40, 64])
 @pytest.mark.parametrize("unit", [True, False])
 def test_resumed_propagation_equals_one_call_bitwise(quadrature, n_steps, unit):
-    # 40 steps end inside a 16-step block of initial-history tap lookups; after
+    # 40 steps end while the 2.13 tap reads the initial history; after
     # either resume the 2.13 tap still reads the initial history, the 0.23 tap
     # reads computed rows, and the window's lower endpoint (depth 2.2) is off
     # the lattice
@@ -483,8 +483,9 @@ def test_resume_rejects_a_history_of_other_columns():
     first = propagate_history(system, g, None, 8)
     with pytest.raises(ValueError, match="resumed history"):
         propagate_history(system, g, np.ones((g.history_points + 1, 1, 2)), 8, resume=first)
-    # the unit basis is checked against its (n, m), which no identity shows
-    for wrong in (first[:, :, 1:], first[: g.history_points], first[:, 0]):
+    # the unit basis is checked against its (n, m), which no identity shows,
+    # and needs at least its row at time 0
+    for wrong in (first[:, :, 1:], first[:0], first[:, 0]):
         with pytest.raises(ValueError, match="resumed history"):
             propagate_history(system, g, None, 8, resume=wrong)
 
@@ -687,7 +688,7 @@ def test_tap_lookups_among_fewer_than_four_rows_match_reference(kernel):
     g = PeriodicGrid(1.0, 32, 0.09)
     m = g.state_size(1)
     got = propagate_history(system, g, None, 32)
-    ref = _reference_propagate(system, g, np.eye(m).reshape(m, 1, m), 32)
+    ref = _reference_propagate(system, g, np.eye(m).reshape(m, 1, m), 32)[g.history_points :]
     if kernel:
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     else:

@@ -294,11 +294,9 @@ def test_truncate_harmonic_tail_raises():
 
 def test_eig_leading_dense_fallback_on_partial_arpack(monkeypatch):
     rng = np.random.default_rng(11)
-    mat = rng.standard_normal((40, 40))
-    # the matrix of an operator over N = 8 steps with nh + 1 = 40 history rows
-    hist = np.zeros((48, 1, 40))
-    hist[8:, 0] = mat
-    op = monodromy.MonodromyOperator(hist, PeriodicGrid(1.0, 8, 39 / 8))
+    # an operator over N = 8 steps with nh + 1 = 40 history rows: its row at
+    # time 0 and 8 computed rows
+    op = monodromy.MonodromyOperator(rng.standard_normal((9, 1, 40)), PeriodicGrid(1.0, 8, 39 / 8))
 
     def no_convergence(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence(
@@ -308,7 +306,66 @@ def test_eig_leading_dense_fallback_on_partial_arpack(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
     mus = monodromy._eig_leading(op, k=8)
     assert len(mus) == 40
-    np.testing.assert_allclose(np.sort_complex(mus), np.sort_complex(scipy.linalg.eigvals(mat)))
+    np.testing.assert_allclose(np.sort_complex(mus),
+                               np.sort_complex(scipy.linalg.eigvals(op.matrix)))
+
+
+@pytest.mark.parametrize("n, rows", [(1, 32), (1, 21), (1, 5), (2, 13)],
+                         ids=["m_multiple_of_s", "m_not_multiple_of_s", "s_equals_m", "n2"])
+def test_shift_structured_eigenvector_matches_dense(n, rows):
+    # a random operator over N = 8 steps with `rows` history rows: s = 8n rows
+    # computed, the rest shifted (none when s = m); its spectrum straddles 1
+    grid = PeriodicGrid(1.0, 8, (rows - 1) / 8)
+    rng = np.random.default_rng(rows * n)
+    op = monodromy.MonodromyOperator(0.5 * rng.standard_normal((9, n, n * rows)), grid)
+    mat = op.matrix
+    mus, vecs = np.linalg.eig(mat)
+    assert np.abs(mus).min() < 1.0 < np.abs(mus).max()
+    norm = np.linalg.norm(mat, 2)
+    for mu, u, v in zip(mus, vecs.T, monodromy._eigenvectors(op, mus)):
+        assert np.linalg.norm(mat @ v - mu * v) <= 1e-12 * norm * np.linalg.norm(v)
+        # the eig column, up to scale
+        c = np.vdot(u, v) / np.vdot(u, u)
+        assert np.linalg.norm(v - c * u) <= 1e-10 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("rows", [21, 5], ids=["memory", "s_equals_m"])
+def test_repeated_multiplier_gets_independent_eigenvectors(rows):
+    # two identical uncoupled components: the n = 2 operator is the scalar one
+    # times eye(2), so every multiplier is a semisimple double
+    grid = PeriodicGrid(1.0, 8, (rows - 1) / 8)
+    rng = np.random.default_rng(rows)
+    scalar = monodromy.MonodromyOperator(0.5 * rng.standard_normal((9, 1, rows)), grid)
+    mat = np.kron(scalar.matrix, np.eye(2))
+    s = min(16, 2 * rows)  # N*n rows computed, or all of them
+    hist = np.zeros((9, 2, 2 * rows))
+    hist[0, :, -2:] = np.eye(2)
+    hist[9 - s // 2 :] = mat[-s:].reshape(-1, 2, 2 * rows)
+    op = monodromy.MonodromyOperator(hist, grid)
+    assert np.array_equal(op.matrix, mat)
+    mus = np.linalg.eigvals(mat)
+    vecs = list(monodromy._eigenvectors(op, mus))
+    norm = np.linalg.norm(mat, 2)
+    for mu, v in zip(mus, vecs):
+        assert np.linalg.norm(mat @ v - mu * v) <= 1e-12 * norm * np.linalg.norm(v)
+        twins = [u / np.linalg.norm(u) for nu, u in zip(mus, vecs)
+                 if abs(nu - mu) <= 1e-8 * abs(mu)]
+        assert len(twins) == 2
+        assert np.linalg.svd(np.column_stack(twins), compute_uv=False)[-1] >= 0.1
+
+
+def test_spectrum_of_uncoupled_copies_keeps_both_modes():
+    # each multiplier of two identical uncoupled delay equations is double: its
+    # two modes must span both components, not repeat one
+    tap = DelayTap(0.3, lambda s: -0.8 * np.eye(2))
+    system = LinearMemorySystem(2, lambda s: (0.2 * np.cos(2 * np.pi * s) - 0.5) * np.eye(2),
+                                delay_taps=(tap,))
+    dec = floquet_spectrum(system, PeriodicGrid(1.0, 32, 0.3), modes=4)
+    assert len(dec.modes) >= 2
+    first, second = dec.modes[:2]
+    assert abs(first.multiplier - second.multiplier) <= 1e-8 * abs(first.multiplier)
+    pair = np.column_stack([first.samples.ravel(), second.samples.ravel()])
+    assert np.linalg.svd(pair / np.linalg.norm(pair, axis=0), compute_uv=False)[-1] >= 0.1
 
 
 def test_monodromy_leading_rows_are_unit_shift():
@@ -444,8 +501,9 @@ _DEEP_GRID = PeriodicGrid(1.0, 64, 7.2)
 
 
 def _history_bytes(grid):
-    """Bytes of the scalar system's unit-basis propagation over one period."""
-    return (grid.history_points + 1 + grid.samples_per_period) * grid.state_size(1) * 8
+    """Bytes of the scalar system's unit-basis propagation over one period: its
+    row at time 0 and the N computed rows."""
+    return (1 + grid.samples_per_period) * grid.state_size(1) * 8
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -456,14 +514,21 @@ def _traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-# a build holds its history and temporaries of at most a few tenths of it
-# (the finiteness check's bool array is an eighth); a separate m x m identity
-# would add about 0.88 of the history's bytes here
-_BUILD_PEAK = 1.3
+# a build holds its history and temporaries a few kernel windows in size (the
+# cubic stencils, their slot indices, a block of K): 0.60 of the history at the
+# refined N = 128, whose kernel window is 7 times the period's rows, and the
+# same bytes as beside the full-height history it replaced. The unit rows
+# stored as before, or a separate m x m identity, would each add 7.1 times the
+# history's bytes here
+_BUILD_PEAK = 1.7
+
+
+def _matrix_bytes(grid):
+    return grid.state_size(1) ** 2 * 8
 
 
 def test_build_holds_no_identity_beside_the_history():
-    # the unit basis is written into the propagation's own array
+    # the unit basis stores its row at time 0 and the computed rows only
     op, peak = _traced_peak(build_monodromy, _DEEP_KERNEL, _DEEP_GRID.refined())
     assert op.history.nbytes == _history_bytes(_DEEP_GRID.refined())
     assert peak <= _BUILD_PEAK * op.history.nbytes
@@ -471,7 +536,18 @@ def test_build_holds_no_identity_beside_the_history():
 
 def test_spectrum_holds_one_propagation_at_a_time():
     # the refined operator is built, solved and dropped before the coarse
-    # eigenvectors exist: only the coarse history is alive beside its build
+    # eigensolve: only the coarse history is alive beside its build, and the
+    # coarse dense matrix beside neither
     dec, peak = _traced_peak(floquet_spectrum, _DEEP_KERNEL, _DEEP_GRID, modes=2)
     assert dec.operator.history.nbytes == _history_bytes(_DEEP_GRID)
-    assert peak <= _BUILD_PEAK * _history_bytes(_DEEP_GRID.refined()) + _history_bytes(_DEEP_GRID)
+    assert peak <= (_BUILD_PEAK * _history_bytes(_DEEP_GRID.refined()) + _history_bytes(_DEEP_GRID)
+                    + _matrix_bytes(_DEEP_GRID))
+
+
+def test_spectrum_holds_no_complex_matrix():
+    # eigenvalues alone from the dense solve, each kept mode's eigenvector from
+    # its shift block: below the bytes of the m x m complex eigenvector array
+    # a full eigendecomposition returns
+    dec, peak = _traced_peak(floquet_spectrum, _DEEP_KERNEL, _DEEP_GRID)
+    assert len(dec.modes) >= 2
+    assert peak < 2 * _matrix_bytes(_DEEP_GRID)

@@ -11,6 +11,12 @@ the builtin and table-form analyze, stability and bands configs below. Every
 artifact is printed as IDENTICAL when its bytes agree, or else with the max
 absolute and max relative difference over its numeric fields, per top-level
 JSON key or CSV column.
+spectrum.json's multipliers and exponents are grouped apart by their
+converged flag, "(converged)" and "(unconverged)", so that the roundoff-level
+spurious multipliers do not hide how far the converged ones moved;
+stability.json lists retained multipliers only, all of them converged. In
+these groups an [re, im] pair is one complex number, its relative difference
+taken against its modulus.
 stability.json is compared without config_fingerprint: its config names the
 cycle file by path, and each side writes its inputs in its own directory.
 
@@ -181,6 +187,9 @@ def fields(name: str, data: bytes) -> dict:
         if isinstance(value, dict):
             for key, item in value.items():
                 walk(item, group or key, f"{path}.{key}")
+        elif (isinstance(value, list) and str(group).endswith("converged)")
+              and len(value) == 2 and all(_is_number(v) for v in value)):
+            out[(group, path)] = complex(*value)
         elif isinstance(value, list):
             for k, item in enumerate(value):
                 walk(item, group, f"{path}[{k}]")
@@ -190,6 +199,13 @@ def fields(name: str, data: bytes) -> dict:
     doc = json.loads(data)
     if name == "stability.json":
         doc.pop("config_fingerprint", None)
+        for key in ("trivial_multiplier", "exponent_classes"):
+            walk(doc.pop(key, None), f"{key} (converged)", f".{key}")
+    if name == "spectrum.json":
+        for key in ("multipliers", "exponents"):
+            for k, item in enumerate(doc.pop(key, [])):
+                state = "converged" if doc["converged"][k] else "unconverged"
+                walk(item, f"{key} ({state})", f".{key}[{k}]")
     walk(doc, None, "")
     return out
 
@@ -202,7 +218,7 @@ def _number(cell: str):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, (int, float, complex)) and not isinstance(value, bool)
 
 
 def compare(name: str, old: bytes, new: bytes) -> tuple:
