@@ -12,8 +12,10 @@ B(mu) = B_{-1}/mu + B_0 + mu B_{+1} (cell_collocation_matrices), whose
 quadratic eigenproblem in mu is linearized to a pencil. The reported
 multipliers come from the companion pencil on the N-node grid; the 2N-node
 solve that confirms them uses the trimmed pencil, which leaves out the
-structurally infinite eigenvalues of B_{+1}'s zero columns. A kernel's
-band scan evaluates W once per grid, then solves its energies, which add only
+structurally infinite eigenvalues of B_{+1}'s zero columns. The kernel
+integral takes the Floquet path's window rule (grid.quadrature_window),
+mirrored, each endpoint x +- r_W read by its cubic stencil. A kernel's band
+scan evaluates W once per grid, then solves its energies, which add only
 V - E, in forked worker processes, one per CPU the process may run on. Local
 potentials, delta combs included, use the 2x2 cell transfer matrix, swept
 over every energy at once.
@@ -27,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import PeriodicGrid
+from .grid import PeriodicGrid, _cubic_weights, quadrature_window
 from .integrate import rk4_step
 from .monodromy import sort_multipliers
 from .system import VALIDATION_TOL, InvalidSystemError, array_form, evaluate
@@ -71,12 +73,6 @@ class NonlocalPotential1D:
             return np.zeros_like(np.asarray(x, dtype=float))
         return evaluate(self.local, x, (), "V")
 
-    def eval_kernel(self, x, xp) -> np.ndarray:
-        """W over x broadcast against x' (at least 1-d), zero beyond the range."""
-        x, xp = np.broadcast_arrays(x, np.atleast_1d(xp))
-        vals = evaluate(self.kernel, (x, xp), (), "W")
-        return np.where(np.abs(xp - x) <= self.kernel_range, vals, 0.0)
-
 
 @dataclass
 class PotentialReport:
@@ -92,12 +88,12 @@ def validate_potential(pot: NonlocalPotential1D):
     xs = np.linspace(0.0, a, _VALIDATION_NODES, endpoint=False)
     lres = float(np.max(np.abs(pot.eval_local(xs + a) - pot.eval_local(xs))))
     kres = sres = 0.0
-    if pot.kernel is not None:
+    if pot.kernel is not None:  # every probe pair lies within r_W: W is read unmasked
         x = xs[:: _VALIDATION_NODES // 16, None]
-        xp = x + np.linspace(-pot.kernel_range, pot.kernel_range, 33)
-        k0 = pot.eval_kernel(x, xp)
-        kres = float(np.max(np.abs(pot.eval_kernel(x + a, xp + a) - k0)))
-        sres = float(np.max(np.abs(pot.eval_kernel(xp, x) - k0)))
+        x, xp = np.broadcast_arrays(x, x + np.linspace(-pot.kernel_range, pot.kernel_range, 33))
+        pairs = np.stack((x, x + a, xp)), np.stack((xp, xp + a, x))  # as probed, shifted, swapped
+        k0, shifted, swapped = evaluate(pot.kernel, pairs, (), "W")
+        kres, sres = (float(np.max(np.abs(v - k0))) for v in (shifted, swapped))
     return PotentialReport(max(lres, kres, sres) <= VALIDATION_TOL, lres, kres, sres)
 
 
@@ -143,35 +139,35 @@ def cell_collocation_matrices(pot: NonlocalPotential1D, energy: float, n_nodes: 
     B(mu) = B_{-1}/mu + B_0 + mu B_{+1} acting on psi at the cell nodes.
 
     Rows: -psi'' + (V - E) psi + int W psi = 0 with 4th-order differences and
-    a trapezoid rule on the nodes within r_W (admissible kernels decay to the
-    cutoff, so the grid-aligned window is accurate). The rows are built as one
-    block row [B_{-1} | B_0 | B_{+1}] in which node j + m sits in column
-    n + j + m, so references past the cell edges pick up mu^{+-1} by layout.
-    W is evaluated in one call over every node and offset.
+    the grid's trapezoid memory window (`quadrature_window`) mirrored onto
+    [x - r_W, x + r_W], each endpoint x +- r_W read by its cubic stencil. The
+    rows are built as one block row [B_{-1} | B_0 | B_{+1}] in which node j + m
+    sits in column n + j + m, so references past the cell edges pick up
+    mu^{+-1} by layout. W is evaluated in one call over every window point.
     """
     return _collocation(pot, n_nodes)(energy)
 
 
-def _collocation(pot: NonlocalPotential1D, n_nodes: int):
-    """energy -> cell_collocation_matrices(pot, energy, n_nodes); V and the
-    weighted W window, which do not depend on the energy, are evaluated here."""
+def _collocation(pot: NonlocalPotential1D, n: int):
+    """energy -> cell_collocation_matrices(pot, energy, n); V and the weighted
+    W window, which do not depend on the energy, are evaluated here."""
     if pot.deltas:
         raise InvalidSystemError("collocation path does not support delta combs")
-    if n_nodes < 2:
-        raise InvalidSystemError(
-            f"collocation needs at least 2 nodes per cell, got {n_nodes}")
+    if n < 2:
+        raise InvalidSystemError(f"collocation needs at least 2 nodes per cell, got {n}")
     a = pot.lattice_constant
-    n = n_nodes
     h = a / n
     xs = np.arange(n) * h
     j = np.arange(n)[:, None]
     local = pot.eval_local(xs)
     if pot.kernel is not None:
-        m_max = int(np.floor(pot.kernel_range / h + 1e-12))  # <= n as r_W < a
-        offs = np.arange(-m_max, m_max + 1)
-        w = np.full(len(offs), h)
-        w[0] = w[-1] = h / 2.0
-        weighted = w * pot.eval_kernel(xs[:, None], xs[:, None] + offs * h)
+        # a grid takes >= 8 samples, and 8a / 8n is a/n bitwise; the window ends at -r_W
+        taus, w, n_uni = quadrature_window(PeriodicGrid(8 * a, 8 * n, pot.kernel_range))
+        k0, c = _cubic_weights(np.asarray(pot.kernel_range / h), n + 1)  # x + r_W's stencil
+        offs, reach = np.arange(1 - n_uni, n_uni), k0 + np.arange(c.shape[-1])
+        taus = np.concatenate((taus[:0:-1], -taus))  # mirrored; all within r_W: W is unmasked
+        weighted = np.concatenate((w[:0:-1], 2.0 * w[:1], w[1:])) * evaluate(
+            pot.kernel, (np.broadcast_to(xs[:, None], (n, taus.size)), xs[:, None] + taus), (), "W")
 
     def blocks(energy):
         block = np.zeros((n, 3 * n))
@@ -179,7 +175,9 @@ def _collocation(pot: NonlocalPotential1D, n_nodes: int):
         block[j, n + j + np.arange(-2, 3)] = -np.asarray(_D2_STENCIL) * scale  # -psi''
         block[j, n + j] += (local - energy)[:, None]
         if pot.kernel is not None:
-            block[j, n + j + offs] += weighted
+            block[j, n + j + offs] += weighted[:, 1:-1]
+            block[j, n + j + reach] += c * weighted[:, -1:]  # x + r_W
+            block[j, n + j - reach] += c * weighted[:, :1]  # x - r_W
         return block[:, :n], block[:, n:2 * n], block[:, 2 * n:]
     return blocks
 
@@ -211,14 +209,16 @@ def _trimmed_pencil(bm, b0, bp):
     nonzero columns C of B_{+1} carry a second unknown chi = mu psi_C, so
     [[B_{-1}, 0], [0, I]] z = mu [[-B_0, -B_{+1}[:, C]], [E_C^T, 0]] z has
     n + |C| rows and none of the companion pencil's n - |C| structurally
-    infinite eigenvalues (Byers, Mehrmann & Xu, LAA 429, 2008). Both sides
-    are Fortran-ordered, so the solve can overwrite them without a copy. Its
-    multipliers agree with the companion pencil's to rounding, not bitwise."""
-    cols = np.flatnonzero(np.any(bp != 0.0, axis=0))
+    infinite eigenvalues (Byers, Mehrmann & Xu, LAA 429, 2008). Entries below
+    eps max|B_0| are zero: QZ deflates exact zeros, not W's rounding noise at
+    x +- r_W. Both sides are Fortran-ordered, so the solve can overwrite them
+    without a copy. Its multipliers agree with the companion's to rounding."""
+    tol = np.finfo(float).eps * np.abs(b0).max()
+    cols = np.flatnonzero(np.any(np.abs(bp) > tol, axis=0))
     n, c = b0.shape[0], cols.size
     lhs = np.zeros((n + c, n + c), order="F")
     rhs = np.zeros((n + c, n + c), order="F")
-    lhs[:n, :n] = bm
+    lhs[:n, :n] = np.where(np.abs(bm) > tol, bm, 0.0)
     lhs[n:, n:] = np.eye(c)
     rhs[:n, :n] = -b0
     rhs[:n, n:] = -bp[:, cols]

@@ -96,11 +96,11 @@ def separable_nonlocal(gamma: float = SEPARABLE_GAMMA, a: float = 1.0,
     r_w = range_fraction * a
     q = 2.0 * np.pi / a
 
-    def kernel(x, xp):
-        xp = np.asarray(xp, dtype=float)
-        u = x - xp
-        window = np.cos(np.pi * u / (2.0 * r_w)) ** 2
-        return gamma * np.cos(q * u) * window
+    def kernel(x, xp):  # the window takes u's buffer: at most 3 arrays of the points' size
+        u = x - np.asarray(xp, dtype=float)
+        wave = gamma * np.cos(q * u)
+        np.cos(np.divide(np.multiply(np.pi, u, out=u), 2.0 * r_w, out=u), out=u)
+        return np.multiply(wave, np.square(u, out=u), out=wave)
 
     pot = NonlocalPotential1D(a, kernel=kernel, kernel_range=r_w)
     return pot, {"gamma": gamma, "lattice_constant": a, "kernel_range": r_w}

@@ -3,7 +3,8 @@ import dataclasses
 
 import numpy as np
 
-from gfloquet import cell_collocation_matrices
+from gfloquet import PeriodicGrid, cell_collocation_matrices
+from gfloquet.grid import _cubic_weights, quadrature_window
 
 
 def kronig_penney_reference(strength: float, a: float, energy: float) -> dict:
@@ -31,23 +32,35 @@ def fixed_k_energies(pot, k: float, n_nodes: int, n_bands: int = 8) -> np.ndarra
     return evals[:n_bands]
 
 
+def kernel_entries(pot, n_nodes: int, j: int) -> list:
+    """(node index j + m, weighted W) pairs of node j's kernel term, W called
+    on that node's window points alone: the trapezoid window of depth r_W at
+    step a/n (quadrature_window) mirrored onto [x - r_W, x + r_W], the
+    aligned nodes first, then the endpoints x + r_W and x - r_W, each spread
+    over its cubic stencil on the offsets 0..+-n."""
+    a, r = pot.lattice_constant, pot.kernel_range
+    h = a / n_nodes
+    # scaled by 8, the grid's step is bitwise a/n at any node count
+    taus, w, n_uni = quadrature_window(PeriodicGrid(8 * a, 8 * n_nodes, r))
+    taus = np.concatenate((taus[:0:-1], -taus))
+    w = np.concatenate((w[:0:-1], 2.0 * w[:1], w[1:]))
+    x = j * h
+    vals = w * np.asarray(pot.kernel(np.full(len(taus), x), x + taus),
+                          dtype=float).reshape(len(taus))
+    k0, c = _cubic_weights(np.asarray(r / h), n_nodes + 1)
+    reach = k0 + np.arange(c.shape[-1])
+    return (list(zip(j + np.arange(1 - n_uni, n_uni), vals[1:-1]))
+            + list(zip(j + reach, c * vals[-1])) + list(zip(j - reach, c * vals[0])))
+
+
 def per_node_collocation(pot, energy: float, n_nodes: int) -> tuple:
-    """B_{-1}, B_0, B_{+1} with the kernel term added one node at a time:
-    W is called on the pairs of each node x and its offsets x' alone, masked
-    to the kernel range, and each entry goes to the block of its cell (oracle
-    for the one kernel call of cell_collocation_matrices)."""
+    """B_{-1}, B_0, B_{+1} with the kernel term added one node at a time
+    (kernel_entries), each entry to the block of its cell (oracle for the one
+    kernel call of cell_collocation_matrices)."""
     local = dataclasses.replace(pot, kernel=None, kernel_range=0.0)
     blocks = [b.copy() for b in cell_collocation_matrices(local, energy, n_nodes)]
-    h = pot.lattice_constant / n_nodes
-    m_max = int(np.floor(pot.kernel_range / h + 1e-12))
-    offs = np.arange(-m_max, m_max + 1)
-    w = np.full(len(offs), h)
-    w[0] = w[-1] = h / 2.0
-    for j, x in enumerate(np.arange(n_nodes) * h):
-        xp = x + offs * h
-        vals = np.asarray(pot.kernel(np.full(len(xp), x), xp), dtype=float).reshape(len(xp))
-        vals = np.where(np.abs(xp - x) <= pot.kernel_range, vals, 0.0)
-        for m, val in zip(offs, w * vals):
-            cell, col = divmod(int(j + m), n_nodes)
+    for j in range(n_nodes):
+        for idx, val in kernel_entries(pot, n_nodes, j):
+            cell, col = divmod(int(idx), n_nodes)
             blocks[cell + 1][j, col] += val
     return tuple(blocks)

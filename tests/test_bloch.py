@@ -20,7 +20,8 @@ from gfloquet.bloch import (_UNRESOLVED_MAGNITUDE, _confirmed_set, _finite_multi
 from gfloquet.system import array_form
 from gfloquet.builtins import kronig_penney, separable_nonlocal
 
-from bloch_oracles import fixed_k_energies, kronig_penney_reference, per_node_collocation
+from bloch_oracles import (fixed_k_energies, kernel_entries, kronig_penney_reference,
+                           per_node_collocation)
 
 FREE = NonlocalPotential1D(1.0)
 GRID = PeriodicGrid(1.0, 64, 0.0)
@@ -33,6 +34,35 @@ def test_potential_validation():
     asym = NonlocalPotential1D(
         1.0, kernel=lambda x, xp: (x - np.asarray(xp)) * 0 + x, kernel_range=0.3)
     assert not validate_potential(asym).passed  # W(x,x') = x is not symmetric
+
+
+@pytest.mark.parametrize("kernel_range", [0.3, 0.37, 0.45, 0.7, 0.9])
+def test_validation_reads_the_kernel_at_its_range(kernel_range):
+    # the probes reach x' = x +- r_W; W is read there as it is, so a constant kernel
+    # is bi-periodic at every range, and a symmetric x + x' is still not
+    const = NonlocalPotential1D(1.0, kernel=lambda x, xp: np.ones_like(xp),
+                                kernel_range=kernel_range)
+    rep = validate_potential(const)
+    assert rep.passed and rep.kernel_residual == 0.0
+    drift = NonlocalPotential1D(1.0, kernel=lambda x, xp: x + xp, kernel_range=kernel_range)
+    rep = validate_potential(drift)
+    assert not rep.passed and rep.kernel_residual > 1.0
+
+
+@pytest.mark.parametrize("n", [9, 64])
+@pytest.mark.parametrize("kernel_range", [0.01, 0.3, 0.37, 0.9])
+def test_constant_kernel_rows_integrate_the_whole_window(kernel_range, n):
+    # W = c integrates to 2 c r_W over [x - r_W, x + r_W], a range narrower than one
+    # step included. c = 2^20 scales the weights exactly and dwarfs the derivative
+    # stencil's entries (up to 30 / (12 h^2) = 1.0e4 at n = 64), so subtracting the
+    # kernel-free blocks leaves the kernel part to within a few ulps
+    c = 2.0 ** 20
+    pot = NonlocalPotential1D(1.0, kernel=lambda x, xp: np.full(np.shape(xp), c),
+                              kernel_range=kernel_range)
+    local = dataclasses.replace(pot, kernel=None, kernel_range=0.0)
+    part = sum(cell_collocation_matrices(pot, 0.0, n)) - sum(cell_collocation_matrices(local, 0.0, n))
+    want = 2.0 * c * kernel_range
+    assert np.max(np.abs(part.sum(axis=1) - want)) <= 1e-13 * want
 
 
 def test_free_particle_plane_waves():
@@ -123,17 +153,13 @@ def _reference_collocation(pot, energy, n):
     mats = {s: np.zeros((n, n)) for s in (-1, 0, 1)}
     h = pot.lattice_constant / n
     scale = 1.0 / (12.0 * h * h)
-    m_max = int(np.floor(pot.kernel_range / h + 1e-12))
-    offs = np.arange(-m_max, m_max + 1)
-    w = np.full(len(offs), h)
-    w[0] = w[-1] = h / 2.0
     for j in range(n):
         x = j * h
         entries = [(j + m, -c * scale)
                    for m, c in zip(range(-2, 3), (-1.0, 16.0, -30.0, 16.0, -1.0))]
         entries.append((j, pot.eval_local(x) - energy))
         if pot.kernel is not None:
-            entries += zip(j + offs, w * pot.eval_kernel(x, x + offs * h))
+            entries += kernel_entries(pot, n, j)
         for idx, val in entries:
             s, col = divmod(int(idx), n)
             mats[s][j, col] += val
@@ -164,7 +190,9 @@ def test_one_kernel_call_assembly_equals_per_node_oracle(n):
         got = cell_collocation_matrices(pot, -3.5, n)
         for block, ref in zip(got, per_node_collocation(pot, -3.5, n)):
             assert np.array_equal(block, ref)
-    pairs = n * (2 * int(np.floor(0.3 * n + 1e-12)) + 1)
+    # node 0, the ceil(0.3 n) - 1 aligned nodes strictly within r_W on each side and
+    # the two endpoints x +- r_W
+    pairs = n * (2 * int(np.ceil(0.3 * n)) + 1)
     assert calls[0] == ((pairs,), (pairs,))  # the one assembly call, over every (x, x') pair
 
 
@@ -189,9 +217,13 @@ def test_trimmed_pencil_keeps_the_resolved_spectrum(n):
     for energy in (-12.0, -3.0, 2.5):
         blocks = cell_collocation_matrices(pot, energy, n)
         cols = np.flatnonzero(np.any(blocks[2] != 0.0, axis=0))
-        assert cols.size == int(0.9 * n)  # the kernel's reach past the cell edge
+        # the kernel reaches past the cell edge up to the endpoint x + r_W's cubic
+        # stencil, two nodes past floor(r_W / h). W vanishes at r_W, so the last two
+        # columns hold its rounding noise only, which the trimmed pencil leaves out
+        assert cols.size == int(0.9 * n) + 2
+        assert 0.0 < np.abs(blocks[2][:, cols[-2:]]).max() < 1e-30
         lhs, rhs = _trimmed_pencil(*blocks)
-        assert lhs.shape == rhs.shape == (n + cols.size, n + cols.size)
+        assert lhs.shape == rhs.shape == (n + cols.size - 2, n + cols.size - 2)
         full = bloch_multipliers_collocation(pot, energy, n)
         trimmed = _finite_multipliers(lhs, rhs)
         for ours, theirs in ((full, trimmed), (trimmed, full)):
@@ -347,6 +379,30 @@ def _plane_wave_energies(gamma, amplitude, k, n_waves=41, r=0.9):
                           epsabs=1e-13, epsrel=1e-13, limit=200)[0] for qi in q]
     couple = np.full(n_waves - 1, amplitude / 2.0)
     return np.linalg.eigvalsh(np.diag(q ** 2 + w_hat) + np.diag(couple, 1) + np.diag(couple, -1))
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+def test_kernel_symbol_error_of_the_window_rule():
+    # a plane wave e^{ikx} is an exact mode of the difference kernel's term, which
+    # multiplies it by the rule's symbol sum_m w_m W(u_m) e^{iku_m}; against the
+    # transform W(k) the window with the exact endpoint errs by at most 4.8e-4 and
+    # 9.1e-5 at n = 32 and 64 (the window cut at floor(r_W / h) h: 3.2e-3, 2.5e-4)
+    pot, _ = separable_nonlocal()
+    local = dataclasses.replace(pot, kernel=None, kernel_range=0.0)
+    window = lambda u: -80.0 * np.cos(2 * np.pi * u) * np.cos(np.pi * u / 1.8) ** 2
+    ks = np.linspace(0.1, 3 * np.pi, 60)
+    w_hat = [quad(window, -0.9, 0.9, weight="cos", wvar=k, epsabs=1e-11, limit=200)[0]
+             for k in ks]
+    for n, bound in ((32, 6e-4), (64, 1.2e-4)):
+        part = [a - b for a, b in zip(cell_collocation_matrices(pot, 0.0, n),
+                                      cell_collocation_matrices(local, 0.0, n))]
+        x = np.arange(n) / n
+        worst = 0.0
+        for k, want in zip(ks, w_hat):
+            mu, psi = np.exp(1j * k), np.exp(1j * k * x)
+            got = (part[0] / mu + part[1] + mu * part[2]) @ psi / psi
+            worst = max(worst, float(np.max(np.abs(got - want))))
+        assert worst < bound, (n, worst)
 
 
 @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
