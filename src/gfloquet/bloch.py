@@ -9,10 +9,10 @@ A nonlocal potential couples both directions in x, unlike causal time memory,
 so nonlocal kernels are solved by whole-cell collocation: with
 psi(x + a) = mu psi(x), the equation on one cell becomes the cell operator
 B(mu) = B_{-1}/mu + B_0 + mu B_{+1} (cell_collocation_matrices), whose
-quadratic eigenproblem in mu is linearized to a pencil. The reported
-multipliers come from the companion pencil on the N-node grid; the 2N-node
-solve that confirms them uses the trimmed pencil, which leaves out the
-structurally infinite eigenvalues of B_{+1}'s zero columns. The kernel
+quadratic eigenproblem in mu is linearized to the trimmed pencil, which
+leaves out the structurally infinite eigenvalues of B_{+1}'s zero columns,
+on each grid: the N-node solve reports the multipliers, the 2N-node solve
+confirms them. The kernel
 integral takes the Floquet path's window rule (grid.quadrature_window),
 mirrored, each endpoint x +- r_W read by its cubic stencil. A kernel's band
 scan evaluates W once per grid, then solves its energies, which add only
@@ -37,8 +37,9 @@ from .system import VALIDATION_TOL, InvalidSystemError, array_form, evaluate
 _D2_STENCIL = (-1.0, 16.0, -30.0, 16.0, -1.0)  # 4th-order second derivative / 12h^2
 _VALIDATION_NODES = 64  # probe points per cell in validate_potential
 _EDGE_FRACTION = 0.03  # extrema this close to the zone boundary (in pi/a) are folding artifacts
-# |mu| beyond eps^(-1/2) is rounding on either grid (two backward-stable
-# pencils disagree about it), so such a multiplier is never confirmed
+# |mu| beyond eps^(-1/2), or below eps^(1/2), is rounding on either grid (two
+# backward-stable pencils disagree about it), so such a multiplier is never
+# confirmed; the window is closed under mu -> 1/conj(mu)
 _UNRESOLVED_MAGNITUDE = np.finfo(float).eps ** -0.5
 
 
@@ -183,8 +184,8 @@ def _collocation(pot: NonlocalPotential1D, n: int):
 
 
 def _finite_multipliers(lhs, rhs):
-    """All finite eigenvalues mu of the pencil lhs z = mu rhs. The solve may
-    overwrite Fortran-ordered sides; C-ordered ones are copied either way."""
+    """All finite eigenvalues mu of the pencil lhs z = mu rhs, a
+    _trimmed_pencil, whose Fortran-ordered sides the solve overwrites."""
     import scipy.linalg  # numpy has no generalized eig; other paths leave scipy unloaded
 
     mus = scipy.linalg.eig(lhs, rhs, right=False, overwrite_a=True, overwrite_b=True)
@@ -192,16 +193,9 @@ def _finite_multipliers(lhs, rhs):
 
 
 def bloch_multipliers_collocation(pot: NonlocalPotential1D, energy: float, n_nodes: int):
-    """All finite multipliers of the quadratic pencil via companion
-    linearization: [[B0, Bm], [I, 0]] z = mu [[-Bp, 0], [0, I]] z."""
-    blocks = cell_collocation_matrices(pot, energy, n_nodes)
-    return _finite_multipliers(*_companion_pencil(*blocks))
-
-
-def _companion_pencil(bm, b0, bp):
-    n = b0.shape[0]
-    return (np.block([[b0, bm], [np.eye(n), np.zeros((n, n))]]),
-            np.block([[-bp, np.zeros((n, n))], [np.zeros((n, n)), np.eye(n)]]))
+    """All finite multipliers of the quadratic pencil, through its trimmed
+    linearization (_trimmed_pencil)."""
+    return _finite_multipliers(*_trimmed_pencil(*cell_collocation_matrices(pot, energy, n_nodes)))
 
 
 def _trimmed_pencil(bm, b0, bp):
@@ -212,7 +206,8 @@ def _trimmed_pencil(bm, b0, bp):
     infinite eigenvalues (Byers, Mehrmann & Xu, LAA 429, 2008). Entries below
     eps max|B_0| are zero: QZ deflates exact zeros, not W's rounding noise at
     x +- r_W. Both sides are Fortran-ordered, so the solve can overwrite them
-    without a copy. Its multipliers agree with the companion's to rounding."""
+    without a copy. Its resolved multipliers agree with the companion
+    oracle's (tests/bloch_oracles.py) to rounding."""
     tol = np.finfo(float).eps * np.abs(b0).max()
     cols = np.flatnonzero(np.any(np.abs(bp) > tol, axis=0))
     n, c = b0.shape[0], cols.size
@@ -252,13 +247,12 @@ def _grid_solves(pot: NonlocalPotential1D, energies: np.ndarray, n: int):
     and the 2N-node grid. A local potential's transfer matrices come from one
     sweep per grid over all energies, a kernel's V and weighted W from one
     _collocation per grid (a failure of either raises here); its multipliers
-    from the companion pencil on N nodes and the trimmed pencil on 2N."""
+    from the trimmed pencil on each grid."""
     if pot.kernel is None:
         cells = [local_cell_monodromy(pot, energies, m) for m in (n, 2 * n)]
         return lambda i: tuple(np.linalg.eigvals(c[i]) for c in cells)
-    coarse, fine = _collocation(pot, n), _collocation(pot, 2 * n)
-    return lambda i: (_finite_multipliers(*_companion_pencil(*coarse(energies[i]))),
-                      _finite_multipliers(*_trimmed_pencil(*fine(energies[i]))))
+    grids = [_collocation(pot, m) for m in (n, 2 * n)]
+    return lambda i: tuple(_finite_multipliers(*_trimmed_pencil(*g(energies[i]))) for g in grids)
 
 
 def propagating_multipliers(
@@ -270,24 +264,26 @@ def propagating_multipliers(
     """One-cell multiplier spectrum at fixed energy; near-unit multipliers are
     confirmed against the grid refined twofold before being reported as
     propagating, and ordered by sort_multipliers. For a nonlocal kernel the
-    reported multipliers solve the companion pencil on the N-node grid and
-    the confirming ones the trimmed pencil on the 2N-node grid."""
+    reported and the confirming multipliers solve the trimmed pencil on the
+    N- and the 2N-node grid."""
     solve = _grid_solves(pot, np.array([energy], dtype=float), grid.samples_per_period)
     return _confirmed_set(energy, *solve(0), unit_tol)
 
 
 def _confirmed_set(energy, coarse, fine, unit_tol) -> PropagatingSet:
     """Keep, in coarse order, the coarse multipliers mu within 10 unit_tol
-    max(1, |mu|) of a fine one, none beyond _UNRESOLVED_MAGNITUDE; the
-    near-unit ones, deduplicated, symmetrized and sorted, are the propagating
-    set."""
+    max(1, |mu|) of a fine one, only within 1/_UNRESOLVED_MAGNITUDE <= |mu|
+    <= _UNRESOLVED_MAGNITUDE, so mu and 1/conj(mu) are kept or dropped
+    together; the near-unit ones, deduplicated, symmetrized and sorted, are
+    the propagating set."""
     coarse = np.asarray(coarse, dtype=complex)
     dist = np.abs(np.asarray(fine)[None, :] - coarse[:, None]).min(axis=1, initial=np.inf)
-    keep = (dist / np.maximum(1.0, np.abs(coarse)) <= 10 * unit_tol) & (
-        np.abs(coarse) <= _UNRESOLVED_MAGNITUDE)
+    mag = np.abs(coarse)
+    keep = (dist / np.maximum(1.0, mag) <= 10 * unit_tol) & (
+        1.0 / _UNRESOLVED_MAGNITUDE <= mag) & (mag <= _UNRESOLVED_MAGNITUDE)
     confirmed = coarse[keep]
     near_unit = confirmed[np.abs(np.abs(confirmed) - 1.0) <= unit_tol]
-    # deduplicate (companion pencil can emit coincident roots)
+    # deduplicate (a band edge's double root comes out as two close multipliers)
     dedup = []
     for mu in near_unit:
         if min((abs(mu - o) for o in dedup), default=np.inf) > 1e-7 * max(1.0, abs(mu)):

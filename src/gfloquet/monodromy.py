@@ -133,10 +133,11 @@ def build_monodromy(
 
 
 def _eig_leading(operator: MonodromyOperator, k: int) -> np.ndarray:
-    """Leading-magnitude eigenvalues of the operator's matrix; dense for small
-    operators, ARPACK otherwise. ARPACK multiplies by the shift by s rows plus
-    the computed rows X read off the history, so no dense matrix is made. When
-    ARPACK does not converge, the full dense spectrum is returned."""
+    """Leading-magnitude eigenvalues of the operator's matrix: all of them from
+    the dense solve, cast exactly to complex, for small operators or k >= m - 2,
+    else ARPACK's k. ARPACK multiplies by the shift by s rows plus the computed
+    rows X read off the history, so no dense matrix is made. When ARPACK does
+    not converge, the full dense spectrum is returned."""
     m = operator.size
     if m <= _DENSE_EIG_LIMIT or k >= m - 2:
         return np.linalg.eigvals(operator.matrix).astype(complex, copy=False)
@@ -193,8 +194,7 @@ def floquet_spectrum(
     # the refined operator is built, solved and dropped before the coarse
     # dense matrix exists, so only the coarse propagation is alive beside it
     mus_f = _eig_leading(build_monodromy(system, grid.refined()), k=max(4 * modes, 32))
-    # numpy returns a real spectrum as float64; the cast to complex is exact
-    mus = np.linalg.eigvals(operator.matrix).astype(complex, copy=False)
+    mus = _eig_leading(operator, operator.size)  # every eigenvalue: the dense solve
     mus = mus[sort_multipliers(mus)]
     scale = np.maximum.outer(np.abs(mus), np.abs(mus_f))
     dist = np.abs(mus[:, None] - mus_f[None, :]) / np.maximum(scale, 1e-300)

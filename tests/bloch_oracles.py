@@ -2,6 +2,7 @@
 import dataclasses
 
 import numpy as np
+import scipy.linalg
 
 from gfloquet import PeriodicGrid, cell_collocation_matrices
 from gfloquet.grid import _cubic_weights, quadrature_window
@@ -30,6 +31,18 @@ def fixed_k_energies(pot, k: float, n_nodes: int, n_bands: int = 8) -> np.ndarra
         f"fixed-k operator not Hermitian (residual {herm:.2e})")
     evals = np.linalg.eigvalsh(0.5 * (hk + hk.conj().T))
     return evals[:n_bands]
+
+
+def companion_multipliers(pot, energy: float, n_nodes: int) -> np.ndarray:
+    """All finite multipliers of the cell operator by companion linearization,
+    [[B0, Bm], [I, 0]] z = mu [[-Bp, 0], [0, I]] z: 2n rows, with n - |C| of
+    its eigenvalues structurally infinite for B_{+1}'s zero columns (oracle
+    for the trimmed pencil, which leaves those out)."""
+    bm, b0, bp = cell_collocation_matrices(pot, energy, n_nodes)
+    eye, zero = np.eye(n_nodes), np.zeros((n_nodes, n_nodes))
+    mus = scipy.linalg.eig(np.block([[b0, bm], [eye, zero]]),
+                           np.block([[-bp, zero], [zero, eye]]), right=False)
+    return mus[np.isfinite(mus)]
 
 
 def kernel_entries(pot, n_nodes: int, j: int) -> list:

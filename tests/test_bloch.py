@@ -20,8 +20,8 @@ from gfloquet.bloch import (_UNRESOLVED_MAGNITUDE, _confirmed_set, _finite_multi
 from gfloquet.system import array_form
 from gfloquet.builtins import kronig_penney, separable_nonlocal
 
-from bloch_oracles import (fixed_k_energies, kernel_entries, kronig_penney_reference,
-                           per_node_collocation)
+from bloch_oracles import (companion_multipliers, fixed_k_energies, kernel_entries,
+                           kronig_penney_reference, per_node_collocation)
 
 FREE = NonlocalPotential1D(1.0)
 GRID = PeriodicGrid(1.0, 64, 0.0)
@@ -224,7 +224,7 @@ def test_trimmed_pencil_keeps_the_resolved_spectrum(n):
         assert 0.0 < np.abs(blocks[2][:, cols[-2:]]).max() < 1e-30
         lhs, rhs = _trimmed_pencil(*blocks)
         assert lhs.shape == rhs.shape == (n + cols.size - 2, n + cols.size - 2)
-        full = bloch_multipliers_collocation(pot, energy, n)
+        full = companion_multipliers(pot, energy, n)
         trimmed = _finite_multipliers(lhs, rhs)
         for ours, theirs in ((full, trimmed), (trimmed, full)):
             for mu in ours[np.abs(ours) <= 1e3]:
@@ -233,9 +233,11 @@ def test_trimmed_pencil_keeps_the_resolved_spectrum(n):
 
 def test_unresolved_multiplier_is_never_confirmed():
     # 1e9 lies within 0.5% of a fine multiplier, but beyond eps^(-1/2) both
-    # grids only round, so the match confirms nothing
-    ps = _confirmed_set(0.0, [1e9, 1.0], [1.005e9, 1.0], 1e-3)
-    assert ps.all_multipliers.tolist() == [1.0]
+    # grids only round, so the match confirms nothing; nor does it for its
+    # partner 1e-9 below eps^(1/2), though within 10 unit_tol in absolute terms
+    for coarse, fine in (([1e9, 1.0], [1.005e9, 1.0]), ([1e-9, 1.0], [1.005e-9, 1.0])):
+        ps = _confirmed_set(0.0, coarse, fine, 1e-3)
+        assert ps.all_multipliers.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("coarse, fine, unit_tol, kept", [
@@ -243,11 +245,15 @@ def test_unresolved_multiplier_is_never_confirmed():
     ([_UNRESOLVED_MAGNITUDE, np.nextafter(_UNRESOLVED_MAGNITUDE, np.inf), 2.0],
      [_UNRESOLVED_MAGNITUDE, np.nextafter(_UNRESOLVED_MAGNITUDE, np.inf), 2.0], 1e-3,
      [_UNRESOLVED_MAGNITUDE, 2.0]),
+    # |mu| of exactly 1 / _UNRESOLVED_MAGNITUDE is kept, the next float below it is not
+    ([1.0 / _UNRESOLVED_MAGNITUDE, np.nextafter(1.0 / _UNRESOLVED_MAGNITUDE, 0.0), 2.0],
+     [1.0 / _UNRESOLVED_MAGNITUDE, np.nextafter(1.0 / _UNRESOLVED_MAGNITUDE, 0.0), 2.0], 1e-3,
+     [1.0 / _UNRESOLVED_MAGNITUDE, 2.0]),
     # a distance of exactly 10 unit_tol max(1, |mu|) is kept, one ulp more is not
     ([1.0, 4.0], [1.0 + 10 * 2.0 ** -10, np.nextafter(4.0 + 40 * 2.0 ** -10, np.inf)],
      2.0 ** -10, [1.0]),
     ([], [1.0, 2.0], 1e-3, []),
-], ids=["magnitude", "distance", "empty"])
+], ids=["magnitude", "small_magnitude", "distance", "empty"])
 def test_confirmed_set_bounds_are_inclusive(coarse, fine, unit_tol, kept):
     ps = _confirmed_set(0.0, coarse, fine, unit_tol)
     assert ps.all_multipliers.tolist() == kept
@@ -264,7 +270,7 @@ def test_trimmed_confirmation_matches_the_full_pencil(gamma, energy):
     pot, _ = separable_nonlocal(gamma=gamma)
     got = propagating_multipliers(pot, energy, GRID).all_multipliers
     want = _confirmed_set(energy, bloch_multipliers_collocation(pot, energy, 64),
-                          bloch_multipliers_collocation(pot, energy, 128), 1e-3).all_multipliers
+                          companion_multipliers(pot, energy, 128), 1e-3).all_multipliers
     assert got.tobytes() == want.tobytes()
 
 
@@ -472,7 +478,7 @@ def test_local_cell_monodromy_takes_only_a_1d_array(energy):
 def test_band_scan_matches_per_energy_path(name):
     # the scan gives, bitwise, the records of one propagating_multipliers call
     # per energy: the swept transfer matrices of a local potential, and a
-    # kernel's companion and trimmed pencils
+    # kernel's trimmed pencil on each grid
     pot, grid, count = ((_nonlocal_crystal(-5.0), PeriodicGrid(1.0, 32, 0.0), 4)
                         if name == "nonlocal_crystal" else (LOCAL_POTENTIALS[name], GRID, 15))
     energies = np.linspace(-3.0, 30.0, count)

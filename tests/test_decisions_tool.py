@@ -1,5 +1,5 @@
 """tools/nonlocal_decisions.py on one seed: the shipped confirmation decisions
-agree with the full companion pencil's."""
+agree with the full companion pencil oracle's."""
 import importlib.util
 import sys
 from pathlib import Path
@@ -15,5 +15,5 @@ def test_one_seed_reports_no_differing_decision(monkeypatch, capsys):
     spec.loader.exec_module(module)
     assert module.main(["--seeds", "1"]) == 0
     out = capsys.readouterr().out
-    assert "seed 1: 24 energies, 2880 coarse multipliers" in out
+    assert "seed 1: 24 energies, 2832 coarse multipliers" in out
     assert out.rstrip().endswith("0 differing decisions")

@@ -1,4 +1,5 @@
-"""tools/pairs.py's summary of paired runs, on synthetic numbers only."""
+"""tools/pairs.py's summary of paired runs, on synthetic numbers only, and
+the layout of its two sides."""
 import importlib.util
 import sys
 from pathlib import Path
@@ -52,3 +53,21 @@ def test_a_higher_metric_gains_upward(pairs):
     s = pairs.summarize(parent, [v + 1.0 for v in parent], "higher")
     assert (s["wins"], s["gain"]) == (4, True)
     assert not pairs.summarize(parent, [v - 1.0 for v in parent], "higher")["gain"]
+
+
+def test_both_sides_import_from_plain_copies(pairs, monkeypatch, tmp_path):
+    # REV's src/ is unpacked (faked here, so that no git history is needed) and
+    # the working tree's is copied: neither side reads src/ through a link
+    def unpack_src(rev, dest):
+        (Path(dest) / "src" / "gfloquet").mkdir(parents=True)
+        (Path(dest) / "src" / "gfloquet" / "__init__.py").write_text(f"# {rev}\n")
+
+    monkeypatch.setattr(pairs, "unpack_src", unpack_src)
+    roots = pairs.side_roots("HEAD", str(tmp_path))
+    for root in roots.values():
+        src = Path(root) / "src"
+        assert not src.is_symlink() and (src / "gfloquet" / "__init__.py").is_file()
+    change = Path(roots["change"]) / "src" / "gfloquet"
+    assert (change / "__init__.py").read_bytes() == (
+        ROOT / "src" / "gfloquet" / "__init__.py").read_bytes()
+    assert not list(change.rglob("__pycache__"))

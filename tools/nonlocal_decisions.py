@@ -1,5 +1,5 @@
 """Check the nonlocal band scan's confirmation decisions against the full
-companion pencil on the fine grid.
+companion pencil on the fine grid, the oracle of tests/bloch_oracles.py.
 
 Run from the repository root (about 3 s per seed), with one BLAS thread as
 the benchmark runs, so that the solves give the benchmark's bits:
@@ -7,12 +7,14 @@ the benchmark runs, so that the solves give the benchmark's bits:
     OPENBLAS_NUM_THREADS=1 python3 tools/nonlocal_decisions.py --seeds 1-20
 
 For every energy of the bands_nonlocal workload at each seed (inputs from
-perfbench/workloads.py), each coarse multiplier is decided twice:
-- by the full companion pencil on the 2N grid, `bloch_multipliers_collocation`,
-  under the plain two-grid rule (relative distance at most 10 unit_tol, no
-  magnitude limit);
+perfbench/workloads.py), each coarse multiplier (the shipped trimmed pencil's
+on the N grid, `bloch_multipliers_collocation`) is decided twice:
+- by the full companion pencil on the 2N grid, `companion_multipliers`, under
+  the plain two-grid rule (relative distance at most 10 unit_tol) restricted
+  to eps^(1/2) <= |mu| <= eps^(-1/2), the window of multipliers that are not
+  rounding;
 - by the shipped path, `propagating_multipliers`, which confirms against the
-  trimmed pencil and never confirms a multiplier beyond eps^(-1/2).
+  trimmed pencil on the 2N grid within the same window.
 It prints the counts per seed and in total, and one line per differing
 decision.
 
@@ -30,17 +32,21 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 import workloads  # noqa: E402  (the benchmark's own seeded inputs)
+from bloch_oracles import companion_multipliers  # noqa: E402
 from gfloquet import PeriodicGrid, bloch_multipliers_collocation, propagating_multipliers  # noqa: E402
 from gfloquet.builtins import CATALOG  # noqa: E402
 
 UNIT_TOL = 1e-3  # the bands CLI default; the workload sets no unit_tol
+RESOLVED = np.finfo(float).eps ** 0.5, np.finfo(float).eps ** -0.5  # beyond: rounding
 
 
 def full_pencil_decisions(coarse, fine, unit_tol) -> list:
-    """The two-grid rule without the magnitude limit."""
-    return [np.min(np.abs(fine - mu)) / max(1.0, abs(mu)) <= 10 * unit_tol for mu in coarse]
+    """The two-grid rule within the RESOLVED magnitudes."""
+    return [np.min(np.abs(fine - mu)) / max(1.0, abs(mu)) <= 10 * unit_tol
+            and RESOLVED[0] <= abs(mu) <= RESOLVED[1] for mu in coarse]
 
 
 def kept(coarse, confirmed) -> list:
@@ -76,8 +82,7 @@ def check_seed(seed: int) -> tuple:
     diffs = []
     for energy in energies:
         coarse = bloch_multipliers_collocation(pot, energy, n)
-        full = full_pencil_decisions(coarse, bloch_multipliers_collocation(pot, energy, 2 * n),
-                                     UNIT_TOL)
+        full = full_pencil_decisions(coarse, companion_multipliers(pot, energy, 2 * n), UNIT_TOL)
         shipped = kept(coarse, propagating_multipliers(pot, energy, grid, UNIT_TOL).all_multipliers)
         total += len(coarse)
         full_count += sum(full)

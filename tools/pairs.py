@@ -5,7 +5,10 @@ Run from the repository root (about 25 s per run, two runs per pair):
     python3 tools/pairs.py --parent HEAD --workload floquet_kernel --pairs 10
 
 REV's src/ is unpacked into a temporary directory by `unpack_src` of
-tools/compare_artifacts.py, and the working tree's src/ is linked beside it. Both sides run the working tree's perfbench/run.py, so only src/ differs.
+tools/compare_artifacts.py, and the working tree's src/ is copied beside it
+(without `__pycache__`), so both sides import from plain files laid out
+alike. Both sides run the working tree's perfbench/run.py, so only src/
+differs.
 Pair k runs `perfbench/run.py --trace 0 --seed k` once per side, for the
 run length of BENCHMARK.json: the parent first in odd pairs and the change
 first in even ones, so that a slow phase of the host falls on both sides.
@@ -25,6 +28,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -54,6 +58,16 @@ def summarize(parent: list, change: list, better: str) -> dict:
     return out
 
 
+def side_roots(parent: str, tmp: str) -> dict:
+    """{"parent": root, "change": root} under tmp, each holding a plain src/:
+    REV's unpacked, the working tree's copied."""
+    roots = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
+    unpack_src(parent, roots["parent"])
+    shutil.copytree(os.path.join(ROOT, "src"), os.path.join(roots["change"], "src"),
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return roots
+
+
 def run_side(root: str, workload: str, seed: int, seconds: float) -> dict | None:
     """One perfbench run from `root`: its result line, or None when it exits non-zero."""
     proc = subprocess.run([sys.executable, RUN, "--workload", workload, "--seed", str(seed),
@@ -77,10 +91,7 @@ def main(argv=None) -> int:
     results = {"parent": [], "change": []}
     failed = False
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        roots = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
-        unpack_src(args.parent, roots["parent"])
-        os.makedirs(roots["change"])
-        os.symlink(os.path.join(ROOT, "src"), os.path.join(roots["change"], "src"))
+        roots = side_roots(args.parent, tmp)
         for k in range(1, args.pairs + 1):
             order = ("parent", "change") if k % 2 else ("change", "parent")
             got = {side: run_side(roots[side], args.workload, k, spec["run_seconds"])
