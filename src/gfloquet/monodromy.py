@@ -15,6 +15,7 @@ DEFAULT_MODES = 8
 _DENSE_EIG_LIMIT = 900
 _TIE_RTOL = 1e-12  # relative magnitude gap below which multipliers tie
 _REPEAT_RTOL = 1e-8  # relative distance below which multipliers are one repeated
+_NEWTON_STEPS = 3  # on a kept multiplier from ARPACK
 _MAX_DOUBLINGS = 60  # of the kernel tail's blocks, and of the truncation depth
 
 
@@ -71,6 +72,12 @@ class PeriodicMode:
 @dataclass(frozen=True)
 class FloquetDecomposition:
     """The spectrum of the operator built on `grid`, and that operator.
+
+    multipliers are all m of the operator when the refined grid's operator
+    was solved densely. When ARPACK solved that one, they are the operator's
+    k' leading ones from ARPACK, enough that every multiplier left out lies
+    below (1 - convergence_tol) times the smallest refined one and so has no
+    refined partner; the kept modes' multipliers are then Newton-refined.
 
     operator is kept so that verify_floquet_form can continue its unit-basis
     propagation instead of repeating it; verify refuses a decomposition
@@ -133,15 +140,15 @@ def build_monodromy(
 
 
 def _eig_leading(operator: MonodromyOperator, k: int) -> np.ndarray:
-    """Leading-magnitude eigenvalues of the operator's matrix: all of them from
-    the dense solve, cast exactly to complex, for small operators or k >= m - 2,
-    else ARPACK's k. ARPACK multiplies by the shift by s rows plus the computed
+    """The k leading-magnitude eigenvalues of the operator's matrix from ARPACK,
+    or all of them from the dense solve, cast exactly to complex, once k reaches
+    half the size. ARPACK multiplies by the shift by s rows plus the computed
     rows X read off the history, so no dense matrix is made. When ARPACK does
     not converge, the full dense spectrum is returned."""
     m = operator.size
-    if m <= _DENSE_EIG_LIMIT or k >= m - 2:
+    if 2 * k >= m:
         return np.linalg.eigvals(operator.matrix).astype(complex, copy=False)
-    from scipy.sparse import linalg as sla  # scipy is loaded only for operators this large
+    from scipy.sparse import linalg as sla  # scipy is loaded only for the ARPACK path
 
     x_rows = operator._computed
     op = sla.LinearOperator((m, m), dtype=x_rows.dtype,
@@ -149,7 +156,7 @@ def _eig_leading(operator: MonodromyOperator, k: int) -> np.ndarray:
     try:
         # a fixed start vector: ARPACK's own is drawn from a process-global state
         return sla.eigs(
-            op, k=min(k, m - 2), which="LM", return_eigenvectors=False,
+            op, k=k, which="LM", return_eigenvectors=False,
             v0=np.random.default_rng(0).standard_normal(m),
         )
     except sla.ArpackNoConvergence:
@@ -157,19 +164,61 @@ def _eig_leading(operator: MonodromyOperator, k: int) -> np.ndarray:
         return np.linalg.eigvals(operator.matrix).astype(complex, copy=False)
 
 
-def _eigenvectors(operator: MonodromyOperator, mus: np.ndarray):
-    """Eigenvectors for the eigenvalues mus != 0, one at a time. The matrix shifts by
-    s rows: v = Phi w, Phi[i, i mod s] = mu**(i // s) scaled from the end block that
-    keeps the powers <= 1, w the null vector of the s x s X Phi - mu Phi[m-s:] by inverse
-    iteration (shifted by a rounding unit of the 1-norm), orthogonal to an equal mu's."""
-    x_rows, m = operator._computed, operator.size
+def _eig_down_to(operator: MonodromyOperator, k: int, floor: float) -> np.ndarray:
+    """Leading eigenvalues, k of them and k doubled until the smallest lies
+    below floor, so that every eigenvalue left out does too; all of them once
+    _eig_leading solves densely."""
+    while True:
+        mus = _eig_leading(operator, k)
+        if len(mus) == operator.size or np.abs(mus).min() < floor:
+            return mus
+        k *= 2
+
+
+def _shift_block(x_rows: np.ndarray, m: int, mu: complex, derivative: bool = False):
+    """The s x s matrix A(mu) = X Phi - mu Phi[m-s:] of an m-row operator that
+    shifts by s = len(x_rows) rows, Phi[i, i mod s] = mu**e_i with e_i = i // s
+    less the last block's when |mu| > 1, or its derivative A'(mu); and the
+    powers mu**e. A(mu) is singular exactly at the operator's eigenvalues."""
     s = len(x_rows)
     p, col = np.arange(m) // s, np.arange(m) % s
+    e = p - (p[-1] if abs(mu) > 1.0 else 0)
+    pw = mu ** e
+    if derivative:  # d(mu**e)/dmu = e mu**(e-1), d(mu**(e+1))/dmu = (e+1) mu**e
+        phi, tail = e * pw / mu, (e[m - s :] + 1) * pw[m - s :]
+    else:
+        phi, tail = pw, mu * pw[m - s :]
+    a = np.pad(x_rows * phi, ((0, 0), (0, s * p[-1] + s - m))).reshape(s, -1, s).sum(axis=1)
+    a[np.arange(s), col[m - s :]] -= tail
+    return a, pw
+
+
+def _newton(operator: MonodromyOperator, mu: complex) -> complex:
+    """mu after _NEWTON_STEPS Newton steps on det A(mu) of _shift_block:
+    mu <- mu - 1 / tr(A(mu)^-1 A'(mu)). An A(mu) singular in rounding ends them:
+    mu is then an eigenvalue to rounding."""
+    x_rows, m = operator._computed, operator.size
+    for _ in range(_NEWTON_STEPS):
+        try:
+            trace = np.trace(np.linalg.solve(_shift_block(x_rows, m, mu)[0],
+                                             _shift_block(x_rows, m, mu, True)[0]))
+        except np.linalg.LinAlgError:
+            break
+        mu = mu - 1.0 / trace
+    return complex(mu)
+
+
+def _eigenvectors(operator: MonodromyOperator, mus: np.ndarray):
+    """Eigenvectors for the eigenvalues mus != 0, one at a time. The matrix shifts by
+    s rows: v = Phi w with Phi of _shift_block, w the null vector of its s x s A(mu)
+    by inverse iteration (shifted by a rounding unit of the 1-norm), orthogonal to
+    an equal mu's."""
+    x_rows, m = operator._computed, operator.size
+    s = len(x_rows)
+    col = np.arange(m) % s
     found = []
     for mu in mus:
-        pw = mu ** (p - (p[-1] if abs(mu) > 1.0 else 0))
-        a = np.pad(x_rows * pw, ((0, 0), (0, s * p[-1] + s - m))).reshape(s, -1, s).sum(axis=1)
-        a[np.arange(s), col[m - s :]] -= mu * pw[m - s :]
+        a, pw = _shift_block(x_rows, m, mu)
         a[np.diag_indices(s)] += np.finfo(float).eps * (np.abs(a).sum(axis=0).max() or 1.0)
         near = np.reshape([u for nu, u in found if abs(nu - mu) <= _REPEAT_RTOL * abs(mu)], (-1, s))
         w = np.exp(1j * len(near) * np.arange(s))  # ones but for a repeat
@@ -192,9 +241,15 @@ def floquet_spectrum(
     discretization eigenvalues drift under refinement and stay unflagged."""
     operator = build_monodromy(system, grid)
     # the refined operator is built, solved and dropped before the coarse
-    # dense matrix exists, so only the coarse propagation is alive beside it
-    mus_f = _eig_leading(build_monodromy(system, grid.refined()), k=max(4 * modes, 32))
-    mus = _eig_leading(operator, operator.size)  # every eigenvalue: the dense solve
+    # solve, so only the coarse propagation is alive beside it
+    refined = build_monodromy(system, grid.refined())
+    m_f = refined.size
+    mus_f = _eig_leading(refined, m_f if m_f <= _DENSE_EIG_LIMIT else max(4 * modes, 32))
+    del refined
+    # a coarse partner of mu_f has |mu| >= (1 - tol) |mu_f|: when ARPACK gave the
+    # fine multipliers, the coarse ones below that for every mu_f can be left out
+    k = operator.size if len(mus_f) == m_f else len(mus_f) + 1
+    mus = _eig_down_to(operator, k, (1.0 - convergence_tol) * np.abs(mus_f).min())
     mus = mus[sort_multipliers(mus)]
     scale = np.maximum.outer(np.abs(mus), np.abs(mus_f))
     dist = np.abs(mus[:, None] - mus_f[None, :]) / np.maximum(scale, 1e-300)
@@ -205,8 +260,14 @@ def floquet_spectrum(
             "no multiplier agreed between the two grids; refine the grid "
             f"(N={grid.samples_per_period}) or relax convergence_tol"
         )
+    kept = np.array([j for j in np.nonzero(converged)[0][:modes] if abs(mus[j]) >= 1e-12],
+                    dtype=int)
+    if len(mus) < operator.size:  # ARPACK's values: refine the kept ones, then reorder
+        mus[kept] = [_newton(operator, mu) for mu in mus[kept]]
+        order = sort_multipliers(mus)
+        mus, converged = mus[order], converged[order]
+        kept = np.flatnonzero(np.isin(order, kept))
     exponents = principal_exponents(mus, grid.period)
-    kept = [j for j in np.nonzero(converged)[0][:modes] if abs(mus[j]) >= 1e-12]
     mode_list = [extract_mode(operator, mus[j], v)
                  for j, v in zip(kept, _eigenvectors(operator, mus[kept]))]
     return FloquetDecomposition(

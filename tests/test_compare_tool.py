@@ -62,3 +62,22 @@ def test_stability_multipliers_are_the_converged_ones(compare):
     assert not identical and mismatches == []
     assert set(diffs) == {"trivial_multiplier (converged)", "exponent_classes (converged)"}
     assert diffs["trivial_multiplier (converged)"] == (0.0, 0.0)
+
+
+def test_a_list_of_another_length_is_one_mismatch_with_both_lengths(compare):
+    # 463 multipliers against 33, and a nested list one entry shorter in each of
+    # three records: one line per list, not one per entry only one side has
+    old = json.loads(_spectrum([2.0] + [1e-3] * 462, [True] + [False] * 462))
+    new = json.loads(_spectrum([2.0] + [1e-3] * 32, [True] + [False] * 32))
+    old["records"] = [{"magnitudes": [1.0, 0.5]} for _ in range(3)]
+    new["records"] = [{"magnitudes": [1.0]} for _ in range(3)]
+    identical, mismatches, diffs = compare("spectrum.json", json.dumps(old).encode(),
+                                           json.dumps(new).encode())
+    assert not identical
+    assert sorted(mismatches) == sorted(
+        [("converged", ".converged length 463 (parent) vs 33 (change)"),
+         ("exponents", ".exponents length 463 (parent) vs 33 (change)"),
+         ("multipliers", ".multipliers length 463 (parent) vs 33 (change)")]
+        + [("records", f".records[{k}].magnitudes length 2 (parent) vs 1 (change)")
+           for k in range(3)])
+    assert diffs["multipliers (converged)"] == (0.0, 0.0)

@@ -302,7 +302,6 @@ def test_eig_leading_dense_fallback_on_partial_arpack(monkeypatch):
         raise scipy.sparse.linalg.ArpackNoConvergence(
             "ARPACK error -1: No convergence", np.array([3.0, 2.0]), np.zeros((40, 2)))
 
-    monkeypatch.setattr(monodromy, "_DENSE_EIG_LIMIT", 10)
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
     mus = monodromy._eig_leading(op, k=8)
     assert len(mus) == 40
@@ -392,7 +391,6 @@ def test_eig_leading_shift_structured_matches_dense(monkeypatch):
         seen.append(a)
         return eigs(a, *args, **kwargs)
 
-    monkeypatch.setattr(monodromy, "_DENSE_EIG_LIMIT", 10)
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", spy)
     got = monodromy._eig_leading(op, k=6)
     assert isinstance(seen[0], scipy.sparse.linalg.LinearOperator)
@@ -413,6 +411,82 @@ def test_eig_leading_is_deterministic():
     assert u.shape[0] > monodromy._DENSE_EIG_LIMIT
     first, second = (monodromy._eig_leading(op, k=32) for _ in range(2))
     np.testing.assert_array_equal(first, second)
+
+
+def _spy_eig_leading(monkeypatch):
+    """Record (operator size, k) of every _eig_leading call."""
+    calls, eig_leading = [], monodromy._eig_leading
+
+    def spy(operator, k):
+        calls.append((operator.size, k))
+        return eig_leading(operator, k)
+
+    monkeypatch.setattr(monodromy, "_eig_leading", spy)
+    return calls
+
+
+def _dense_spectrum(operator):
+    mus = np.linalg.eigvals(operator.matrix).astype(complex)
+    return mus[sort_multipliers(mus)]
+
+
+# exp_kernel at N = 64 with memory 2.3 deep: m = 149 coarse and 296 refined, both
+# solved by ARPACK once the dense limit is 10. Of the coarse multipliers, the
+# 33rd in magnitude is 0.0033 and the 66th 0.0017; the refined solve's 32nd is 0.0035
+_SHALLOW_KERNEL = exp_kernel(depth=2.3)[0]
+_SHALLOW_GRID = PeriodicGrid(1.0, 64, 2.3)
+
+
+def test_coarse_request_doubles_until_a_multiplier_lies_below_the_floor(monkeypatch):
+    # tol 0.2 puts the floor at 0.8 * 0.0035: the 33 leading coarse multipliers
+    # all lie above it, the 66 leading do not
+    monkeypatch.setattr(monodromy, "_DENSE_EIG_LIMIT", 10)
+    calls = _spy_eig_leading(monkeypatch)
+    dec = floquet_spectrum(_SHALLOW_KERNEL, _SHALLOW_GRID, modes=2, convergence_tol=0.2)
+    assert calls == [(296, 32), (149, 33), (149, 66)]
+    assert len(dec.multipliers) in (66, 67)  # ARPACK may return both of a split pair
+    dense = _dense_spectrum(dec.operator)
+    assert len(dec.modes) == 2
+    for mode in dec.modes:  # Newton-refined
+        assert np.min(np.abs(dense - mode.multiplier)) <= 1e-12 * abs(mode.multiplier)
+    np.testing.assert_allclose(dec.multipliers[:30], dense[:30], rtol=1e-8)
+
+
+def test_coarse_request_past_half_the_operator_is_the_dense_solve(monkeypatch):
+    # tol 0.9 puts the floor at 0.1 * 0.0035, below the 66 leading coarse
+    # multipliers: the request for 132 of 149 is solved densely, unrefined
+    monkeypatch.setattr(monodromy, "_DENSE_EIG_LIMIT", 10)
+    calls = _spy_eig_leading(monkeypatch)
+    dec = floquet_spectrum(_SHALLOW_KERNEL, _SHALLOW_GRID, modes=2, convergence_tol=0.9)
+    assert calls == [(296, 32), (149, 33), (149, 66), (149, 132)]
+    np.testing.assert_array_equal(dec.multipliers, _dense_spectrum(dec.operator))
+
+
+def test_dense_refined_solve_keeps_the_dense_coarse_spectrum(monkeypatch):
+    # the delay operator's refined solve is dense (m = 193), so the coarse one
+    # is too: all m multipliers, those of eigvals, with no Newton step
+    system, meta = delay_pi_over_2()
+    calls = _spy_eig_leading(monkeypatch)
+    dec = floquet_spectrum(system, _grid_for(meta, 96), modes=4)
+    assert calls == [(193, 193), (97, 97)]
+    assert len(dec.multipliers) == dec.operator.size == 97
+    np.testing.assert_array_equal(dec.multipliers, _dense_spectrum(dec.operator))
+    assert [m.multiplier for m in dec.modes] == list(dec.retained[: len(dec.modes)])
+
+
+def test_arpack_coarse_solve_refines_the_kept_modes():
+    # builtin exp_kernel at N = 64 with a 1e-12 tail: m = 551 coarse and 1101
+    # refined. ARPACK's kept multipliers 3 and 4 (|mu| = 0.0355, in a cluster)
+    # are 1.3e-5 off, and the operator residual of their modes is then 1.2e-2
+    system, meta = exp_kernel()
+    grid = _grid_for(meta, 64, "simpson")
+    dec = floquet_spectrum(system, grid, modes=4)
+    assert len(dec.multipliers) < dec.operator.size == 551
+    dense = _dense_spectrum(dec.operator)
+    assert len(dec.modes) == 4
+    for mode in dec.modes:
+        assert np.min(np.abs(dense - mode.multiplier)) <= 1e-12 * abs(mode.multiplier)
+    assert verify_floquet_form(system, dec).max_residual <= 1e-6
 
 
 def _leading_multiplier_error(system, grid, exact):

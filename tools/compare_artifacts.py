@@ -17,6 +17,8 @@ spurious multipliers do not hide how far the converged ones moved;
 stability.json lists retained multipliers only, all of them converged. In
 these groups an [re, im] pair is one complex number, its relative difference
 taken against its modulus.
+A list whose length differs prints as one NON-NUMERIC line with both
+lengths, not one line per entry only one side has.
 stability.json is compared without config_fingerprint: its config names the
 cycle file by path, and each side writes its inputs in its own directory.
 
@@ -191,6 +193,7 @@ def fields(name: str, data: bytes) -> dict:
               and len(value) == 2 and all(_is_number(v) for v in value)):
             out[(group, path)] = complex(*value)
         elif isinstance(value, list):
+            out[(group or "", f"{path}[]")] = len(value)
             for k, item in enumerate(value):
                 walk(item, group, f"{path}[{k}]")
         else:
@@ -203,6 +206,7 @@ def fields(name: str, data: bytes) -> dict:
             walk(doc.pop(key, None), f"{key} (converged)", f".{key}")
     if name == "spectrum.json":
         for key in ("multipliers", "exponents"):
+            out[(key, f".{key}[]")] = len(doc.get(key, []))
             for k, item in enumerate(doc.pop(key, [])):
                 state = "converged" if doc["converged"][k] else "unconverged"
                 walk(item, f"{key} ({state})", f".{key}[{k}]")
@@ -226,10 +230,14 @@ def compare(name: str, old: bytes, new: bytes) -> tuple:
     a, b = fields(name, old), fields(name, new)
     if old == new or (name == "stability.json" and a == b):
         return True, [], {}
-    mismatches = sorted(set(a) ^ set(b))
-    diffs = {}
+    mismatches, resized, diffs = [], (), {}
     for key in sorted(set(a) & set(b)):
         x, y = a[key], b[key]
+        if key[1].endswith("[]"):  # a list's length
+            if x != y:
+                mismatches.append((key[0], f"{key[1][:-2]} length {x} (parent) vs {y} (change)"))
+                resized += (key[1][:-1],)
+            continue
         if not (_is_number(x) and _is_number(y)):
             if x != y:
                 mismatches.append(key)
@@ -238,6 +246,8 @@ def compare(name: str, old: bytes, new: bytes) -> tuple:
         rel = d / max(abs(x), abs(y)) if d else 0.0
         worst = diffs.get(key[0], (0.0, 0.0))
         diffs[key[0]] = (max(worst[0], d), max(worst[1], rel))
+    # an entry only one side has is named by its list's length line, if it has one
+    mismatches += [key for key in sorted(set(a) ^ set(b)) if not key[1].startswith(resized)]
     return False, mismatches, diffs
 
 
