@@ -30,13 +30,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import PeriodicGrid, _cubic_weights, quadrature_window
-from .integrate import rk4_step
+from .integrate import rk4_affine
 from .monodromy import sort_multipliers
 from .system import VALIDATION_TOL, InvalidSystemError, array_form, evaluate
 
 _D2_STENCIL = (-1.0, 16.0, -30.0, 16.0, -1.0)  # 4th-order second derivative / 12h^2
 _VALIDATION_NODES = 64  # probe points per cell in validate_potential
 _EDGE_FRACTION = 0.03  # extrema this close to the zone boundary (in pi/a) are folding artifacts
+_CELL_STEPS = 16  # step matrices made at once: 0.22 MB at 40 energies (1.6 MB for 128 steps)
 # |mu| beyond eps^(-1/2), or below eps^(1/2), is rounding on either grid (two
 # backward-stable pencils disagree about it), so such a multiplier is never
 # confirmed; the window is closed under mu -> 1/conj(mu)
@@ -101,8 +102,8 @@ def validate_potential(pot: NonlocalPotential1D):
 def local_cell_monodromy(pot: NonlocalPotential1D, energies, n_steps: int) -> np.ndarray:
     """2x2 transfer matrices across one cell for a local potential: fixed-step
     RK4 between delta sites, exact jump [[1,0],[g,1]] at each site. The 1-d
-    array of energies is advanced in one sweep, sampling V once per stage
-    time, into an (E, 2, 2) stack."""
+    array of energies is advanced in one sweep, sampling V once per stage time:
+    the steps' RK4 matrices (integrate.rk4_affine) multiplied in order into (E, 2, 2)."""
     if pot.kernel is not None:
         raise InvalidSystemError("cell transfer matrix requires a local potential")
     energies = np.asarray(energies, dtype=float)
@@ -110,19 +111,21 @@ def local_cell_monodromy(pot: NonlocalPotential1D, energies, n_steps: int) -> np
         raise ValueError(f"energies must be a 1-d array, got shape {energies.shape}")
     a = pot.lattice_constant
 
-    def stage(c):  # [[0, 1], [c, 0]] @ mat row by row: its products are exact
-        return lambda mat: np.stack((mat[:, 1], c[:, None] * mat[:, 0]), axis=1)
-
     def smooth_block(x0, x1):
         span = x1 - x0
         if span <= 0:
             return np.eye(2)
         steps = max(1, int(round(n_steps * span / a)))
         h = span / steps
-        v = {frac: pot.eval_local(x0 + np.arange(steps) * h + frac * h) for frac in (0.0, 0.5, 1.0)}
-        u = np.broadcast_to(np.eye(2), (energies.size, 2, 2))
-        for s in range(steps):
-            u = rk4_step(lambda frac: stage(v[frac][s] - energies), u, h)
+        x = (x0 + np.arange(steps) * h)[:, None] + np.array([0.0, 0.5, 1.0]) * h
+        v = pot.eval_local(x.ravel()).reshape(steps, 3)
+        u = np.eye(2)
+        for lo in range(0, steps, _CELL_STEPS):
+            c = v[lo : lo + _CELL_STEPS] - energies[:, None, None]  # A = [[0, 1], [c, 0]]
+            coef = np.zeros(c.shape + (2, 2))
+            coef[..., 0, 1], coef[..., 1, 0] = 1.0, c
+            for p in np.eye(2) + rk4_affine(coef, coef, h).swapaxes(0, 1):
+                u = p @ u
         return u
 
     sites = sorted((x0 % a, g) for x0, g in pot.deltas)

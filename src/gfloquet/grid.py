@@ -155,8 +155,13 @@ def _cubic_weights(s: np.ndarray, length: int):
                     w = w * (s - j) / (i - j)
             ws.append(w)
         return np.zeros(s.shape, dtype=int), np.stack(ws, axis=-1)
-    k0 = np.clip(np.floor(s).astype(int) - 1, 0, length - 4)
+    k0 = _stencil_top(s, length) - 3
     return k0, _lagrange4(s - (k0 + 1))
+
+
+def _stencil_top(s: np.ndarray, length) -> np.ndarray:
+    """The last node that _cubic_weights(s, length)'s stencil reads."""
+    return np.minimum(np.maximum(np.floor(s).astype(int) + 2, 3), length - 1)
 
 
 def _gather(values: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -1,22 +1,26 @@
 """Fixed-step RK4 integration of memory systems by the method of steps.
 
-Delayed and convolution lookups only ever refer to already-computed history
-(delays are required to be at least one step), so every step is explicit.
-Several columns can be propagated at once by stacking them on a trailing axis;
-the monodromy builder uses this to evolve all basis segments together.
+Delays are at least one step, so every lookup reads computed history. Where no
+lookup reaches a row not yet computed, the memory terms are a known forcing g
+of z' = A(sigma) z + g(sigma) (Bellen & Zennaro, Numerical Methods for Delay
+Differential Equations, 2003), and its RK4 step is affine, z <- P_k z + q_k
+(rk4_affine), with every P_k built at once. The steps go in blocks that end
+before any stage whose tap lookup reads a row not stored at the block's start;
+a block's lookups are one interpolation and one batched product per tap. A
+kernel's window reads the newest row, so it is taken step by step. Columns
+stacked on a trailing axis (all the monodromy's basis segments) go together.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .grid import (PeriodicGrid, StateSegment, _cubic_weights, _gather, interp_uniform,
+from .grid import (PeriodicGrid, StateSegment, _cubic_weights, _stencil_top, interp_uniform,
                    quadrature_window)
 from .system import LinearMemorySystem, kernel_windows
 
-_BLOCK = 48  # delayed stage times interpolated in the initial history at once
+_BLOCK = 48  # stage times of one block of steps at most, whose forcing is held at once
 
 
 class ResolutionError(ValueError):
@@ -33,19 +37,18 @@ class Trajectory:
         return self.values[-1]
 
 
-def rk4_step(stage: Callable, z: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of size h from z.
+def rk4_affine(a: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
+    """The classical RK4 step of z' = A z + g from z = 0, h/6 (k1 + 2 k2 + 2 k3 + k4).
 
-    stage(frac) returns the right-hand side, as a function of the state, at
-    frac steps past the start; it is called once per stage time, so k2 and k3
-    share one evaluation of the terms that do not depend on the state.
+    a holds A, (..., 3, n, n), and g, (..., 3, n, m), at the stage times 0,
+    h/2 and h past the step's start. The step is linear in z and g, so it
+    takes z to P z + rk4_affine(a, g, h), with P = I + rk4_affine(a, a, h).
     """
-    k1 = stage(0.0)(z)
-    half = stage(0.5)
-    k2 = half(z + 0.5 * h * k1)
-    k3 = half(z + 0.5 * h * k2)
-    k4 = stage(1.0)(z + h * k3)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1 = g[..., 0, :, :]
+    k2 = a[..., 1, :, :] @ (0.5 * h * k1) + g[..., 1, :, :]
+    k3 = a[..., 1, :, :] @ (0.5 * h * k2) + g[..., 1, :, :]
+    k4 = a[..., 2, :, :] @ (h * k3) + g[..., 2, :, :]
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def propagate_history(
@@ -101,10 +104,16 @@ def propagate_history(
     steps = np.arange(start, start + n_steps)
     fracs = np.array([0.0, 0.5, 1.0])
     sigmas = ((steps * h)[:, None] + fracs * h).ravel()
-    a_all = system.eval_coefficient(sigmas)
+    a_all = system.eval_coefficient(sigmas).reshape(n_steps, 3, n, n)
     f_all = system.eval_forcing(sigmas)[:, :, None] if forcing else None
-    taps = [(tap.delay, system.eval_tap(tap, sigmas),
-             _tap_stencils(sigmas - tap.delay, nh - base, h, start)) for tap in system.delay_taps]
+    taps = [(tap.delay, system.eval_tap(tap, sigmas)) for tap in system.delay_taps]
+    # a lookup at tau = sigma - d > 0 in step s reads the computed rows 0..s (from time 0
+    # on) up to its stencil's top; `reach` is the last any stage of a step reads
+    reach = np.full(n_steps, -1)
+    for d, _ in taps:
+        tau = sigmas - d
+        top = _stencil_top(tau / h, np.repeat(steps, 3) + 1)
+        reach = np.maximum(reach, np.where(tau > 0.0, top, -1).reshape(n_steps, 3).max(axis=1))
     if use_kernel:
         # window nodes sigma - j*h, then the exact lower endpoint sigma - r when it
         # is off the lattice; node j > 0 lies offsets[j-1] steps back
@@ -126,87 +135,90 @@ def propagate_history(
                                        - offsets[n_uni - 1 :], knowns + 1)
         slots = {}
 
-    def stage(i, known, frac):
-        # the right-hand side at stage time i (called once per i, in order: it takes
-        # the next kernel window), frac steps past stored row `known`, as a function
-        # of the stage value; the terms without it are set up here
-        a = a_all[i]
-        tap_terms = []  # (first column, term)
-        for (_, b, stencils), (col, early) in zip(taps, block):
-            zd = early[i % _BLOCK] if stencils[i] is None else _gather(hist, *stencils[i])[0]
-            tap_terms.append((col if stencils[i] is None else 0, b[i] @ zd))
-        if use_kernel:
-            wk = w[:, None, None] * next(windows)
-            # the nodes' cubic interpolation weights fold into w_j K_j, so the rest of
-            # the integral is one weight row times a contiguous block of stored rows
-            if i < short:  # the full-degree stencil through every stored row
-                k0, c = _cubic_weights(known + frac - offsets, known + 1)
-            else:
-                k0 = np.concatenate([known + aligned[i % 3][0], end_k0[i - short]])
-                c = np.concatenate([aligned[i % 3][1], end_c[i - short]])
-            lo = int(k0.min())
-            # one bincount sums in the order of one np.add.at per stencil slot; the
-            # endpoint, when there is one, is the lowest node, so the slots depend
-            # on the stage only through frac, known - lo and the stencil width
-            key = (i % 3, known - lo, c.shape[1])
-            if key not in slots:
-                slots[key] = ((k0 - lo + np.arange(c.shape[1])[:, None])[:, :, None] * n * n
-                              + np.arange(n * n)).ravel()
-            g = np.bincount(slots[key], (c.T[:, :, None, None] * wk[1:]).ravel(),
-                            (known + 1 - lo) * n * n).reshape(-1, n, n).transpose(1, 0, 2)
-            # unit initial rows: row j's weight goes to columns j*n .. j*n+n-1
-            cut = max(lo, nh + 1) if unit else lo
-            mem = g[:, cut - lo :].reshape(n, -1) @ hist[cut - base : known + 1 - base].reshape(-1, m)
-            mem[:, lo * n : cut * n] += g[:, : cut - lo].reshape(n, -1)
+    def memory(i, known, frac):
+        # stage time i's kernel (once per i, in order: it takes the next window), frac
+        # steps past stored row `known`: w_0 K(sigma, sigma), and the rest of the window
+        wk = w[:, None, None] * next(windows)
+        # the nodes' cubic interpolation weights fold into w_j K_j, so the rest of
+        # the integral is one weight row times a contiguous block of stored rows
+        if i < short:  # the full-degree stencil through every stored row
+            k0, c = _cubic_weights(known + frac - offsets, known + 1)
+        else:
+            k0 = np.concatenate([known + aligned[i % 3][0], end_k0[i - short]])
+            c = np.concatenate([aligned[i % 3][1], end_c[i - short]])
+        lo = int(k0.min())
+        # one bincount sums in the order of one np.add.at per stencil slot; the
+        # endpoint, when there is one, is the lowest node, so the slots depend
+        # on the stage only through frac, known - lo and the stencil width
+        key = (i % 3, known - lo, c.shape[1])
+        if key not in slots:
+            slots[key] = ((k0 - lo + np.arange(c.shape[1])[:, None])[:, :, None] * n * n
+                          + np.arange(n * n)).ravel()
+        wf = np.bincount(slots[key], (c.T[:, :, None, None] * wk[1:]).ravel(),
+                         (known + 1 - lo) * n * n).reshape(-1, n, n).transpose(1, 0, 2)
+        # unit initial rows: row j's weight goes to columns j*n .. j*n+n-1
+        cut = max(lo, nh + 1) if unit else lo
+        mem = wf[:, cut - lo :].reshape(n, -1) @ hist[cut - base : known + 1 - base].reshape(-1, m)
+        mem[:, lo * n : cut * n] += wf[:, : cut - lo].reshape(n, -1)
+        return wk[0], mem
 
-        def rhs(Z):
-            d = a @ Z
-            for col, zd in tap_terms:
-                d[:, col : col + zd.shape[1]] += zd
+    p_all = None if use_kernel else np.eye(n) + rk4_affine(a_all, a_all, h)
+    k = 0
+    while k < n_steps:
+        # a block of steps k..end-1: no stage in it reads a computed row beyond
+        # the last one stored at its start, row start + k from time 0 on
+        end = k + 1
+        while end < min(n_steps, k + _BLOCK // 3) and reach[end] <= start + k:
+            end += 1
+        g = _block_forcing(hist, sigmas[3 * k : 3 * end],
+                           [(d, b[3 * k : 3 * end]) for d, b in taps], start + k, unit, nh, h)
+        if forcing:
+            g = f_all[3 * k : 3 * end] if g is None else g + f_all[3 * k : 3 * end]
+        g = None if g is None else g.reshape(end - k, 3, n, -1)
+        q = None if g is None or use_kernel else rk4_affine(a_all[k:end], g, h)
+        for j in range(k, end):
+            known = nh + start + j
+            z = hist[known - base]
             if use_kernel:
-                d = d + wk[0] @ Z  # the node tau = sigma carries the stage value
-                d = d + mem
-            if forcing:
-                d = d + f_all[i]
-            return d
-        return rhs
-
-    for step in range(n_steps):
-        known = nh + start + step
-        if step % (_BLOCK // 3) == 0:
-            # the solution has a derivative kink where the initial history ends, so a
-            # lookup before it reads the initial rows only. The next _BLOCK stage times'
-            # are one interpolation among the rows lo..hi-1 they read (in node units),
-            # blocked from this call's first step on; the unit basis stores none of
-            # these rows, which are the identity in their own columns from lo*n on
-            block = []
-            for d, _, _ in taps:
-                s = (sigmas[3 * step : 3 * step + _BLOCK] - d + nh * h) / h
-                lo, top = _cubic_weights(np.minimum(s[[0, -1]], nh), nh + 1)[0]
-                hi = min(top + 4, nh + 1)
-                rows = np.eye((hi - lo) * n).reshape(hi - lo, n, -1) if unit else hist[lo:hi]
-                block.append((lo * n if unit else 0, interp_uniform(rows, lo, 1.0, s)))
-        hist[known + 1 - base] = rk4_step(
-            lambda frac: stage(3 * step + int(2 * frac), known, frac), hist[known - base], h)
+                wk0, mem = map(np.array, zip(*(memory(3 * j + f, known, frac)
+                                               for f, frac in enumerate(fracs))))
+                a = a_all[j] + wk0
+                z = (np.eye(n) + rk4_affine(a, a, h)) @ z + rk4_affine(
+                    a, mem if g is None else g[j - k] + mem, h)
+            else:
+                z = p_all[j] @ z if q is None else p_all[j] @ z + q[j - k]
+            hist[known + 1 - base] = z
+        k = end
     return hist
 
 
-def _tap_stencils(taus: np.ndarray, row0: int, h: float, start: int) -> list:
-    """Per delayed stage time tau (three per step, from step `start` on): None
-    when tau <= 0, else the rows of the history (its row at time 0 is row0) and
-    the cubic weights, shaped for one `_gather`, of its lookup among the rows
-    computed by then (the full-degree fallback while fewer than 4)."""
-    out = [None] * len(taus)
-    late = np.flatnonzero(~(taus <= 0.0))
-    rows = start + late // 3 + 1  # computed rows from the one at tau = 0 on
-    few = rows < 4
-    for i, r in zip(late[few], rows[few]):
-        k0, c = _cubic_weights(taus[i : i + 1] / h, int(r))
-        out[i] = ((row0 + k0 + np.arange(r))[None], c)
-    k0, c = _cubic_weights(taus[late[~few]] / h, rows[~few])
-    for i, k, ci in zip(late[~few], k0, c):
-        out[i] = ((row0 + k + np.arange(4))[None], ci[None])
-    return out
+def _block_forcing(hist, sigmas, taps, row, unit, nh, h):
+    """The taps' g at a block's stage times sigmas, each tap (d_i, B_i there),
+    or None. The solution has a derivative kink where the initial history ends,
+    so a lookup at tau <= 0 reads the initial rows only, one at tau > 0 the
+    computed rows 0..row (from time 0 on)."""
+    if not taps:
+        return None
+    _, n, m = hist.shape
+    base = nh if unit else 0
+    g = np.zeros((len(sigmas), n, m), dtype=hist.dtype)
+    for d, b in taps:
+        tau = sigmas - d
+        early = np.flatnonzero(tau <= 0.0)
+        if early.size:  # initial rows lo..hi-1, in node units; the unit basis stores
+            # none of them: they are the identity in their own columns from lo*n on
+            s = (sigmas[early] - d + nh * h) / h
+            lo, top = _cubic_weights(np.minimum([s.min(), s.max()], nh), nh + 1)[0]
+            hi = min(top + 4, nh + 1)
+            rows = np.eye((hi - lo) * n).reshape(hi - lo, n, -1) if unit else hist[lo:hi]
+            col = lo * n if unit else 0
+            zd = interp_uniform(rows, lo, 1.0, s)
+            g[early, :, col : col + zd.shape[2]] += b[early] @ zd
+        late = np.flatnonzero(tau > 0.0)
+        if late.size:
+            g[late] += b[late] @ interp_uniform(hist[nh - base : nh + row + 1 - base], 0.0, h,
+                                                tau[late])
+    return g
 
 
 def _trajectory(system, grid, initial, span, include_forcing) -> Trajectory:

@@ -77,3 +77,39 @@ def per_node_collocation(pot, energy: float, n_nodes: int) -> tuple:
             cell, col = divmod(int(idx), n_nodes)
             blocks[cell + 1][j, col] += val
     return tuple(blocks)
+
+
+def staged_cell_monodromy(pot, energies, n_steps: int) -> np.ndarray:
+    """The (E, 2, 2) cell transfer matrices of a local potential by the staged
+    RK4 sweep: four right-hand sides per step, each [[0, 1], [V - E, 0]]
+    applied to the running matrices row by row, and the exact jump
+    [[1, 0], [g, 1]] at each delta site (oracle for local_cell_monodromy's
+    step matrices)."""
+    energies = np.asarray(energies, dtype=float)
+    a = pot.lattice_constant
+
+    def rhs(c, mat):
+        return np.stack((mat[:, 1], c[:, None] * mat[:, 0]), axis=1)
+
+    def smooth_block(x0, x1):
+        if x1 - x0 <= 0:
+            return np.eye(2)
+        steps = max(1, int(round(n_steps * (x1 - x0) / a)))
+        h = (x1 - x0) / steps
+        u = np.broadcast_to(np.eye(2), (energies.size, 2, 2))
+        for s in range(steps):
+            c0, c1, c2 = (pot.eval_local(x0 + s * h + frac * h) - energies
+                          for frac in (0.0, 0.5, 1.0))
+            k1 = rhs(c0, u)
+            k2 = rhs(c1, u + 0.5 * h * k1)
+            k3 = rhs(c1, u + 0.5 * h * k2)
+            k4 = rhs(c2, u + h * k3)
+            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return u
+
+    u = np.eye(2)
+    x_prev = 0.0
+    for x0, g in sorted((x0 % a, g) for x0, g in pot.deltas):
+        u = np.array([[1.0, 0.0], [g, 1.0]]) @ (smooth_block(x_prev, x0) @ u)
+        x_prev = x0
+    return smooth_block(x_prev, a) @ u

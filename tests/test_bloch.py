@@ -17,11 +17,12 @@ from gfloquet import (
 from gfloquet import bloch
 from gfloquet.bloch import (_UNRESOLVED_MAGNITUDE, _confirmed_set, _finite_multipliers,
                             _trimmed_pencil)
-from gfloquet.system import array_form
+from gfloquet.system import array_form, tabulated_coefficient
 from gfloquet.builtins import kronig_penney, separable_nonlocal
 
 from bloch_oracles import (companion_multipliers, fixed_k_energies, kernel_entries,
-                           kronig_penney_reference, per_node_collocation)
+                           kronig_penney_reference, per_node_collocation,
+                           staged_cell_monodromy)
 
 FREE = NonlocalPotential1D(1.0)
 GRID = PeriodicGrid(1.0, 64, 0.0)
@@ -466,6 +467,19 @@ def test_local_cell_monodromy_stack_equals_scalar_calls(name, n_steps):
     single = [local_cell_monodromy(pot, energies[i:i + 1], n_steps) for i in range(17)]
     assert all(u.shape == (1, 2, 2) for u in single)
     assert np.array_equal(stack, np.concatenate(single))
+
+
+@pytest.mark.parametrize("n_steps", [17, 64])
+@pytest.mark.parametrize("name", ["kronig_penney", "cosine_and_deltas", "table"])
+def test_local_cell_monodromy_matches_the_staged_sweep(name, n_steps):
+    # the step matrices, multiplied in order, against four right-hand sides per step
+    table = 5.0 * np.cos(2 * np.pi * np.arange(64) / 64) + np.sin(4 * np.pi * np.arange(64) / 64)
+    pot = (NonlocalPotential1D(1.0, local=tabulated_coefficient(table, 1.0)) if name == "table"
+           else LOCAL_POTENTIALS[name])
+    energies = np.array([-4.0, 0.5, 7.5, 30.0, 45.0])
+    got = local_cell_monodromy(pot, energies, n_steps)
+    want = staged_cell_monodromy(pot, energies, n_steps)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("energy", [5.0, [[5.0]]])

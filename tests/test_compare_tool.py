@@ -81,3 +81,44 @@ def test_a_list_of_another_length_is_one_mismatch_with_both_lengths(compare):
         + [("records", f".records[{k}].magnitudes length 2 (parent) vs 1 (change)")
            for k in range(3)])
     assert diffs["multipliers (converged)"] == (0.0, 0.0)
+
+
+def test_spectrum_multipliers_are_matched_to_their_nearest_partner(compare):
+    # two unconverged multipliers of near-equal magnitude trade places and each
+    # moves by 1e-9 relative: position by position they would read about 2
+    old = json.dumps({"multipliers": [[2.0, 0.0], [0.3, 0.01], [-0.3, 0.01]],
+                      "exponents": [[0.69, 0.0], [-1.2, 0.03], [-1.2, 3.1]],
+                      "converged": [True, False, False]}).encode()
+    new = json.dumps({"multipliers": [[2.0, 0.0], [-0.3, 0.01 + 3e-10], [0.3, 0.01]],
+                      "exponents": [[0.69, 0.0], [-1.2, 3.1], [-1.2, 0.03]],
+                      "converged": [True, False, False]}).encode()
+    identical, mismatches, diffs = compare("spectrum.json", old, new)
+    assert not identical
+    assert 0 < diffs["multipliers (unconverged)"][1] < 1e-9
+    assert diffs["exponents (unconverged)"] == (0.0, 0.0)
+    assert diffs["multipliers (converged)"] == (0.0, 0.0)
+    # the swap itself stays visible, one line per group
+    assert sorted(mismatches) == [
+        (group, "own partner not the nearest at 2 of the group's entries, first [0]")
+        for group in ("exponents (unconverged)", "multipliers (unconverged)")]
+    # a multiplier that moved away from every partner still reads its distance
+    moved = json.loads(new)
+    moved["multipliers"][1] = [-0.2, 0.01]
+    _, _, diffs = compare("spectrum.json", old, json.dumps(moved).encode())
+    assert diffs["multipliers (unconverged)"][1] == pytest.approx(0.1 / abs(-0.3 + 0.01j))
+
+
+def test_a_changed_multiplicity_is_a_mismatch_though_every_value_has_a_partner(compare):
+    # [a, a, b] against [a, b, b]: each value has an exact partner on the other
+    # side, so the distances read 0, but the second entry's own partner is b
+    old = _spectrum([2.0, 2.0, 0.5], [True] * 3)
+    new = _spectrum([2.0, 0.5, 0.5], [True] * 3)
+    _, mismatches, diffs = compare("spectrum.json", old, new)
+    assert diffs["multipliers (converged)"] == (0.0, 0.0)
+    assert (("multipliers (converged)",
+             "own partner not the nearest at 1 of the group's entries, first [1]")
+            in mismatches)
+    # equal values at equal positions, repeated or not, are no mismatch
+    _, mismatches, _ = compare("spectrum.json", old, _spectrum([2.0, 2.0, 0.5 + 1e-15],
+                                                               [True] * 3))
+    assert mismatches == []

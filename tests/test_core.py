@@ -5,8 +5,8 @@ import pytest
 
 from gfloquet import (
     DelayTap, GridError, InvalidSystemError, LinearMemorySystem, PeriodicGrid,
-    ResolutionError, StateSegment, difference_kernel, shift_commutation_residual,
-    step_integrate, tabulated_coefficient, validate_system,
+    ResolutionError, StateSegment, difference_kernel, forced_response,
+    shift_commutation_residual, step_integrate, tabulated_coefficient, validate_system,
 )
 from gfloquet.grid import interp_uniform, periodic_interp, quadrature_window
 from gfloquet import system as system_module
@@ -302,10 +302,11 @@ def test_shift_commutation_of_a_non_finite_system_is_nan():
     assert np.isnan(shift_commutation_residual(sys_, g, seg))
 
 
-def _reference_propagate(system, grid, hist0, n_steps):
-    """Method-of-steps RK4 that interpolates every delayed value and every
-    kernel window node on its own with interp_uniform and sums w_j K_j z(tau_j)
-    (oracle for the taps and the folded window weights of propagate_history)."""
+def _reference_propagate(system, grid, hist0, n_steps, include_forcing=False):
+    """Method-of-steps RK4, staged, that interpolates every delayed value and
+    every kernel window node on its own with interp_uniform and sums
+    w_j K_j z(tau_j) (oracle for the taps, the folded window weights and the
+    affine blocks of propagate_history)."""
     nh, h = grid.history_points, grid.step
     t0 = -nh * h
     hist = np.zeros((nh + 1 + n_steps,) + hist0.shape[1:], dtype=np.result_type(hist0, float))
@@ -313,6 +314,8 @@ def _reference_propagate(system, grid, hist0, n_steps):
 
     def rhs(sigma, z, known):
         d = system.eval_coefficient(sigma) @ z
+        if include_forcing:
+            d = d + system.eval_forcing(sigma)[:, None]
         for tap in system.delay_taps:
             tau = sigma - tap.delay
             if tau <= 0.0:
@@ -441,6 +444,72 @@ def test_delay_taps_match_reference_stepper(delay, unit):
     ref = _reference_propagate(system, g, hist0, 32)[g.history_points if unit else 0 :]
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _tap_system(delay):
+    return LinearMemorySystem(
+        2, lambda s: np.array([[0.0, 1.0], [-1.0 - 0.3 * np.cos(2 * np.pi * s), -0.1]]),
+        delay_taps=(DelayTap(delay, lambda s: np.array([[-1.2, 0.3 * np.sin(2 * np.pi * s)],
+                                                        [0.4, -0.7]])),),
+        forcing=lambda s: np.array([np.sin(2 * np.pi * s), 0.5]),
+    )
+
+
+@pytest.mark.parametrize("unit", [True, False])
+@pytest.mark.parametrize("delay, depth", [
+    (1 / 32, 0.25),  # one step: from tau > 0 on, each stage reads the newest row, one-step blocks
+    (1.5 / 32, 0.25),  # off the lattice, and the frac-0 stencils end at the newest row too
+    (0.25, 0.5),  # on the lattice: the block from step 8 holds tau = 0 and tau > 0 lookups
+    (0.3, 0.5),  # off the lattice: the block from step 9 straddles tau = 0
+    (0.37, 0.37),  # a tap at an off-lattice memory depth
+])
+def test_tap_blocks_match_reference_stepper(delay, depth, unit):
+    system = _tap_system(delay)
+    g = PeriodicGrid(1.0, 32, depth)
+    m = g.state_size(2)
+    if unit:
+        hist0 = np.eye(m).reshape(-1, 2, m)
+    else:
+        hist0 = np.random.default_rng(7).standard_normal((g.history_points + 1, 2, 3))
+    got = propagate_history(system, g, None if unit else hist0, 48)
+    ref = _reference_propagate(system, g, hist0, 48)[g.history_points if unit else 0 :]
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("delay, depth", [(1 / 32, 0.25), (0.3, 0.5), (0.37, 0.37)])
+def test_forced_response_matches_reference_stepper(delay, depth):
+    system = _tap_system(delay)
+    g = PeriodicGrid(1.0, 32, depth)
+    seg = np.random.default_rng(11).standard_normal((g.history_points + 1, 2))
+    got = forced_response(system, g, StateSegment(g, seg), 1.5).values
+    ref = _reference_propagate(system, g, seg[:, :, None], 48, include_forcing=True)
+    ref = ref[g.history_points :, :, 0]
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("quadrature", ["trapezoid", "simpson"])
+def test_deep_taps_and_kernel_match_reference_stepper_on_complex_columns(quadrature):
+    g = PeriodicGrid(1.0, 32, 2.2, quadrature)
+    rng = np.random.default_rng(13)
+    shape = (g.history_points + 1, 2, 2)
+    hist0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    system = _deep_tap_kernel_system()
+    got = propagate_history(system, g, hist0, 48)
+    ref = _reference_propagate(system, g, hist0, 48)
+    assert got.dtype == complex
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("first", [8, 40])
+def test_resume_inside_a_block_equals_one_call_bitwise(first):
+    # over the first period every lookup of the 1.0 tap reads the initial rows,
+    # and after it the newest rows are far from its stencils, so one call takes
+    # blocks of 16 steps: a resume after 8 or 40 steps starts inside one
+    system = _tap_system(1.0)
+    g = PeriodicGrid(1.0, 32, 1.0)
+    whole = propagate_history(system, g, None, 48)
+    part = propagate_history(system, g, None, first)
+    assert np.array_equal(propagate_history(system, g, None, 48 - first, resume=part), whole)
 
 
 def _deep_tap_kernel_system():
@@ -679,17 +748,19 @@ def test_tap_lookups_among_fewer_than_four_rows_match_reference(kernel):
     # at N = 32 the taps 0.05, 0.09 and 1/32 reach past tau = 0 within the first
     # steps, where fewer than 4 rows are computed and the full-degree stencil is used
     coef = lambda c: (lambda s: np.array([[c * (1.0 + 0.3 * np.sin(2 * np.pi * s))]]))
-    system = LinearMemorySystem(
-        1, lambda s: np.array([[-0.3 + 0.2 * np.cos(2 * np.pi * s)]]),
-        delay_taps=tuple(DelayTap(d, coef(c)) for d, c in ((0.05, -0.8), (0.09, 0.5),
-                                                             (1 / 32, 0.3))),
-        kernel=_scalar_kernel_system().kernel if kernel else None,
-    )
     g = PeriodicGrid(1.0, 32, 0.09)
     m = g.state_size(1)
-    got = propagate_history(system, g, None, 32)
-    ref = _reference_propagate(system, g, np.eye(m).reshape(m, 1, m), 32)[g.history_points :]
-    if kernel:
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-    else:
-        assert np.array_equal(got, ref)
+    zero = lambda s: np.zeros((1, 1))
+    for a in (zero, lambda s: np.array([[-0.3 + 0.2 * np.cos(2 * np.pi * s)]])):
+        system = LinearMemorySystem(
+            1, a,
+            delay_taps=tuple(DelayTap(d, coef(c)) for d, c in ((0.05, -0.8), (0.09, 0.5),
+                                                                 (1 / 32, 0.3))),
+            kernel=_scalar_kernel_system().kernel if kernel else None,
+        )
+        got = propagate_history(system, g, None, 32)
+        ref = _reference_propagate(system, g, np.eye(m).reshape(m, 1, m), 32)[g.history_points :]
+        if a is zero and not kernel:  # P = I exactly: the staged reference's bits
+            assert np.array_equal(got, ref)
+        else:  # the affine step sums A's products in another order than the stages
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -16,7 +16,11 @@ converged flag, "(converged)" and "(unconverged)", so that the roundoff-level
 spurious multipliers do not hide how far the converged ones moved;
 stability.json lists retained multipliers only, all of them converged. In
 these groups an [re, im] pair is one complex number, its relative difference
-taken against its modulus.
+taken against its modulus. In spectrum.json each of them is compared with its
+nearest partner on the other side, not with the one at its position, so two
+near-equal multipliers that trade places read as the distance each moved;
+one NON-NUMERIC line per group then counts the entries whose partner at
+their own position is not a nearest one (a swap, or a changed multiplicity).
 A list whose length differs prints as one NON-NUMERIC line with both
 lengths, not one line per entry only one side has.
 stability.json is compared without config_fingerprint: its config names the
@@ -225,12 +229,37 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float, complex)) and not isinstance(value, bool)
 
 
+_PAIRED = ("multipliers (", "exponents (")  # spectrum.json's groups matched by nearest partner
+
+
+def _nearest(xs: list, ys: list) -> tuple:
+    """(max abs, max rel) distance from each value on either side to its
+    nearest partner on the other, relative to the larger modulus of the two;
+    and the positions, when both sides are as long, whose own partner is
+    farther than the nearest one, so that swaps and changed multiplicities
+    stay visible."""
+    x, y = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
+    if not (x.size and y.size):
+        return 0.0, 0.0, []
+    dist = np.abs(x[:, None] - y[None, :])
+    p = np.concatenate((x, x[dist.argmin(axis=0)]))
+    q = np.concatenate((y[dist.argmin(axis=1)], y))
+    d = np.abs(p - q)
+    rel = np.divide(d, np.maximum(np.abs(p), np.abs(q)), out=np.zeros_like(d), where=d > 0)
+    moved = []
+    if x.size == y.size:
+        own = np.diagonal(dist)
+        moved = np.flatnonzero((own > dist.min(axis=1)) | (own > dist.min(axis=0))).tolist()
+    return float(d.max()), float(rel.max()), moved
+
+
 def compare(name: str, old: bytes, new: bytes) -> tuple:
     """(identical, non-numeric mismatches, {group: (max abs, max rel)})."""
     a, b = fields(name, old), fields(name, new)
     if old == new or (name == "stability.json" and a == b):
         return True, [], {}
     mismatches, resized, diffs = [], (), {}
+    paired = lambda key: name == "spectrum.json" and key[0].startswith(_PAIRED)
     for key in sorted(set(a) & set(b)):
         x, y = a[key], b[key]
         if key[1].endswith("[]"):  # a list's length
@@ -242,10 +271,19 @@ def compare(name: str, old: bytes, new: bytes) -> tuple:
             if x != y:
                 mismatches.append(key)
             continue
-        d = abs(x - y)
-        rel = d / max(abs(x), abs(y)) if d else 0.0
-        worst = diffs.get(key[0], (0.0, 0.0))
-        diffs[key[0]] = (max(worst[0], d), max(worst[1], rel))
+        if not paired(key):
+            d = abs(x - y)
+            rel = d / max(abs(x), abs(y)) if d else 0.0
+            worst = diffs.get(key[0], (0.0, 0.0))
+            diffs[key[0]] = (max(worst[0], d), max(worst[1], rel))
+    for group in sorted({key[0] for key in set(a) | set(b) if paired(key)}):
+        d, rel, moved = _nearest(*([v for key, v in side.items() if key[0] == group and
+                                     not key[1].endswith("[]") and _is_number(v)]
+                                    for side in (a, b)))
+        diffs[group] = (d, rel)
+        if moved:
+            mismatches.append((group, f"own partner not the nearest at {len(moved)} of the "
+                                      f"group's entries, first [{moved[0]}]"))
     # an entry only one side has is named by its list's length line, if it has one
     mismatches += [key for key in sorted(set(a) ^ set(b)) if not key[1].startswith(resized)]
     return False, mismatches, diffs
