@@ -15,7 +15,9 @@ DEFAULT_MODES = 8
 _DENSE_EIG_LIMIT = 900
 _TIE_RTOL = 1e-12  # relative magnitude gap below which multipliers tie
 _REPEAT_RTOL = 1e-8  # relative distance below which multipliers are one repeated
-_NEWTON_STEPS = 3  # on a kept multiplier from ARPACK
+_SCALE_EXP = 485  # |log2| of a balancing scale at most: any two are within dgebal's 2^(+-970)
+_ARPACK_TOL = 1e-14  # Ritz residual / |mu|: balanced, as accurate as eps, in fewer restarts
+_FLOOR = np.finfo(float).eps  # |mu| / max |mu| of its grid at most: rounding, which never votes
 _MAX_DOUBLINGS = 60  # of the kernel tail's blocks, and of the truncation depth
 
 
@@ -75,9 +77,9 @@ class FloquetDecomposition:
 
     multipliers are all m of the operator when the refined grid's operator
     was solved densely. When ARPACK solved that one, they are the operator's
-    k' leading ones from ARPACK, enough that every multiplier left out lies
-    below (1 - convergence_tol) times the smallest refined one and so has no
-    refined partner; the kept modes' multipliers are then Newton-refined.
+    k' leading ones, from ARPACK on the block-balanced operator, enough that
+    every multiplier left out lies below (1 - convergence_tol) times the
+    smallest refined one and so has no refined partner.
 
     operator is kept so that verify_floquet_form can continue its unit-basis
     propagation instead of repeating it; verify refuses a decomposition
@@ -139,25 +141,55 @@ def build_monodromy(
     return MonodromyOperator(hist, grid)
 
 
+def _block_balance(x_rows: np.ndarray, m: int) -> np.ndarray:
+    """The diagonal of D, for ARPACK's D^-1 U D of the operator U whose last rows are
+    X = x_rows: one power of two per s-row block, counted back from X's, to take out
+    the 1/|mu| per block back of a decaying mode's eigenvector. Set by dgebal's rule
+    (radix 2, a step kept when it brings column plus row norm below 0.95 of it) on the
+    q x q block norms: sqrt(rows) on each shift block, ||X_p|| in the last block row."""
+    from scipy.linalg import norm  # BLAS nrm2, which neither overflows nor underflows
+
+    s = len(x_rows)
+    bounds = np.maximum(m - s * np.arange(-(-m // s), -1, -1), 0)  # block p: bounds[p:p+2]
+    b = np.diag(np.sqrt(np.diff(bounds)[:-1]), 1)
+    b[-1] = [norm(x_rows[:, lo:hi].ravel()) for lo, hi in zip(bounds, bounds[1:])]
+    e, changed = np.zeros(len(b), dtype=int), True
+    while changed:
+        changed = False
+        for i in np.flatnonzero(b.any(axis=0) & b.any(axis=1)):  # coupled in and out
+            c, r = math.hypot(*b[:, i]), math.hypot(*b[i])
+            f = math.ceil(min(max((math.log2(r) - math.log2(c) - 1.0) / 2.0,
+                                  -_SCALE_EXP - e[i]), _SCALE_EXP - e[i]))
+            if math.ldexp(c, f) + math.ldexp(r, -f) < 0.95 * (c + r):
+                b[:, i] *= 2.0 ** f
+                b[i] /= 2.0 ** f
+                e[i] += f
+                changed = True
+    return np.ldexp(1.0, np.repeat(e - e[-1], np.diff(bounds)))  # X's block: 1
+
+
 def _eig_leading(operator: MonodromyOperator, k: int) -> np.ndarray:
     """The k leading-magnitude eigenvalues of the operator's matrix from ARPACK,
     or all of them from the dense solve, cast exactly to complex, once k reaches
-    half the size. ARPACK multiplies by the shift by s rows plus the computed
-    rows X read off the history, so no dense matrix is made. When ARPACK does
-    not converge, the full dense spectrum is returned."""
+    half the size. ARPACK takes 5k/2 Arnoldi vectors and solves D^-1 U D of
+    _block_balance, as accurately as the dense solve; it multiplies by the shift
+    by s rows and the rows X read off the history, so no dense matrix is made.
+    When ARPACK does not converge, the full dense spectrum is returned."""
     m = operator.size
     if 2 * k >= m:
         return np.linalg.eigvals(operator.matrix).astype(complex, copy=False)
     from scipy.sparse import linalg as sla  # scipy is loaded only for the ARPACK path
 
     x_rows = operator._computed
+    s, d = len(x_rows), _block_balance(x_rows, m)
+    up = d[s:] / d[:-s]  # powers of two: exact
     op = sla.LinearOperator((m, m), dtype=x_rows.dtype,
-                            matvec=lambda x: np.concatenate([x[len(x_rows):], x_rows @ x]))
+                            matvec=lambda v: np.concatenate([up * v[s:], x_rows @ (d * v)]))
     try:
         # a fixed start vector: ARPACK's own is drawn from a process-global state
         return sla.eigs(
-            op, k=k, which="LM", return_eigenvectors=False,
-            v0=np.random.default_rng(0).standard_normal(m),
+            op, k=k, ncv=min((5 * k + 1) // 2, m), tol=_ARPACK_TOL, which="LM",
+            return_eigenvectors=False, v0=np.random.default_rng(0).standard_normal(m),
         )
     except sla.ArpackNoConvergence:
         # a partial set would leave leading multipliers without a partner
@@ -175,37 +207,18 @@ def _eig_down_to(operator: MonodromyOperator, k: int, floor: float) -> np.ndarra
         k *= 2
 
 
-def _shift_block(x_rows: np.ndarray, m: int, mu: complex, derivative: bool = False):
+def _shift_block(x_rows: np.ndarray, m: int, mu: complex):
     """The s x s matrix A(mu) = X Phi - mu Phi[m-s:] of an m-row operator that
     shifts by s = len(x_rows) rows, Phi[i, i mod s] = mu**e_i with e_i = i // s
-    less the last block's when |mu| > 1, or its derivative A'(mu); and the
-    powers mu**e. A(mu) is singular exactly at the operator's eigenvalues."""
+    less the last block's when |mu| > 1, and the powers mu**e. A(mu) is
+    singular exactly at the operator's eigenvalues."""
     s = len(x_rows)
     p, col = np.arange(m) // s, np.arange(m) % s
     e = p - (p[-1] if abs(mu) > 1.0 else 0)
     pw = mu ** e
-    if derivative:  # d(mu**e)/dmu = e mu**(e-1), d(mu**(e+1))/dmu = (e+1) mu**e
-        phi, tail = e * pw / mu, (e[m - s :] + 1) * pw[m - s :]
-    else:
-        phi, tail = pw, mu * pw[m - s :]
-    a = np.pad(x_rows * phi, ((0, 0), (0, s * p[-1] + s - m))).reshape(s, -1, s).sum(axis=1)
-    a[np.arange(s), col[m - s :]] -= tail
+    a = np.pad(x_rows * pw, ((0, 0), (0, s * p[-1] + s - m))).reshape(s, -1, s).sum(axis=1)
+    a[np.arange(s), col[m - s :]] -= mu * pw[m - s :]
     return a, pw
-
-
-def _newton(operator: MonodromyOperator, mu: complex) -> complex:
-    """mu after _NEWTON_STEPS Newton steps on det A(mu) of _shift_block:
-    mu <- mu - 1 / tr(A(mu)^-1 A'(mu)). An A(mu) singular in rounding ends them:
-    mu is then an eigenvalue to rounding."""
-    x_rows, m = operator._computed, operator.size
-    for _ in range(_NEWTON_STEPS):
-        try:
-            trace = np.trace(np.linalg.solve(_shift_block(x_rows, m, mu)[0],
-                                             _shift_block(x_rows, m, mu, True)[0]))
-        except np.linalg.LinAlgError:
-            break
-        mu = mu - 1.0 / trace
-    return complex(mu)
 
 
 def _eigenvectors(operator: MonodromyOperator, mus: np.ndarray):
@@ -238,7 +251,8 @@ def floquet_spectrum(
 ) -> FloquetDecomposition:
     """Eigen-decompose the monodromy operator at the requested grid and flag as
     converged the multipliers that persist under grid refinement. Spurious
-    discretization eigenvalues drift under refinement and stay unflagged."""
+    discretization eigenvalues drift under refinement and stay unflagged, as
+    does a multiplier of rounding size (_FLOOR)."""
     operator = build_monodromy(system, grid)
     # the refined operator is built, solved and dropped before the coarse
     # solve, so only the coarse propagation is alive beside it
@@ -251,9 +265,10 @@ def floquet_spectrum(
     k = operator.size if len(mus_f) == m_f else len(mus_f) + 1
     mus = _eig_down_to(operator, k, (1.0 - convergence_tol) * np.abs(mus_f).min())
     mus = mus[sort_multipliers(mus)]
+    mus_f = mus_f[np.abs(mus_f) > _FLOOR * np.abs(mus_f).max()]
     scale = np.maximum.outer(np.abs(mus), np.abs(mus_f))
     dist = np.abs(mus[:, None] - mus_f[None, :]) / np.maximum(scale, 1e-300)
-    converged = np.any(dist <= convergence_tol, axis=1)
+    converged = np.any(dist <= convergence_tol, axis=1) & (np.abs(mus) > _FLOOR * np.abs(mus).max())
     p_retained = int(np.count_nonzero(converged))
     if p_retained == 0:
         raise ConvergenceError(
@@ -262,11 +277,6 @@ def floquet_spectrum(
         )
     kept = np.array([j for j in np.nonzero(converged)[0][:modes] if abs(mus[j]) >= 1e-12],
                     dtype=int)
-    if len(mus) < operator.size:  # ARPACK's values: refine the kept ones, then reorder
-        mus[kept] = [_newton(operator, mu) for mu in mus[kept]]
-        order = sort_multipliers(mus)
-        mus, converged = mus[order], converged[order]
-        kept = np.flatnonzero(np.isin(order, kept))
     exponents = principal_exponents(mus, grid.period)
     mode_list = [extract_mode(operator, mus[j], v)
                  for j, v in zip(kept, _eigenvectors(operator, mus[kept]))]

@@ -447,7 +447,7 @@ def test_coarse_request_doubles_until_a_multiplier_lies_below_the_floor(monkeypa
     assert len(dec.multipliers) in (66, 67)  # ARPACK may return both of a split pair
     dense = _dense_spectrum(dec.operator)
     assert len(dec.modes) == 2
-    for mode in dec.modes:  # Newton-refined
+    for mode in dec.modes:  # ARPACK's, on the balanced operator: dense-accurate
         assert np.min(np.abs(dense - mode.multiplier)) <= 1e-12 * abs(mode.multiplier)
     np.testing.assert_allclose(dec.multipliers[:30], dense[:30], rtol=1e-8)
 
@@ -464,7 +464,7 @@ def test_coarse_request_past_half_the_operator_is_the_dense_solve(monkeypatch):
 
 def test_dense_refined_solve_keeps_the_dense_coarse_spectrum(monkeypatch):
     # the delay operator's refined solve is dense (m = 193), so the coarse one
-    # is too: all m multipliers, those of eigvals, with no Newton step
+    # is too: all m multipliers, those of eigvals
     system, meta = delay_pi_over_2()
     calls = _spy_eig_leading(monkeypatch)
     dec = floquet_spectrum(system, _grid_for(meta, 96), modes=4)
@@ -476,8 +476,9 @@ def test_dense_refined_solve_keeps_the_dense_coarse_spectrum(monkeypatch):
 
 def test_arpack_coarse_solve_refines_the_kept_modes():
     # builtin exp_kernel at N = 64 with a 1e-12 tail: m = 551 coarse and 1101
-    # refined. ARPACK's kept multipliers 3 and 4 (|mu| = 0.0355, in a cluster)
-    # are 1.3e-5 off, and the operator residual of their modes is then 1.2e-2
+    # refined. Kept multipliers 3 and 4 (|mu| = 0.0355) lie in a cluster: 1.3e-5
+    # off, their modes' operator residual is 1.2e-2. ARPACK on the balanced
+    # operator must give them to rounding
     system, meta = exp_kernel()
     grid = _grid_for(meta, 64, "simpson")
     dec = floquet_spectrum(system, grid, modes=4)
@@ -487,6 +488,99 @@ def test_arpack_coarse_solve_refines_the_kept_modes():
     for mode in dec.modes:
         assert np.min(np.abs(dense - mode.multiplier)) <= 1e-12 * abs(mode.multiplier)
     assert verify_floquet_form(system, dec).max_residual <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def builtin_exp_kernel_solves():
+    """Builtin exp_kernel at N = 64 (Simpson, modes 4), the CLI's `analyze` of it:
+    its decomposition, and each ARPACK solve as (dense eigvals of the operator,
+    the multipliers ARPACK listed)."""
+    system, meta = exp_kernel()
+    solves, eig_leading = [], monodromy._eig_leading
+
+    def spy(operator, k):
+        mus = eig_leading(operator, k)
+        if len(mus) < operator.size:
+            solves.append((np.linalg.eigvals(operator.matrix), mus))
+        return mus
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monodromy, "_eig_leading", spy)
+        dec = floquet_spectrum(system, _grid_for(meta, 64, "simpson"), modes=4)
+    return dec, solves
+
+
+def test_arpack_multipliers_match_the_dense_ones(builtin_exp_kernel_solves):
+    # unbalanced, ARPACK's small clustered multipliers were up to 4e-5 off
+    _, solves = builtin_exp_kernel_solves
+    assert [(len(dense), len(mus)) for dense, mus in solves] == [(1101, 32), (551, 33)]
+    for dense, mus in solves:
+        for mu in mus:
+            assert np.min(np.abs(dense - mu)) <= 1e-10 * abs(mu)
+
+
+def test_arpack_converged_flags_are_the_dense_decisions(builtin_exp_kernel_solves):
+    # the same two-grid rule on dense eigenvalues of both operators: 24
+    # converged; unbalanced ARPACK's errors put multipliers 24-27 under tol
+    dec, ((fine, _), (coarse, _)) = builtin_exp_kernel_solves
+    coarse = coarse[sort_multipliers(coarse)][: len(dec.multipliers)]
+    dist = np.abs(coarse[:, None] - fine) / np.maximum.outer(np.abs(coarse), np.abs(fine))
+    np.testing.assert_array_equal(dec.converged, dist.min(axis=1) <= 1e-4)
+    assert dec.p_retained == 24
+
+
+def _balanced_operator(monkeypatch, op, k):
+    """The LinearOperator that _eig_leading hands ARPACK for op."""
+    class Handed(Exception):
+        pass
+
+    def stop(a, *args, **kwargs):
+        raise Handed(a)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", stop)
+    with pytest.raises(Handed) as handed:
+        monodromy._eig_leading(op, k)
+    return handed.value.args[0]
+
+
+def test_balanced_matvec_is_the_similarity_by_powers_of_two(monkeypatch):
+    # exp_kernel 2.3 deep at N = 32: m = 75 rows in blocks of 11, 32 and 32
+    # (s = 32), X's column blocks of norm 8.2e-4, 0.040 and 7.2: D grades them
+    system, _ = exp_kernel(depth=2.3)
+    op = build_monodromy(system, PeriodicGrid(1.0, 32, 2.3))
+    u = op.matrix
+    assert u.shape == (75, 75) and len(op._computed) == 32
+    d = monodromy._block_balance(op._computed, op.size)
+    assert np.all(np.frexp(d)[0] == 0.5)  # powers of two
+    np.testing.assert_array_equal(d, np.repeat([2.0 ** 7, 2.0 ** 3, 1.0], [11, 32, 32]))
+    a = _balanced_operator(monkeypatch, op, 6)
+    for v in np.random.default_rng(2).standard_normal((4, 75)):
+        want = (u @ (d * v)) / d
+        np.testing.assert_allclose(a.matvec(v), want, rtol=0,
+                                   atol=1e-14 * np.abs(want).max())
+
+
+def test_one_block_operator_is_not_rescaled():
+    # m = s = 5: X is the whole matrix, and D = I
+    rng = np.random.default_rng(4)
+    op = monodromy.MonodromyOperator(rng.standard_normal((9, 1, 5)), PeriodicGrid(1.0, 8, 0.5))
+    assert op.size == len(op._computed) == 5
+    np.testing.assert_array_equal(monodromy._block_balance(op._computed, op.size), np.ones(5))
+
+
+def test_balance_of_a_steeply_decaying_operator_stays_finite(monkeypatch):
+    # 64 blocks of s = 8 with X of order 1e-320: unclamped, a block's scale
+    # passes 2^1023 and overflows; clamped, every scale lies within 2^(+-970)
+    rng = np.random.default_rng(5)
+    hist = rng.standard_normal((9, 1, 512))
+    hist[1:] *= 1e-320
+    op = monodromy.MonodromyOperator(hist, PeriodicGrid(1.0, 8, 511 / 8))
+    d = monodromy._block_balance(op._computed, op.size)
+    assert np.all(np.isfinite(d)) and np.all(np.frexp(d)[0] == 0.5)
+    assert np.abs(np.log2(d)).max() <= 2 * monodromy._SCALE_EXP
+    a = _balanced_operator(monkeypatch, op, 4)
+    for j in (0, 255, 511):
+        assert np.all(np.isfinite(a.matvec(np.eye(512)[j])))
 
 
 def _leading_multiplier_error(system, grid, exact):
