@@ -10,9 +10,11 @@ so nonlocal kernels are solved by whole-cell collocation: with
 psi(x + a) = mu psi(x), the equation on one cell becomes the cell operator
 B(mu) = B_{-1}/mu + B_0 + mu B_{+1} (cell_collocation_matrices), whose
 quadratic eigenproblem in mu is linearized to the trimmed pencil, which
-leaves out the structurally infinite eigenvalues of B_{+1}'s zero columns,
-on each grid: the N-node solve reports the multipliers, the 2N-node solve
-confirms them. The kernel
+leaves out the structurally infinite eigenvalues of B_{+1}'s zero columns.
+The N-node solve reports the multipliers. A band scan confirms each
+near-unit one on the 2N-node grid by a sign change of the Hermitian
+B(e^{ika}) in k (_sign_confirmed), and solves the 2N-node pencil only for an
+energy where that test cannot settle every one. The kernel
 integral takes the Floquet path's window rule (grid.quadrature_window),
 mirrored, each endpoint x +- r_W read by its cubic stencil. A kernel's band
 scan evaluates W once per grid, then solves its energies, which add only
@@ -42,6 +44,14 @@ _CELL_STEPS = 16  # step matrices made at once: 0.22 MB at 40 energies (1.6 MB f
 # backward-stable pencils disagree about it), so such a multiplier is never
 # confirmed; the window is closed under mu -> 1/conj(mu)
 _UNRESOLVED_MAGNITUDE = np.finfo(float).eps ** -0.5
+# B_{-1} = B_{+1}^T and B_0 = B_0^T within this many eps max|B_0|, entrywise, or
+# no energy of the scan is confirmed by a sign change (measured: 1.6e-32 and
+# 2.2e-16 absolute, against eps max|B_0| = 9e-12 at 128 nodes)
+_SYMMETRY_ULPS = 4
+# share of the two-grid threshold that a sign change may reach; the rest is
+# left for the fine QZ's error at the root it proves (about 1e-10 at a near-unit
+# root, eps^(1/2) at a double one, against 1e-3 at the default unit_tol)
+_SIGN_REACH = 0.9
 
 
 @dataclass(frozen=True)
@@ -228,7 +238,7 @@ def _trimmed_pencil(bm, b0, bp):
 class PropagatingSet:
     energy: float
     propagating: np.ndarray  # complex mu with ||mu|-1| <= unit_tol, symmetrized
-    all_multipliers: np.ndarray  # retained (grid-confirmed) multipliers
+    all_multipliers: np.ndarray  # retained (grid-confirmed); by a sign test, the near-unit ones
     p: int
 
 
@@ -245,17 +255,78 @@ def _symmetrize_unit(mus: np.ndarray, tol: float) -> np.ndarray:
     return np.asarray(out)
 
 
-def _grid_solves(pot: NonlocalPotential1D, energies: np.ndarray, n: int):
-    """solve(i) -> (coarse, fine): the multipliers at energies[i] on the N-
-    and the 2N-node grid. A local potential's transfer matrices come from one
-    sweep per grid over all energies, a kernel's V and weighted W from one
-    _collocation per grid (a failure of either raises here); its multipliers
-    from the trimmed pencil on each grid."""
+def _hermitian(bm, b0, bp) -> bool:
+    """Whether B_{-1} = B_{+1}^T and B_0 = B_0^T within _SYMMETRY_ULPS eps
+    max|B_0|, entrywise: then B(e^{ika}) is Hermitian to rounding. A symmetric
+    W keeps this structure; eigvalsh, which reads one triangle, would misread
+    any other."""
+    tol = _SYMMETRY_ULPS * np.finfo(float).eps * np.abs(b0).max()
+    return max(np.abs(bm - bp.T).max(), np.abs(b0 - b0.T).max()) <= tol
+
+
+def _sign_confirmed(blocks, mus, a: float, unit_tol: float) -> bool:
+    """Whether each mu of mus has a root of the Hermitian blocks' det B(e^{ika})
+    within 10 unit_tol max(1, |mu|), proven by a sign change.
+
+    The eigenvalues of B(e^{ika}), ordered, are continuous in k (Kato,
+    Perturbation Theory for Linear Operators, 1966, ch. II). So when the count
+    below 0 differs between k_c - rho and k_c + rho, k_c = |arg mu| / a, one
+    of them is 0 at some k in between, and e^{ika} is a root. rho is chosen so
+    that 2 sin(rho a / 2) + ||mu| - 1| is _SIGN_REACH of the threshold. A
+    count is trusted only when no eigenvalue lies within 8 n eps (max|lambda|
+    + max|B_0|) of 0: eigvalsh's backward error, and the part of B(e^{ika})
+    its one triangle does not see (at most n _SYMMETRY_ULPS eps max|B_0| in
+    norm). H(-k) is the conjugate of H(k), so mu's check also serves a
+    multiplier within 8 eps max(1, |mu|) of conj(mu), as the QZ gives a
+    conjugate pair; the margin left by _SIGN_REACH absorbs that distance."""
+    bm, b0, bp = blocks
+    eps = np.finfo(float).eps
+    checked = []
+    for mu in mus:
+        if any(abs(np.conj(mu) - m) <= 8 * eps * max(1.0, abs(m)) for m in checked):
+            continue
+        mag = abs(mu)
+        reach = _SIGN_REACH * (10 * unit_tol * max(1.0, mag) - abs(mag - 1.0))
+        rho = 2.0 * np.arcsin(min(reach / 2.0, 1.0)) / a
+        k_c = abs(np.angle(mu)) / a
+        phase = np.exp(1j * a * np.array([k_c - rho, k_c + rho]))[:, None, None]
+        lam = np.linalg.eigvalsh(b0 + phase * bp + phase.conj() * bm)
+        below = (lam < 0).sum(axis=1)
+        tol = 8 * b0.shape[0] * eps * (np.abs(lam).max() + np.abs(b0).max())
+        if np.abs(lam).min() <= tol or below[0] == below[1]:
+            return False
+        checked.append(mu)
+    return True
+
+
+def _grid_solves(pot: NonlocalPotential1D, energies: np.ndarray, n: int, unit_tol: float):
+    """solve(i) -> (the PropagatingSet at energies[i], whether the 2N-node
+    pencil was solved). A local potential's transfer matrices come from one
+    sweep per grid over all energies, and their eigenvalues on both grids
+    meet _confirmed_set. A kernel's V and weighted W come from one
+    _collocation per grid (a failure of either raises here). Its multipliers
+    solve the trimmed pencil on the N-node grid, and its near-unit ones are
+    confirmed by _sign_confirmed on the 2N-node blocks, when those pass the
+    _hermitian guard, checked once here. An energy with a near-unit
+    multiplier the sign test leaves unsettled solves the 2N-node pencil too,
+    and _confirmed_set decides, so every decision is propagating_multipliers'."""
     if pot.kernel is None:
         cells = [local_cell_monodromy(pot, energies, m) for m in (n, 2 * n)]
-        return lambda i: tuple(np.linalg.eigvals(c[i]) for c in cells)
-    grids = [_collocation(pot, m) for m in (n, 2 * n)]
-    return lambda i: tuple(_finite_multipliers(*_trimmed_pencil(*g(energies[i]))) for g in grids)
+        return lambda i: (_confirmed_set(energies[i], *(np.linalg.eigvals(c[i]) for c in cells),
+                                         unit_tol), False)
+    coarse_blocks, fine_blocks = (_collocation(pot, m) for m in (n, 2 * n))
+    hermitian = _hermitian(*fine_blocks(energies[0]))
+
+    def solve(i):
+        coarse = _finite_multipliers(*_trimmed_pencil(*coarse_blocks(energies[i])))
+        blocks = fine_blocks(energies[i])
+        near = coarse[np.abs(np.abs(coarse) - 1.0) <= unit_tol]
+        if hermitian and _sign_confirmed(blocks, near, pot.lattice_constant, unit_tol):
+            # each near-unit mu stands in for the fine root its sign change proves
+            return _confirmed_set(energies[i], near, near, unit_tol), False
+        fine = _finite_multipliers(*_trimmed_pencil(*blocks))
+        return _confirmed_set(energies[i], coarse, fine, unit_tol), True
+    return solve
 
 
 def propagating_multipliers(
@@ -264,13 +335,17 @@ def propagating_multipliers(
     grid: PeriodicGrid,
     unit_tol: float = 1e-3,
 ) -> PropagatingSet:
-    """One-cell multiplier spectrum at fixed energy; near-unit multipliers are
-    confirmed against the grid refined twofold before being reported as
-    propagating, and ordered by sort_multipliers. For a nonlocal kernel the
-    reported and the confirming multipliers solve the trimmed pencil on the
-    N- and the 2N-node grid."""
-    solve = _grid_solves(pot, np.array([energy], dtype=float), grid.samples_per_period)
-    return _confirmed_set(energy, *solve(0), unit_tol)
+    """One-cell multiplier spectrum at fixed energy; multipliers are confirmed
+    against the grid refined twofold (_confirmed_set) before the near-unit
+    ones are reported as propagating, ordered by sort_multipliers. For a
+    nonlocal kernel the reported and the confirming multipliers solve the
+    trimmed pencil on the N- and the 2N-node grid; a band scan's sign test is
+    checked against this."""
+    n = grid.samples_per_period
+    if pot.kernel is None:
+        return _grid_solves(pot, np.array([energy], dtype=float), n, unit_tol)(0)[0]
+    return _confirmed_set(energy, *(bloch_multipliers_collocation(pot, energy, m)
+                                    for m in (n, 2 * n)), unit_tol)
 
 
 def _confirmed_set(energy, coarse, fine, unit_tol) -> PropagatingSet:
@@ -309,7 +384,7 @@ class BandRecord:
     energy: float
     k_values: tuple
     p: int
-    multiplier_magnitudes: tuple
+    fine_pencil: bool = False  # the 2N-node pencil was solved (the sign test did not settle E)
     failed: bool = False
     message: str = ""
 
@@ -395,10 +470,10 @@ def band_scan(
     a = pot.lattice_constant
 
     def failed(energy, exc):
-        return BandRecord(float(energy), (), 0, (), failed=True, message=str(exc))
+        return BandRecord(float(energy), (), 0, failed=True, message=str(exc))
 
     try:
-        solve = _grid_solves(pot, energies, grid.samples_per_period)
+        solve = _grid_solves(pot, energies, grid.samples_per_period, unit_tol)
     except Exception as exc:  # a sweep or assembly is shared, so every energy fails with it
         return BandDiagram(a, tuple(failed(e, exc) for e in energies))
 
@@ -406,12 +481,10 @@ def band_scan(
         out = []
         for energy, result in zip(energies, results):
             try:
-                ps = _confirmed_set(energy, *result(), unit_tol)
+                ps, fine_pencil = result()
                 ks = multiplier_phases_to_k(ps.propagating, a)
-                out.append(BandRecord(
-                    float(energy), tuple(sorted(float(k) for k in ks)), ps.p,
-                    tuple(np.sort(np.abs(ps.all_multipliers))[::-1][:12]),
-                ))
+                out.append(BandRecord(float(energy), tuple(sorted(float(k) for k in ks)),
+                                      ps.p, fine_pencil))
             except Exception as exc:  # per-energy failure is data, not fatal
                 out.append(failed(energy, exc))
         return BandDiagram(a, tuple(out))

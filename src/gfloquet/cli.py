@@ -378,8 +378,7 @@ def cmd_bands(args) -> int:
         "config_fingerprint": fingerprint,
         "failures": failures,
         "records": [{"energy": r.energy, "p": r.p, "failed": r.failed,
-                     "message": r.message,
-                     "multiplier_magnitudes": list(r.multiplier_magnitudes)}
+                     "message": r.message, "fine_pencil": r.fine_pencil}
                     for r in diagram.records],
     })
     if failures > 0.1 * len(diagram.records):

@@ -320,6 +320,25 @@ def test_bands_nonlocal_extrema(tmp_path):
     assert len(diag["records"]) == 70
 
 
+@pytest.mark.parametrize("potential, energies, fine_pencil", [
+    # bands_nonlocal seed 15's E = 3.4165...: a multiplier within the sign
+    # test's reach of k = 0 (tests/test_bloch.py) sends it to the fine pencil
+    ({"builtin": "separable_nonlocal", "params": {"gamma": -79.61188633050163}},
+     {"min": -5.0, "max": 3.4165181270383886, "count": 2}, [False, True]),
+    ({"builtin": "kronig_penney"}, {"min": 5.0, "max": 30.0, "count": 3}, [False] * 3),
+], ids=["nonlocal", "local"])
+def test_bands_diagnostics_say_whether_the_fine_pencil_ran(tmp_path, potential, energies,
+                                                          fine_pencil):
+    cfg = _write(tmp_path / "c.json", {"potential": potential, "energies": energies,
+                                       "grid": {"samples_per_period": 64}})
+    out = tmp_path / "out"
+    assert main(["bands", "--config", cfg, "--out", str(out)]) == 0
+    records = _read_json(out, "diagnostics.json")["records"]
+    assert [r["fine_pencil"] for r in records] == fine_pencil
+    assert records[0]["p"] > 0 and records[-1]["p"] > 0
+    assert all("multiplier_magnitudes" not in r for r in records)
+
+
 @pytest.mark.parametrize("energies", [
     {"min": 1.0, "max": 2.0, "count": 0},
     {"min": 5.0, "max": 1.0, "count": 1},
