@@ -237,22 +237,9 @@ def _trimmed_pencil(bm, b0, bp):
 @dataclass
 class PropagatingSet:
     energy: float
-    propagating: np.ndarray  # complex mu with ||mu|-1| <= unit_tol, symmetrized
+    propagating: np.ndarray  # complex mu with ||mu|-1| <= unit_tol, deduplicated
     all_multipliers: np.ndarray  # retained (grid-confirmed); by a sign test, the near-unit ones
     p: int
-
-
-def _symmetrize_unit(mus: np.ndarray, tol: float) -> np.ndarray:
-    """Close the near-unit set under conjugation, then reflection mu -> 1/conj(mu),
-    by appending each partner not within tol max(1, |partner|) of a member;
-    nothing is averaged, so a partner within tol stays as it was computed."""
-    out = list(mus)
-    for op in (np.conj, lambda m: 1.0 / np.conj(m)):
-        for m in list(out):
-            t = op(m)
-            if min((abs(t - o) for o in out), default=np.inf) > tol * max(1.0, abs(t)):
-                out.append(t)
-    return np.asarray(out)
 
 
 def _hermitian(bm, b0, bp) -> bool:
@@ -352,8 +339,10 @@ def _confirmed_set(energy, coarse, fine, unit_tol) -> PropagatingSet:
     """Keep, in coarse order, the coarse multipliers mu within 10 unit_tol
     max(1, |mu|) of a fine one, only within 1/_UNRESOLVED_MAGNITUDE <= |mu|
     <= _UNRESOLVED_MAGNITUDE, so mu and 1/conj(mu) are kept or dropped
-    together; the near-unit ones, deduplicated, symmetrized and sorted, are
-    the propagating set."""
+    together; the near-unit ones, deduplicated and sorted, are the propagating
+    set. Real transfer matrices and pencils give exact conjugate pairs, and
+    both members of a pair are decided alike, so the set is closed under
+    conjugation as computed."""
     coarse = np.asarray(coarse, dtype=complex)
     dist = np.abs(np.asarray(fine)[None, :] - coarse[:, None]).min(axis=1, initial=np.inf)
     mag = np.abs(coarse)
@@ -366,7 +355,7 @@ def _confirmed_set(energy, coarse, fine, unit_tol) -> PropagatingSet:
     for mu in near_unit:
         if min((abs(mu - o) for o in dedup), default=np.inf) > 1e-7 * max(1.0, abs(mu)):
             dedup.append(mu)
-    prop = _symmetrize_unit(np.asarray(dedup, dtype=complex), unit_tol) if dedup else np.empty(0, complex)
+    prop = np.asarray(dedup, dtype=complex)
     prop = prop[sort_multipliers(prop)]
     return PropagatingSet(energy, prop, confirmed, int(prop.size))
 

@@ -34,8 +34,9 @@ class MonodromyOperator:
     """The period-shift map on discretized history segments, kept with the
     propagation it is read from.
 
-    history is the (1+N, n, m) unit-basis propagation over one period; the matrix,
-    built on demand, shifts by s = min(N*n, m) rows and ends in its last s rows, X.
+    history is the (1+N, n, m) unit-basis propagation over one period. The
+    operator shifts by s = min(N*n, m) rows and ends in its last s rows, X
+    (_computed); only the dense eigensolve builds the m x m matrix, on demand.
     """
 
     history: np.ndarray = field(repr=False)
@@ -176,24 +177,23 @@ def _eig_leading(operator: MonodromyOperator, k: int) -> np.ndarray:
     by s rows and the rows X read off the history, so no dense matrix is made.
     When ARPACK does not converge, the full dense spectrum is returned."""
     m = operator.size
-    if 2 * k >= m:
-        return np.linalg.eigvals(operator.matrix).astype(complex, copy=False)
-    from scipy.sparse import linalg as sla  # scipy is loaded only for the ARPACK path
+    if 2 * k < m:
+        from scipy.sparse import linalg as sla  # scipy is loaded only for the ARPACK path
 
-    x_rows = operator._computed
-    s, d = len(x_rows), _block_balance(x_rows, m)
-    up = d[s:] / d[:-s]  # powers of two: exact
-    op = sla.LinearOperator((m, m), dtype=x_rows.dtype,
-                            matvec=lambda v: np.concatenate([up * v[s:], x_rows @ (d * v)]))
-    try:
-        # a fixed start vector: ARPACK's own is drawn from a process-global state
-        return sla.eigs(
-            op, k=k, ncv=min((5 * k + 1) // 2, m), tol=_ARPACK_TOL, which="LM",
-            return_eigenvectors=False, v0=np.random.default_rng(0).standard_normal(m),
-        )
-    except sla.ArpackNoConvergence:
-        # a partial set would leave leading multipliers without a partner
-        return np.linalg.eigvals(operator.matrix).astype(complex, copy=False)
+        x_rows = operator._computed
+        s, d = len(x_rows), _block_balance(x_rows, m)
+        up = d[s:] / d[:-s]  # powers of two: exact
+        op = sla.LinearOperator((m, m), dtype=x_rows.dtype,
+                                matvec=lambda v: np.concatenate([up * v[s:], x_rows @ (d * v)]))
+        try:
+            # a fixed start vector: ARPACK's own is drawn from a process-global state
+            return sla.eigs(
+                op, k=k, ncv=min((5 * k + 1) // 2, m), tol=_ARPACK_TOL, which="LM",
+                return_eigenvectors=False, v0=np.random.default_rng(0).standard_normal(m),
+            )
+        except sla.ArpackNoConvergence:
+            pass  # a partial set would leave leading multipliers without a partner
+    return np.linalg.eigvals(operator.matrix).astype(complex, copy=False)
 
 
 def _eig_down_to(operator: MonodromyOperator, k: int, floor: float) -> np.ndarray:
@@ -349,8 +349,10 @@ def verify_floquet_form(
 
     The shift relation needs the unit basis propagated over two periods; the
     first is the decomposition's operator, so only the second is propagated
-    here. system must be the one the decomposition was computed for; a
-    decomposition without an operator raises ValueError.
+    here. The operator C is read as its shift by s rows and its last s rows X,
+    so no m x m matrix is built: ||C||_F^2 = m - s + ||X||_F^2. system must be
+    the one the decomposition was computed for; a decomposition without an
+    operator raises ValueError.
     """
     operator = decomposition.operator
     if operator is None:
@@ -359,15 +361,20 @@ def verify_floquet_form(
     nh = grid.history_points
     big_n = grid.samples_per_period
     hist = propagate_history(system, grid, None, big_n, resume=operator.history)
-    u = operator.matrix
-    u_norm = max(float(np.linalg.norm(u)), 1e-300)
-    # the overlapping segments s_k (rows k .. k+nh) make every s_k @ u a block of one
-    # product; its unit rows give u exactly, so only rows 1..N are predicted
-    diff = hist[big_n + 1 :].reshape(-1, len(u)) - hist[1 : big_n + 1].reshape(-1, len(u)) @ u
+    x, m = operator._computed, operator.size
+    s = len(x)
+    u_norm = max(math.hypot(math.sqrt(m - s), float(np.linalg.norm(x))), 1e-300)
+    # the overlapping segments s_k (rows k .. k+nh) make every s_k C a block of one
+    # product; its unit rows give C exactly, so only rows 1..N are predicted: row r
+    # goes to r[m-s:] X, plus r[:m-s] shifted s columns on
+    rows = hist[1 : big_n + 1].reshape(-1, m)
+    diff = rows[:, m - s :] @ x
+    diff[:, s:] += rows[:, : m - s]
+    diff -= hist[big_n + 1 :].reshape(-1, m)  # the prediction less the second period
     row_sq = np.concatenate([np.zeros(nh + 1), np.sum(diff.reshape(big_n, -1) ** 2, axis=1)])
     window_sq = np.convolve(row_sq, np.ones(nh + 1), mode="valid")
     shift_res = float(np.sqrt(window_sq.max())) / u_norm
-    del hist, u, diff  # the mode residuals need none
+    del hist, rows, diff  # the mode residuals need none
     mode_res = tuple(mode.periodicity_residual for mode in decomposition.modes)
     op_res = tuple(_mode_operator_residual(system, grid, mode) for mode in decomposition.modes)
     all_res = (shift_res,) + mode_res + op_res

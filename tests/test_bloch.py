@@ -132,6 +132,16 @@ def test_kp_band_edge_bisection():
     assert abs(0.5 * (lo + hi) - exact) < 1e-4
 
 
+@pytest.mark.parametrize("unit_tol", [1.5e-6, 2e-6])
+def test_kp_tight_unit_tol_invents_no_multiplier(unit_tol):
+    # RK4's cell map has det - 1 down to about -1.6e-6 here, so a propagating
+    # mu and its reflection 1/conj(mu) lie further apart than such a unit_tol;
+    # a 2x2 transfer matrix still has two multipliers, and no partner is added
+    pot, _ = kronig_penney()
+    diagram = band_scan(pot, np.linspace(0.5, 60.0, 400), GRID, unit_tol=unit_tol)
+    assert max(r.p for r in diagram.records) == 2
+
+
 def test_collocation_matches_transfer_for_free():
     mus = bloch_multipliers_collocation(FREE, 1.0, 64)
     near = mus[np.abs(np.abs(mus) - 1.0) < 1e-3]

@@ -15,6 +15,8 @@ from gfloquet import monodromy
 from gfloquet.integrate import propagate_history
 from gfloquet.builtins import delay_pi_over_2, exp_kernel, scalar_cosine
 
+from floquet_oracles import dense_shift_residual
+
 
 def _grid_for(meta, n, quadrature="trapezoid"):
     return PeriodicGrid(meta["period"], n, meta["memory_depth"], quadrature)
@@ -210,6 +212,36 @@ def test_verify_corrupted_mode_negative_control():
     bad = replace(dec, modes=(bad_mode,))
     rep = verify_floquet_form(system, bad)
     assert max(rep.operator_residuals) > 1e-1
+
+
+_SHIFT_CASES = {  # builtin, N, quadrature
+    "scalar_cosine": (scalar_cosine, 64, "trapezoid"),  # m = s
+    "delay_64": (delay_pi_over_2, 64, "trapezoid"),
+    "delay_128": (delay_pi_over_2, 128, "trapezoid"),
+    "exp_kernel_trapezoid": (exp_kernel, 64, "trapezoid"),
+    "exp_kernel_simpson": (exp_kernel, 64, "simpson"),
+}
+
+
+@pytest.mark.parametrize("name", [*_SHIFT_CASES, "constant_2d"])
+def test_verify_shift_residual_matches_the_dense_matrix(name):
+    # verify reads C as its shift and X; the dense product with C sums in
+    # another order, so the two agree to rounding relative to the residual,
+    # or both sit at the rounding floor
+    if name == "constant_2d":  # test_verify_constant_matrix_residuals' system; m = s
+        a = np.array([[-0.3, 0.2], [-0.2, -0.4]])
+        system, grid = LinearMemorySystem(2, lambda s: a), PeriodicGrid(1.0, 128, 0.0)
+    else:
+        builtin, n, quadrature = _SHIFT_CASES[name]
+        system, meta = builtin()
+        grid = _grid_for(meta, n, quadrature)
+    dec = floquet_spectrum(system, grid)
+    got = verify_floquet_form(system, dec).shift_residual
+    want = dense_shift_residual(system, dec)
+    if want >= 1e-12:
+        assert abs(got - want) <= 1e-9 * want
+    else:
+        assert max(got, want) <= 1e-14
 
 
 def test_two_period_semigroup():
@@ -719,3 +751,15 @@ def test_spectrum_holds_no_complex_matrix():
     dec, peak = _traced_peak(floquet_spectrum, _DEEP_KERNEL, _DEEP_GRID)
     assert len(dec.modes) >= 2
     assert peak < 2 * _matrix_bytes(_DEEP_GRID)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_verify_holds_no_dense_matrix(n):
+    # verify reads the operator as its shift and its last rows X: it holds the
+    # two-period history and one prediction, below the m x m matrix and below
+    # the spectrum's own peak
+    grid = PeriodicGrid(1.0, n, 7.2)
+    dec, spectrum_peak = _traced_peak(floquet_spectrum, _DEEP_KERNEL, grid)
+    _, verify_peak = _traced_peak(verify_floquet_form, _DEEP_KERNEL, dec)
+    assert verify_peak < spectrum_peak
+    assert verify_peak < _matrix_bytes(grid)

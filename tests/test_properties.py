@@ -1,15 +1,23 @@
 """Property-based checks of the structural invariants promised by the API."""
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gfloquet import (
     LinearMemorySystem, PeriodicGrid, StateSegment, forced_response,
     multiplier_phases_to_k, principal_exponents, sort_multipliers,
 )
-from gfloquet.bloch import _symmetrize_unit
+from gfloquet.bloch import _grid_solves
+from gfloquet.builtins import kronig_penney
 from gfloquet.grid import interp_uniform, quadrature_window
 
 from bloch_oracles import kronig_penney_reference
+
+ROOT = Path(__file__).resolve().parents[1]
 
 complexes = st.complex_numbers(
     min_magnitude=1e-6, max_magnitude=1e6, allow_nan=False, allow_infinity=False)
@@ -124,23 +132,36 @@ def test_phase_folding_range(phases, a):
     assert np.max(np.abs(np.exp(1j * ks * a) - mus)) < 1e-10
 
 
-@given(st.lists(st.floats(min_value=-np.pi, max_value=np.pi), min_size=0, max_size=6))
-@settings(max_examples=80, deadline=None)
-def test_symmetrized_unit_set_closure(phases):
-    mus = np.exp(1j * np.array(phases)) if phases else np.array([], dtype=complex)
-    # the scan dedupes before symmetrizing; mirror that here
-    dedup = []
-    for mu in mus:
-        if min((abs(mu - o) for o in dedup), default=np.inf) > 1e-7:
-            dedup.append(mu)
-    sym = _symmetrize_unit(np.asarray(dedup, dtype=complex), 1e-7)
-    for mu in sym:
-        # closed under conjugation and the reflection mu -> 1/conj(mu)
-        assert np.min(np.abs(sym - np.conj(mu))) < 1e-6
-        assert np.min(np.abs(sym - 1.0 / np.conj(mu))) < 1e-6
-    # away from the self-conjugate points mu = +-1 (band edges) the count is even
-    if len(sym) and np.min(np.abs(sym.imag)) > 1e-6:
-        assert len(sym) % 2 == 0
+def _nonlocal_seed_inputs(monkeypatch, seed: int) -> tuple:
+    """(potential, energies, nodes per cell) of the bands_nonlocal job at seed."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts perfbench/ on it
+    spec = importlib.util.spec_from_file_location(
+        "nonlocal_decisions", ROOT / "tools" / "nonlocal_decisions.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.seed_inputs(seed)
+
+
+@pytest.mark.parametrize("seed, unit_tol", [(None, 1e-3), (None, 1.5e-6), (None, 2e-6),
+                                            (1, 1e-3), (2, 1e-3), (3, 1e-3)],
+                         ids=["kronig_penney", "kronig_penney_1.5e-6", "kronig_penney_2e-6",
+                              "bands_nonlocal_1", "bands_nonlocal_2", "bands_nonlocal_3"])
+def test_propagating_sets_are_closed_under_conjugation(monkeypatch, seed, unit_tol):
+    # real transfer matrices and pencils give exact conjugate pairs, and both
+    # members of a pair are confirmed alike, so each propagating set of a band
+    # scan holds each member's conjugate within the deduplication distance
+    if seed is None:
+        pot, energies, n = kronig_penney()[0], np.linspace(0.5, 60.0, 400), 64
+    else:
+        pot, energies, n = _nonlocal_seed_inputs(monkeypatch, seed)
+    solve = _grid_solves(pot, energies, n, unit_tol)  # band_scan's per-energy solve
+    propagating = 0
+    for i in range(energies.size):
+        prop = solve(i)[0].propagating
+        propagating += prop.size
+        for mu in prop:
+            assert np.min(np.abs(prop - np.conj(mu))) <= 1e-7 * max(1.0, abs(mu))
+    assert propagating > 0
 
 
 @given(st.floats(min_value=1e-3, max_value=200.0),
